@@ -44,6 +44,8 @@ class ChannelSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         p = self.param
+        if not math.isfinite(p):
+            raise ValueError(f"{self.kind} parameter must be finite")
         if self.kind in ("bsc", "bec"):
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{self.kind} parameter must be in [0, 1]")

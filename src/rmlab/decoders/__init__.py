@@ -5,7 +5,9 @@ soft-input decoders take LLR vectors (positive = 0 more likely).  Where a
 decoder returns a DecodeResult, result.metric is the soft score
 (1/2) * sum_z (-1)^{c_z} L_z computed against the decoder's input (hard
 inputs are scored against their +/-1 image), so maximum-likelihood
-decoders can be compared on exact metric equality.
+decoders can be compared on exact metric equality.  The `*_codeword`
+kernels return the decoded word alone, skipping message extraction; the
+simulation harness binds them.
 """
 
 from ..rmcode import TooLarge
@@ -13,9 +15,9 @@ from .types import Ambiguous, DecodeResult, Undecodable, soft_metric
 from .fht import fht, fht_decode_order1, fht_list_decode_order1
 from .reed import reed_decode
 from .oracle import erasure_decode, ml_decode
-from .dumer import dumer_decode, dumer_list_decode
+from .dumer import dumer_codeword, dumer_decode, dumer_list_codeword, dumer_list_decode
 from .sakkour import sakkour_decode_order2
-from .rpa import chase_list, rpa_decode_bsc, rpa_decode_llr
+from .rpa import CHASE_MAX_T, chase_list, rpa_decode_bsc, rpa_decode_llr
 from .bw import bw_decode
 
 __all__ = [
@@ -30,9 +32,12 @@ __all__ = [
     "reed_decode",
     "erasure_decode",
     "ml_decode",
+    "dumer_codeword",
     "dumer_decode",
+    "dumer_list_codeword",
     "dumer_list_decode",
     "sakkour_decode_order2",
+    "CHASE_MAX_T",
     "chase_list",
     "rpa_decode_bsc",
     "rpa_decode_llr",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import rmcode
 from ..channel import llr_of_sum
-from .fht import fht_decode_order1
+from .fht import order1_codeword
 from .types import DecodeResult, result_for
 
 
@@ -33,7 +33,7 @@ def _plain_rec(m: int, r: int, L: np.ndarray) -> np.ndarray:
         bit = 1 if L.sum() < 0 else 0
         return np.full(L.size, bit, dtype=np.uint8)
     if r == 1:
-        return fht_decode_order1(m, L).codeword
+        return order1_codeword(m, L)
     if r == m:
         return (L < 0).astype(np.uint8)
     L0, L1 = L[1::2], L[0::2]
@@ -45,11 +45,21 @@ def _plain_rec(m: int, r: int, L: np.ndarray) -> np.ndarray:
     return out
 
 
-def dumer_decode(params: rmcode.CodeParams, L) -> DecodeResult:
-    """Greedy recursive decoding with first-order and full-code leaves."""
+def _llrs(params: rmcode.CodeParams, L) -> np.ndarray:
     L = np.asarray(L, dtype=np.float64)
     if L.shape != (params.n,):
         raise ValueError(f"expected {params.n} LLRs")
+    return L
+
+
+def dumer_codeword(params: rmcode.CodeParams, L) -> np.ndarray:
+    """Codeword of dumer_decode(params, L), without message extraction."""
+    return _plain_rec(params.m, params.r, _llrs(params, L))
+
+
+def dumer_decode(params: rmcode.CodeParams, L) -> DecodeResult:
+    """Greedy recursive decoding with first-order and full-code leaves."""
+    L = _llrs(params, L)
     return result_for(params, _plain_rec(params.m, params.r, L), L)
 
 
@@ -58,6 +68,31 @@ def _prune(bits: np.ndarray, pens: np.ndarray, parents: np.ndarray, mu: int):
         return bits, pens, parents
     keep = np.argsort(pens, kind="stable")[:mu]
     return bits[keep], pens[keep], parents[keep]
+
+
+def _full_leaf(Ls: np.ndarray, pens: np.ndarray):
+    """Full-code leaf: per path the up-to-4 cheapest words among the hard
+    decision and its flips of the 3 least reliable positions.
+
+    Returns (bits, penalties, parent) unpruned, path-major and cheapest
+    first within a path, which fixes the order _prune's stable sort sees.
+    """
+    P, n = Ls.shape
+    prow = np.arange(P)[:, None]
+    hard = (Ls < 0).astype(np.uint8)
+    mag = np.abs(Ls)
+    base = pens + _softplus(-mag).sum(axis=1)
+    t = min(3, n)
+    pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
+    combos = ((np.arange(1 << t)[:, None] >> np.arange(t)[None, :]) & 1).astype(np.float64)
+    cand_pen = base[:, None] + mag[prow, pos] @ combos.T  # (P, 2^t)
+    take = np.argsort(cand_pen, axis=1, kind="stable")[:, :4]  # (P, K)
+    K = take.shape[1]
+    flips = np.zeros((P, K, n), dtype=np.uint8)
+    # positions within a path are distinct, so the scatter never collides
+    flips[prow[:, :, None], np.arange(K)[None, :, None], pos[:, None, :]] = combos[take]
+    rows = (hard[:, None, :] ^ flips).reshape(P * K, n)
+    return rows, cand_pen[prow, take].ravel(), np.repeat(np.arange(P), K)
 
 
 def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
@@ -73,29 +108,7 @@ def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
         bits[P:] = 1
         return _prune(bits, np.concatenate([pen0, pen1]), np.tile(np.arange(P), 2), mu)
     if r == m:
-        hard = (Ls < 0).astype(np.uint8)
-        mag = np.abs(Ls)
-        base = pens + _softplus(-mag).sum(axis=1)
-        t = min(3, n)
-        pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
-        combos = ((np.arange(1 << t)[:, None] >> np.arange(t)[None, :]) & 1).astype(np.float64)
-        flip_cost = np.take_along_axis(mag, pos, axis=1) @ combos.T  # (P, 2^t)
-        cand_pen = base[:, None] + flip_cost
-        take = np.argsort(cand_pen, axis=1, kind="stable")[:, :4]
-        rows = []
-        out_pens = []
-        parents = []
-        for p in range(P):
-            for combo_idx in take[p]:
-                w = hard[p].copy()
-                sel = combos[combo_idx].astype(bool)
-                w[pos[p][sel]] ^= 1
-                rows.append(w)
-                out_pens.append(cand_pen[p, combo_idx])
-                parents.append(p)
-        return _prune(
-            np.array(rows, dtype=np.uint8), np.array(out_pens), np.array(parents), mu
-        )
+        return _prune(*_full_leaf(Ls, pens), mu)
     L0, L1 = Ls[:, 1::2], Ls[:, 0::2]
     vbits, vpens, vpar = _list_rec(m - 1, r - 1, llr_of_sum(L0, L1), pens, mu)
     Lt = L0[vpar] + (1.0 - 2.0 * vbits) * L1[vpar]
@@ -107,13 +120,15 @@ def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
     return out, upens, vpar[upar]
 
 
-def dumer_list_decode(params: rmcode.CodeParams, L, mu: int) -> DecodeResult:
-    """List decoding with zero-order and full-code leaves, list size mu."""
+def dumer_list_codeword(params: rmcode.CodeParams, L, mu: int) -> np.ndarray:
+    """Codeword of dumer_list_decode(params, L, mu), without message extraction."""
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    L = np.asarray(L, dtype=np.float64)
-    if L.shape != (params.n,):
-        raise ValueError(f"expected {params.n} LLRs")
-    bits, pens, _ = _list_rec(params.m, params.r, L[None, :], np.zeros(1), mu)
-    best = int(np.argmin(pens))  # first minimum = deterministic tie-break
-    return result_for(params, bits[best], L)
+    bits, pens, _ = _list_rec(params.m, params.r, _llrs(params, L)[None, :], np.zeros(1), mu)
+    return bits[int(np.argmin(pens))]  # first minimum = deterministic tie-break
+
+
+def dumer_list_decode(params: rmcode.CodeParams, L, mu: int) -> DecodeResult:
+    """List decoding with zero-order and full-code leaves, list size mu."""
+    L = _llrs(params, L)
+    return result_for(params, dumer_list_codeword(params, L, mu), L)

@@ -19,23 +19,28 @@ from .types import DecodeResult, soft_metric
 def fht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
-    Integer inputs stay in exact int64 arithmetic.
+    Integer inputs stay in exact int64 arithmetic.  Each butterfly stage
+    views the rows as (..., n/2h, 2, h) blocks and writes a+b / a-b into a
+    second buffer, so every element sees the same additions as the textbook
+    slice-by-slice loop and results are bit-identical to it.
     """
     v = np.asarray(values)
     dtype = np.int64 if np.issubdtype(v.dtype, np.integer) else np.float64
-    v = v.astype(dtype, copy=True)
-    n = v.shape[-1]
+    src = v.astype(dtype, copy=True)
+    n = src.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a power of two")
+    dst = np.empty_like(src)
+    lead = src.shape[:-1]
     h = 1
     while h < n:
-        for start in range(0, n, 2 * h):
-            a = v[..., start : start + h].copy()
-            b = v[..., start + h : start + 2 * h]
-            v[..., start : start + h] = a + b
-            v[..., start + h : start + 2 * h] = a - b
+        shape = lead + (n // (2 * h), 2, h)
+        s, d = src.reshape(shape), dst.reshape(shape)
+        np.add(s[..., 0, :], s[..., 1, :], out=d[..., 0, :])
+        np.subtract(s[..., 0, :], s[..., 1, :], out=d[..., 1, :])
+        src, dst = dst, src
         h *= 2
-    return v
+    return src
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +71,20 @@ def point_transform(L) -> np.ndarray:
     return fht(arr[..., ::-1])
 
 
+def _best_linear(spec: np.ndarray) -> tuple[int, int]:
+    # smallest u of maximal |transform|; a zero correlation picks u0 = 0
+    u = int(np.argmax(np.abs(spec)))
+    return u, 1 if spec[u] < 0 else 0
+
+
+def order1_codeword(m: int, L: np.ndarray) -> np.ndarray:
+    """Codeword of fht_decode_order1(m, L) without the message or metric.
+
+    L must already be a length-2^m float64 vector.
+    """
+    return linear_word(m, *_best_linear(point_transform(L)))
+
+
 def fht_decode_order1(m: int, L) -> DecodeResult:
     """ML decoding of RM(m, 1) by exhaustive correlation.
 
@@ -76,9 +95,7 @@ def fht_decode_order1(m: int, L) -> DecodeResult:
     L = np.asarray(L, dtype=np.float64)
     if L.shape != (params.n,):
         raise ValueError(f"expected {params.n} LLRs")
-    spec = point_transform(L)
-    u = int(np.argmax(np.abs(spec)))
-    u0 = 1 if spec[u] < 0 else 0
+    u, u0 = _best_linear(point_transform(L))
     c = linear_word(m, u, u0)
     return DecodeResult(params, c, _linear_message(params, u, u0), soft_metric(c, L))
 

@@ -24,6 +24,8 @@ from ..channel import llr_of_sum
 from .fht import fht_decode_words
 from .types import DecodeResult, result_for, soft_metric
 
+CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
+
 
 @lru_cache(maxsize=None)
 def _tables(m: int):
@@ -117,7 +119,7 @@ def chase_list(
     """
     L = np.asarray(L, dtype=np.float64)
     n = L.size
-    if not (0 <= t <= min(16, n)):
+    if not (0 <= t <= min(CHASE_MAX_T, n)):
         raise ValueError("t out of range")
     pos = np.argsort(np.abs(L), kind="stable")[:t]
     lmax = 2.0 * float(np.abs(L).max()) if n else 0.0

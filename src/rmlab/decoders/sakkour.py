@@ -13,8 +13,6 @@ XOR, so derivative words never need explicit reindexing.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .. import rmcode
@@ -32,6 +30,18 @@ def _linear_coefficients(rows: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(spec), axis=1).astype(np.int64)
 
 
+def _majority(D: np.ndarray, xor: np.ndarray) -> np.ndarray:
+    """Coordinatewise majority of D_{b+b'} + D_{b'} over all b', per b.
+
+    Row b of xor holds J ^ b.  Ties pick the lexicographically smallest
+    vector (= smallest packed int): argmax returns the first maximal count.
+    """
+    n = D.size
+    votes = D[xor] ^ D[None, :]  # (b, b'), values in [0, n)
+    counts = np.bincount((votes + n * np.arange(n)[:, None]).ravel(), minlength=n * n)
+    return np.argmax(counts.reshape(n, n), axis=1).astype(np.int64)
+
+
 def sakkour_decode_order2(m: int, y) -> DecodeResult:
     if m < 2:
         raise ValueError("order-2 decoding needs m >= 2")
@@ -42,19 +52,10 @@ def sakkour_decode_order2(m: int, y) -> DecodeResult:
         raise ValueError(f"expected a length-{n} word")
     J = np.arange(n)
 
-    # derivative words, one per direction; b = 0 decodes to zero harmlessly
-    deriv = np.empty((n, n), dtype=np.float64)
-    for b in range(n):
-        deriv[b] = 1.0 - 2.0 * (y ^ y[J ^ b])
-    D = _linear_coefficients(deriv)
-
-    # coordinatewise majority of D_{b+b'} + D_{b'} over all b'; ties pick
-    # the lexicographically smallest vector (= smallest packed int)
-    Dstar = np.empty(n, dtype=np.int64)
-    for b in range(n):
-        votes = Counter(int(v) for v in D[J ^ b] ^ D)
-        top = max(votes.values())
-        Dstar[b] = min(u for u, cnt in votes.items() if cnt == top)
+    # derivative words, one row per direction; b = 0 decodes to zero harmlessly
+    xor = J[:, None] ^ J[None, :]
+    D = _linear_coefficients(1.0 - 2.0 * (y[None, :] ^ y[xor]))
+    Dstar = _majority(D, xor)
 
     # column i of U from the word of i-th coordinates of D*_b over b;
     # writes to u_{ij} from a later column win

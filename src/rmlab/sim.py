@@ -20,11 +20,12 @@ from scipy.special import ndtri
 from . import channel, rmcode
 from .channel import ChannelSpec
 from .decoders import (
+    CHASE_MAX_T,
     Undecodable,
     bw_decode,
     chase_list,
-    dumer_decode,
-    dumer_list_decode,
+    dumer_codeword,
+    dumer_list_codeword,
     fht_decode_order1,
     ml_decode,
     reed_decode,
@@ -53,6 +54,11 @@ DECODER_IDS = (
 )
 
 
+# _stream_key packs the sweep point into 16 bits and the trial into 32
+MAX_POINTS = 1 << 16
+MAX_TRIALS = 1 << 32
+
+
 class ConfigError(Exception):
     """Invalid simulation configuration."""
 
@@ -70,10 +76,12 @@ class SimConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be in [1, 2^32], got {self.trials}")
         if not self.channels:
             raise ConfigError("empty channel sweep")
+        if len(self.channels) > MAX_POINTS:
+            raise ConfigError(f"at most {MAX_POINTS} sweep points, got {len(self.channels)}")
 
     @property
     def params(self) -> rmcode.CodeParams:
@@ -131,7 +139,8 @@ def config_from_dict(data: dict) -> SimConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    resolve_decoder(cfg.decoder, cfg.params, channels[0].kind, cfg.hard)
+    for kind in dict.fromkeys(spec.kind for spec in channels):
+        resolve_decoder(cfg.decoder, cfg.params, kind, cfg.hard)
     return cfg
 
 
@@ -139,7 +148,8 @@ def _combo_help() -> str:
     return (
         "valid decoders: reed (hard, any r), fht (soft, r=1), "
         "sakkour (hard, r=2), dumer (soft), dumer-list:<mu> (soft), "
-        "rpa (r>=1; hard on bsc, soft otherwise), rpa-chase:<t> (soft, r>=1), "
+        "rpa (r>=1; hard on bsc, soft otherwise), "
+        "rpa-chase:<t> (soft, r>=1, t<=min(16, n)), "
         "bw (hard, m-r even >= 2), ml (soft, k<=24); hard decoders on "
         "bec/awgn need hard=true (sign quantization)"
     )
@@ -148,7 +158,9 @@ def _combo_help() -> str:
 def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
     """Map a decoder id to (input kind, word -> codeword callable).
 
-    Raises ConfigError on unusable combinations; TooLarge guards ml.
+    The callables return the decoded word only; where a decoder extracts
+    the message, the public *_decode wrappers do it.  Raises ConfigError on
+    unusable combinations; TooLarge guards ml.
     """
     name, _, arg = decoder_id.partition(":")
     m, r = params.m, params.r
@@ -178,12 +190,12 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
             raise bad("sakkour decodes second-order codes only")
         return kind, lambda y: sakkour_decode_order2(m, y).codeword
     if name == "dumer":
-        return kind, lambda L: dumer_decode(params, L).codeword
+        return kind, lambda L: dumer_codeword(params, L)
     if name == "dumer-list":
         mu = _int_arg(arg, decoder_id)
         if mu < 1:
             raise bad("list size must be >= 1")
-        return kind, lambda L: dumer_list_decode(params, L, mu).codeword
+        return kind, lambda L: dumer_list_codeword(params, L, mu)
     if name == "rpa":
         if r < 1:
             raise bad("rpa needs r >= 1")
@@ -194,10 +206,10 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
         if r < 1:
             raise bad("rpa needs r >= 1")
         t = _int_arg(arg, decoder_id)
-        if t < 0:
-            raise bad("t must be >= 0")
+        if not 0 <= t <= min(CHASE_MAX_T, params.n):
+            raise bad(f"t must be in [0, {min(CHASE_MAX_T, params.n)}]")
         inner = lambda L: rpa_decode_llr(params, L)
-        return kind, lambda L: chase_list(inner, L, t, params).codeword
+        return kind, lambda L: chase_list(inner, L, t).codeword
     if name == "bw":
         gap = m - r - 2
         if gap < 0 or gap % 2:

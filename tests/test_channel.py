@@ -176,3 +176,12 @@ def test_hard_decision():
 def test_transmit_rejects_nonbinary():
     with pytest.raises(ValueError):
         channel.transmit(np.array([0, 2], dtype=np.uint8), ChannelSpec("bsc", 0.1), 0)
+
+
+@pytest.mark.parametrize("kind", ["bsc", "bec", "awgn"])
+@pytest.mark.parametrize("param", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_parameters(kind, param):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelSpec(kind, param)
+    with pytest.raises(ValueError):
+        ChannelSpec.parse(f"{kind}:{param}")

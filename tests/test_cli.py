@@ -202,3 +202,22 @@ def test_simulate_rejects_incompatible_decoder(capsys, tmp_path):
     rc, _, err = run(capsys, "simulate", str(cfg))
     assert rc == 2
     assert "hard=true" in err
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"decoder": "rpa-chase:40", "m": 5, "r": 2, "channels": ["awgn:1.0"]},
+        {"decoder": "reed", "channels": ["bsc:0.01", "awgn:1.0"]},
+        {"decoder": "dumer", "channels": ["awgn:nan"]},
+        {"decoder": "dumer", "trials": 2**32 + 1},
+    ],
+)
+def test_simulate_rejects_configs_that_would_fail_mid_sweep(capsys, tmp_path, over):
+    cfg = tmp_path / "c.json"
+    data = {"m": 3, "r": 1, "decoder": "reed", "trials": 5, "channels": ["bsc:0.01"]}
+    cfg.write_text(json.dumps(data | over))
+    rc, out, err = run(capsys, "simulate", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -282,3 +282,48 @@ def test_regression_rm52_rpa_bsc():
     assert pt.blk_err == 94
     assert pt.bit_err == 533
     assert pt.fer == pytest.approx(0.0094, abs=0)
+
+
+# ---- config-time rejection of what would fail or alias mid-sweep ----
+
+
+def test_resolve_rejects_chase_t_beyond_cap():
+    params = rmcode.CodeParams(5, 2)
+    assert resolve_decoder("rpa-chase:16", params, "awgn", False)[0] == "soft"
+    for t in (17, 40):
+        with pytest.raises(ConfigError, match="t must be in"):
+            resolve_decoder(f"rpa-chase:{t}", params, "awgn", False)
+    # below the cap, t is bounded by the code length
+    with pytest.raises(ConfigError, match="t must be in"):
+        resolve_decoder("rpa-chase:9", rmcode.CodeParams(3, 1), "awgn", False)
+    with pytest.raises(ConfigError):
+        config_from_dict(base_config(decoder="rpa-chase:40", m=5, r=2, channels=["awgn:1"]))
+
+
+def test_config_resolves_decoder_on_every_channel():
+    mixed = base_config(channels=["bsc:0.01", "awgn:1"])
+    with pytest.raises(ConfigError, match="on awgn"):
+        config_from_dict(mixed)
+    assert config_from_dict(mixed | {"hard": True}).hard is True
+    with pytest.raises(ConfigError, match="on bec"):
+        config_from_dict(base_config(decoder="sakkour", r=2, channels=["bsc:0.01", "bec:0.1"]))
+
+
+def test_config_rejects_stream_key_aliasing():
+    assert sim._stream_key(1, 0, 0, 0) == sim._stream_key(1, sim.MAX_POINTS, 0, 0)
+    assert sim._stream_key(1, 0, 0, 0) == sim._stream_key(1, 0, sim.MAX_TRIALS, 0)
+    many = ["bsc:0.01"] * sim.MAX_POINTS
+    assert len(config_from_dict(base_config(channels=many)).channels) == sim.MAX_POINTS
+    with pytest.raises(ConfigError, match="sweep points"):
+        config_from_dict(base_config(channels=many + ["bsc:0.01"]))
+    assert config_from_dict(base_config(trials=sim.MAX_TRIALS)).trials == sim.MAX_TRIALS
+    with pytest.raises(ConfigError, match="trials"):
+        config_from_dict(base_config(trials=sim.MAX_TRIALS + 1))
+    with pytest.raises(ConfigError, match="trials"):
+        SimConfig(m=3, r=1, decoder="reed", channels=(ChannelSpec("bsc", 0.1),), trials=2**40)
+
+
+@pytest.mark.parametrize("text", ["awgn:nan", "awgn:inf", "bsc:nan", "bec:-inf"])
+def test_config_rejects_non_finite_channel_parameters(text):
+    with pytest.raises(ValueError, match="finite|parameter"):
+        config_from_dict(base_config(decoder="dumer", channels=[text]))
