@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 LLR_SATURATION = 40.0
 ERASURE = 2
@@ -79,20 +78,33 @@ def transmit(codeword, spec: ChannelSpec, seed: int) -> ChannelOutput:
     c = np.asarray(codeword, dtype=np.uint8)
     if c.ndim != 1 or not np.isin(c, (0, 1)).all():
         raise ValueError("codeword must be a 1-d 0/1 array")
-    u = _rng(seed).random(c.size)
+    return apply_noise(c, _rng(seed).random(c.size), spec)
+
+
+def apply_noise(c: np.ndarray, u: np.ndarray, spec: ChannelSpec) -> ChannelOutput:
+    """Channel output for 0/1 words c (uint8) given uniforms u in [0, 1).
+
+    c and u have the same shape; leading axes are batch axes, so a block
+    of words sees exactly the noise transmit gives each word alone.
+    """
     if spec.kind == "bsc":
         return ChannelOutput("bsc", (c ^ (u < spec.param)).astype(np.uint8))
     if spec.kind == "bec":
         out = c.copy()
         out[u < spec.param] = ERASURE
         return ChannelOutput("bec", out)
+    from scipy.special import ndtri  # imported here: it takes about 0.2 s, and only AWGN needs it
+
     x = 1.0 - 2.0 * c.astype(np.float64)
     g = ndtri(np.clip(u, 1e-300, None))
     return ChannelOutput("awgn", x + spec.param * g)
 
 
 def llr(out: ChannelOutput, spec: ChannelSpec) -> np.ndarray:
-    """Per-coordinate LLR ln(P[y|0]/P[y|1]), saturated to +/- 40."""
+    """Per-coordinate LLR ln(P[y|0]/P[y|1]), saturated to +/- 40.
+
+    Works on outputs of any shape, such as a block from apply_noise.
+    """
     if out.kind != spec.kind:
         raise ValueError(f"output kind {out.kind!r} does not match spec {spec.kind!r}")
     S = LLR_SATURATION
@@ -106,7 +118,7 @@ def llr(out: ChannelOutput, spec: ChannelSpec) -> np.ndarray:
             mag = min(max(math.log((1.0 - p) / p), -S), S)
         return np.where(out.data == 0, mag, -mag).astype(np.float64)
     if spec.kind == "bec":
-        vals = np.zeros(out.data.size, dtype=np.float64)
+        vals = np.zeros(out.data.shape, dtype=np.float64)
         vals[out.data == 0] = S
         vals[out.data == 1] = -S
         return vals

@@ -41,6 +41,8 @@ def _cmd_decode(args) -> int:
         word = np.array([float(x) for x in args.llr.split(",")], dtype=np.float64)
         if word.size != params.n:
             raise ConfigError(f"expected {params.n} LLRs")
+        if not np.isfinite(word).all():
+            raise ConfigError("LLRs must be finite")
         kind, fn = sim.resolve_decoder(args.decoder, params, "awgn", False)
         if kind != "soft":
             raise ConfigError(f"{args.decoder!r} needs --hex input")

@@ -7,7 +7,8 @@ decoder returns a DecodeResult, result.metric is the soft score
 inputs are scored against their +/-1 image), so maximum-likelihood
 decoders can be compared on exact metric equality.  The `*_codeword`
 kernels return the decoded word alone, skipping message extraction; the
-simulation harness binds them.
+simulation harness binds them.  The `*_codewords` kernels decode a (T, n)
+block of words at once; their single-word forms are blocks of one.
 """
 
 from ..rmcode import TooLarge
@@ -15,7 +16,14 @@ from .types import Ambiguous, DecodeResult, Undecodable, soft_metric
 from .fht import fht, fht_decode_order1, fht_list_decode_order1
 from .reed import reed_decode
 from .oracle import erasure_decode, ml_decode
-from .dumer import dumer_codeword, dumer_decode, dumer_list_codeword, dumer_list_decode
+from .dumer import (
+    dumer_codeword,
+    dumer_codewords,
+    dumer_decode,
+    dumer_list_codeword,
+    dumer_list_codewords,
+    dumer_list_decode,
+)
 from .sakkour import sakkour_decode_order2
 from .rpa import CHASE_MAX_T, chase_list, rpa_decode_bsc, rpa_decode_llr
 from .bw import bw_decode
@@ -33,8 +41,10 @@ __all__ = [
     "erasure_decode",
     "ml_decode",
     "dumer_codeword",
+    "dumer_codewords",
     "dumer_decode",
     "dumer_list_codeword",
+    "dumer_list_codewords",
     "dumer_list_decode",
     "sakkour_decode_order2",
     "CHASE_MAX_T",

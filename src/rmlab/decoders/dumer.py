@@ -12,6 +12,13 @@ list size mu by the cumulative penalty
 
 which telescopes exactly to the channel-domain negative log-likelihood, so
 an exhaustive list reproduces ML ranking.
+
+Both recursions decode a whole block of T trials at once: the plain one
+over (T, n) LLR rows, the list one over T * P path rows, P paths per
+trial, stored trial-major.  Every path count depends only on (m, r, mu),
+so all trials of a block branch and prune in lockstep; pruning sorts
+each trial's penalties on its own.  The single-word functions run the
+same kernels on a block of one.
 """
 
 from __future__ import annotations
@@ -29,19 +36,20 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _plain_rec(m: int, r: int, L: np.ndarray) -> np.ndarray:
+    """Decoded words for the rows of L, an (..., 2^m) LLR array."""
     if r == 0:
-        bit = 1 if L.sum() < 0 else 0
-        return np.full(L.size, bit, dtype=np.uint8)
+        bits = (L.sum(axis=-1) < 0).astype(np.uint8)
+        return np.repeat(bits[..., None], L.shape[-1], axis=-1)
     if r == 1:
         return order1_codeword(m, L)
     if r == m:
         return (L < 0).astype(np.uint8)
-    L0, L1 = L[1::2], L[0::2]
+    L0, L1 = L[..., 1::2], L[..., 0::2]
     v = _plain_rec(m - 1, r - 1, llr_of_sum(L0, L1))
     u = _plain_rec(m - 1, r, L0 + (1.0 - 2.0 * v) * L1)
-    out = np.empty(L.size, dtype=np.uint8)
-    out[1::2] = u
-    out[0::2] = u ^ v
+    out = np.empty(L.shape, dtype=np.uint8)
+    out[..., 1::2] = u
+    out[..., 0::2] = u ^ v
     return out
 
 
@@ -52,22 +60,40 @@ def _llrs(params: rmcode.CodeParams, L) -> np.ndarray:
     return L
 
 
+def _llr_rows(params: rmcode.CodeParams, Ls) -> np.ndarray:
+    Ls = np.asarray(Ls, dtype=np.float64)
+    if Ls.ndim != 2 or Ls.shape[1] != params.n:
+        raise ValueError(f"expected rows of {params.n} LLRs")
+    return Ls
+
+
+def dumer_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
+    """Plain recursive decoding of every row of a (T, n) LLR block."""
+    return _plain_rec(params.m, params.r, _llr_rows(params, Ls))
+
+
 def dumer_codeword(params: rmcode.CodeParams, L) -> np.ndarray:
     """Codeword of dumer_decode(params, L), without message extraction."""
-    return _plain_rec(params.m, params.r, _llrs(params, L))
+    return dumer_codewords(params, _llrs(params, L)[None])[0]
 
 
 def dumer_decode(params: rmcode.CodeParams, L) -> DecodeResult:
     """Greedy recursive decoding with first-order and full-code leaves."""
     L = _llrs(params, L)
-    return result_for(params, _plain_rec(params.m, params.r, L), L)
+    return result_for(params, dumer_codeword(params, L), L)
 
 
 def _prune(bits: np.ndarray, pens: np.ndarray, parents: np.ndarray, mu: int):
-    if pens.size <= mu:
+    """Keep per trial the mu cheapest paths; ties keep path order.
+
+    pens is (T, Q); bits and parents hold the T * Q paths trial-major.
+    """
+    T, Q = pens.shape
+    if Q <= mu:
         return bits, pens, parents
-    keep = np.argsort(pens, kind="stable")[:mu]
-    return bits[keep], pens[keep], parents[keep]
+    keep = np.argsort(pens, axis=1, kind="stable")[:, :mu]
+    flat = (keep + Q * np.arange(T)[:, None]).ravel()
+    return bits[flat], pens.ravel()[flat].reshape(T, mu), parents[flat]
 
 
 def _full_leaf(Ls: np.ndarray, pens: np.ndarray):
@@ -96,19 +122,25 @@ def _full_leaf(Ls: np.ndarray, pens: np.ndarray):
 
 
 def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
-    """Returns (bits, penalties, parent) for surviving paths.
+    """Returns (bits, penalties, parent) for the surviving paths.
 
-    Ls is (paths, 2^m); parent maps each surviving path to its input row.
+    pens is (T, P): P paths for each of T trials.  Ls holds their LLRs as
+    (T * P, 2^m) rows, trial-major, and so do bits; parent maps each
+    surviving path to its input row.
     """
-    P, n = Ls.shape
+    T, P = pens.shape
+    n = Ls.shape[1]
     if r == 0:
-        pen0 = pens + _softplus(-Ls).sum(axis=1)
-        pen1 = pens + _softplus(Ls).sum(axis=1)
-        bits = np.zeros((2 * P, n), dtype=np.uint8)
-        bits[P:] = 1
-        return _prune(bits, np.concatenate([pen0, pen1]), np.tile(np.arange(P), 2), mu)
+        pen0 = pens + _softplus(-Ls).sum(axis=1).reshape(T, P)
+        pen1 = pens + _softplus(Ls).sum(axis=1).reshape(T, P)
+        bits = np.zeros((T, 2, P, n), dtype=np.uint8)
+        bits[:, 1] = 1
+        parents = np.tile(np.arange(T * P).reshape(T, 1, P), (1, 2, 1))
+        cand = np.concatenate([pen0, pen1], axis=1)
+        return _prune(bits.reshape(-1, n), cand, parents.ravel(), mu)
     if r == m:
-        return _prune(*_full_leaf(Ls, pens), mu)
+        bits, leaf_pens, parents = _full_leaf(Ls, pens.ravel())
+        return _prune(bits, leaf_pens.reshape(T, -1), parents, mu)
     L0, L1 = Ls[:, 1::2], Ls[:, 0::2]
     vbits, vpens, vpar = _list_rec(m - 1, r - 1, llr_of_sum(L0, L1), pens, mu)
     Lt = L0[vpar] + (1.0 - 2.0 * vbits) * L1[vpar]
@@ -120,12 +152,34 @@ def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
     return out, upens, vpar[upar]
 
 
-def dumer_list_codeword(params: rmcode.CodeParams, L, mu: int) -> np.ndarray:
-    """Codeword of dumer_list_decode(params, L, mu), without message extraction."""
+# LLR cells (trials x paths x n) one list-recursion pass may hold per array
+_LIST_CELLS = 1 << 18
+
+
+def dumer_list_codewords(params: rmcode.CodeParams, Ls, mu: int) -> np.ndarray:
+    """List decoding of every row of a (T, n) LLR block, list size mu.
+
+    Per row the first path of minimal penalty wins.  Rows go through the
+    recursion in chunks of at most _LIST_CELLS // (mu * n) trials, which
+    bounds the working memory.
+    """
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    bits, pens, _ = _list_rec(params.m, params.r, _llrs(params, L)[None, :], np.zeros(1), mu)
-    return bits[int(np.argmin(pens))]  # first minimum = deterministic tie-break
+    Ls = _llr_rows(params, Ls)
+    out = np.empty(Ls.shape, dtype=np.uint8)
+    step = max(1, _LIST_CELLS // (mu * params.n))
+    for lo in range(0, Ls.shape[0], step):
+        chunk = Ls[lo : lo + step]
+        T = chunk.shape[0]
+        bits, pens, _ = _list_rec(params.m, params.r, chunk, np.zeros((T, 1)), mu)
+        # first minimum per trial = deterministic tie-break
+        out[lo : lo + step] = bits[np.argmin(pens, axis=1) + pens.shape[1] * np.arange(T)]
+    return out
+
+
+def dumer_list_codeword(params: rmcode.CodeParams, L, mu: int) -> np.ndarray:
+    """Codeword of dumer_list_decode(params, L, mu), without message extraction."""
+    return dumer_list_codewords(params, _llrs(params, L)[None], mu)[0]
 
 
 def dumer_list_decode(params: rmcode.CodeParams, L, mu: int) -> DecodeResult:

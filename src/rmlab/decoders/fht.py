@@ -78,11 +78,17 @@ def _best_linear(spec: np.ndarray) -> tuple[int, int]:
 
 
 def order1_codeword(m: int, L: np.ndarray) -> np.ndarray:
-    """Codeword of fht_decode_order1(m, L) without the message or metric.
+    """Codewords of fht_decode_order1(m, row) for every row of L.
 
-    L must already be a length-2^m float64 vector.
+    L is a float64 array whose last axis has length 2^m; any leading axes
+    are batch axes.  Per row: the smallest u of maximal |transform|, and
+    constant term 1 exactly when that transform entry is negative.
     """
-    return linear_word(m, *_best_linear(point_transform(L)))
+    spec = point_transform(L)
+    u = np.argmax(np.abs(spec), axis=-1)
+    rows = spec.reshape(-1, spec.shape[-1])
+    u0 = rows[np.arange(rows.shape[0]), u.ravel()] < 0
+    return _parity_table(m)[u] ^ u0.reshape(np.shape(u) + (1,)).astype(np.uint8)
 
 
 def fht_decode_order1(m: int, L) -> DecodeResult:
@@ -120,9 +126,4 @@ def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
 def fht_decode_words(rows: np.ndarray) -> np.ndarray:
     """Batch hard decoding: per row the best first-order codeword (bits)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    n = rows.shape[-1]
-    m = n.bit_length() - 1
-    spec = fht(rows[:, ::-1])
-    idx = np.argmax(np.abs(spec), axis=1)
-    u0 = spec[np.arange(rows.shape[0]), idx] < 0
-    return _parity_table(m)[idx] ^ u0[:, None].astype(np.uint8)
+    return order1_codeword(rows.shape[-1].bit_length() - 1, rows)

@@ -180,6 +180,27 @@ def encode(msg: Message) -> np.ndarray:
     return gf2.unpack_bits(encode_packed(msg), msg.params.n)
 
 
+@lru_cache(maxsize=None)
+def _generator_float(params: CodeParams) -> np.ndarray:
+    return generator_matrix(params).astype(np.float64)
+
+
+def encode_rows(params: CodeParams, bits) -> np.ndarray:
+    """Codewords of coefficient rows (T, k) in generator row order.
+
+    Row t equals encode(Message) of the message whose coefficient of
+    monomials(params)[i] is bits[t, i].  The float64 product is exact: its
+    entries are integers of at most k.
+    """
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != params.k:
+        raise ValueError(f"expected rows of {params.k} coefficients")
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("coefficients must be 0 or 1")
+    counts = bits.astype(np.float64) @ _generator_float(params)
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
+
+
 def as_packed(y, n: int) -> int:
     if isinstance(y, (int, np.integer)):
         return int(y)

@@ -3,19 +3,23 @@
 Every trial draws its message and channel noise from Philox substreams
 keyed by (seed, sweep point, trial, purpose), so results are a pure
 function of the config and identical under any execution order or worker
-count.  Wall-clock seconds are recorded only when timing is enabled;
-the default keeps the CSV byte-reproducible.
+count.  Trials run in blocks of at most BLOCK_TRIALS: each block stacks
+its per-trial streams, encodes, transmits and decodes as whole (T, n)
+arrays, and counts errors with array operations.  Wall-clock seconds are
+recorded only when timing is enabled; the default keeps the CSV
+byte-reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import channel, rmcode
 from .channel import ChannelSpec
@@ -25,38 +29,34 @@ from .decoders import (
     bw_decode,
     chase_list,
     dumer_codeword,
+    dumer_codewords,
     dumer_list_codeword,
-    fht_decode_order1,
+    dumer_list_codewords,
     ml_decode,
     reed_decode,
     rpa_decode_bsc,
     rpa_decode_llr,
     sakkour_decode_order2,
 )
+from .decoders.fht import order1_codeword
 
-_WILSON_Z = float(ndtri(0.975))
+# float(scipy.special.ndtri(0.975)), the 95% two-sided normal quantile, as
+# a literal: importing scipy.special takes about 0.2 s, and only AWGN needs it
+_WILSON_Z = 1.959963984540054
 
 CSV_HEADER = (
     "code_m,code_r,decoder,channel,param,trials,bit_err,blk_err,"
     "ber,fer,fer_lo,fer_hi,seconds"
 )
 
-DECODER_IDS = (
-    "reed",
-    "fht",
-    "sakkour",
-    "dumer",
-    "dumer-list:<mu>",
-    "rpa",
-    "rpa-chase:<t>",
-    "bw",
-    "ml",
-)
-
-
 # _stream_key packs the sweep point into 16 bits and the trial into 32
 MAX_POINTS = 1 << 16
 MAX_TRIALS = 1 << 32
+
+# A block holds at most BLOCK_TRIALS trials and about BLOCK_CELLS cells
+# of each (T, n) array: 256 trials up to n = 256, fewer beyond.
+BLOCK_TRIALS = 256
+BLOCK_CELLS = 1 << 16
 
 
 class ConfigError(Exception):
@@ -82,6 +82,8 @@ class SimConfig:
             raise ConfigError("empty channel sweep")
         if len(self.channels) > MAX_POINTS:
             raise ConfigError(f"at most {MAX_POINTS} sweep points, got {len(self.channels)}")
+        if self.max_errors_to_log < 0:
+            raise ConfigError("max_errors_to_log must be >= 0")
 
     @property
     def params(self) -> rmcode.CodeParams:
@@ -108,14 +110,30 @@ _CONFIG_KEYS = {
 }
 
 
+def _integer(key: str, value) -> int:
+    """An integral JSON number; bools, strings and fractions are rejected."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> SimConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        m, r = int(data["m"]), int(data["r"])
+        m, r = _integer("m", data["m"]), _integer("r", data["r"])
         decoder = str(data["decoder"])
-        trials = int(data["trials"])
+        trials = _integer("trials", data["trials"])
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc.args[0]}") from None
     if "channels" in data:
@@ -132,10 +150,10 @@ def config_from_dict(data: dict) -> SimConfig:
             decoder=decoder,
             channels=channels,
             trials=trials,
-            seed=int(data.get("seed", 0)),
-            max_errors_to_log=int(data.get("max_errors_to_log", 0)),
-            hard=bool(data.get("hard", False)),
-            timing=bool(data.get("timing", False)),
+            seed=_integer("seed", data.get("seed", 0)),
+            max_errors_to_log=_integer("max_errors_to_log", data.get("max_errors_to_log", 0)),
+            hard=_flag("hard", data.get("hard", False)),
+            timing=_flag("timing", data.get("timing", False)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -162,6 +180,34 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
     the message, the public *_decode wrappers do it.  Raises ConfigError on
     unusable combinations; TooLarge guards ml.
     """
+    kind, word_fn, _ = _resolve(decoder_id, params, channel_kind, hard)
+    return kind, word_fn
+
+
+def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
+    """Map a decoder id to (input kind, (T, n) block -> (T, n) words).
+
+    This is the harness's kernel.  fht, dumer and dumer-list decode the
+    block at once; every other decoder runs resolve_decoder's callable on
+    each row, and a row that raises Undecodable keeps its hard decision.
+    Either way row t equals the single-word decode of row t.
+    """
+    kind, word_fn, block_fn = _resolve(decoder_id, params, channel_kind, hard)
+    return kind, block_fn or partial(_each_row, word_fn, kind)
+
+
+def _each_row(word_fn, kind: str, words: np.ndarray) -> np.ndarray:
+    out = np.empty(words.shape, dtype=np.uint8)
+    for i, word in enumerate(words):
+        try:
+            out[i] = word_fn(word)
+        except Undecodable:
+            out[i] = word if kind == "hard" else channel.hard_decision(word)
+    return out
+
+
+def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
+    """(input kind, word callable, block callable or None) of a decoder id."""
     name, _, arg = decoder_id.partition(":")
     m, r = params.m, params.r
 
@@ -180,28 +226,30 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
         raise bad("this decoder takes no :argument")
 
     if name == "reed":
-        return kind, lambda y: reed_decode(params, y).codeword
+        return kind, lambda y: reed_decode(params, y).codeword, None
     if name == "fht":
         if r != 1:
             raise bad("fht decodes first-order codes only")
-        return kind, lambda L: fht_decode_order1(m, L).codeword
+        block = lambda Ls: order1_codeword(m, np.asarray(Ls, dtype=np.float64))
+        return kind, lambda L: block(np.asarray(L)[None])[0], block
     if name == "sakkour":
         if r != 2 or m < 2:
             raise bad("sakkour decodes second-order codes only")
-        return kind, lambda y: sakkour_decode_order2(m, y).codeword
+        return kind, lambda y: sakkour_decode_order2(m, y).codeword, None
     if name == "dumer":
-        return kind, lambda L: dumer_codeword(params, L)
+        return kind, lambda L: dumer_codeword(params, L), lambda Ls: dumer_codewords(params, Ls)
     if name == "dumer-list":
         mu = _int_arg(arg, decoder_id)
         if mu < 1:
             raise bad("list size must be >= 1")
-        return kind, lambda L: dumer_list_codeword(params, L, mu)
+        return (kind, lambda L: dumer_list_codeword(params, L, mu),
+                lambda Ls: dumer_list_codewords(params, Ls, mu))
     if name == "rpa":
         if r < 1:
             raise bad("rpa needs r >= 1")
         if kind == "hard":
-            return kind, lambda y: rpa_decode_bsc(params, y)
-        return kind, lambda L: rpa_decode_llr(params, L)
+            return kind, lambda y: rpa_decode_bsc(params, y), None
+        return kind, lambda L: rpa_decode_llr(params, L), None
     if name == "rpa-chase":
         if r < 1:
             raise bad("rpa needs r >= 1")
@@ -209,17 +257,17 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
         if not 0 <= t <= min(CHASE_MAX_T, params.n):
             raise bad(f"t must be in [0, {min(CHASE_MAX_T, params.n)}]")
         inner = lambda L: rpa_decode_llr(params, L)
-        return kind, lambda L: chase_list(inner, L, t).codeword
+        return kind, lambda L: chase_list(inner, L, t).codeword, None
     if name == "bw":
         gap = m - r - 2
         if gap < 0 or gap % 2:
             raise bad("bw needs m - r even and >= 2")
         r_bw = gap // 2
-        return kind, lambda y: bw_decode(m, r_bw, y).codeword
+        return kind, lambda y: bw_decode(m, r_bw, y).codeword, None
     if name == "ml":
         if params.k > 24:
             raise rmcode.TooLarge(f"ml over 2^{params.k} codewords")
-        return kind, lambda L: ml_decode(params, L).codeword
+        return kind, lambda L: ml_decode(params, L).codeword, None
     raise bad("unknown decoder id")  # pragma: no cover
 
 
@@ -246,35 +294,42 @@ def _stream_key(seed: int, point: int, trial: int, tag: int) -> int:
     )
 
 
+def _streams(config: SimConfig, point: int, trials: range):
+    """Message bits (T, k) and channel uniforms (T, n) of the given trials,
+    each row drawn from the trial's own Philox streams."""
+    params = config.params
+    bits = np.empty((len(trials), params.k), dtype=np.int64)
+    u = np.empty((len(trials), params.n))
+    for i, trial in enumerate(trials):
+        bits[i] = channel._rng(_stream_key(config.seed, point, trial, 0)).integers(0, 2, size=params.k)
+        channel._rng(_stream_key(config.seed, point, trial, 1)).random(out=u[i])
+    return bits, u
+
+
 def _run_trials(config: SimConfig, point: int, lo: int, hi: int):
-    """Trials [lo, hi) of one sweep point; returns integer aggregates."""
+    """Trials [lo, hi) of one sweep point, block by block; returns integer
+    aggregates and the failing trials, ascending, at most max_errors_to_log."""
     params = config.params
     spec = config.channels[point]
-    kind, fn = resolve_decoder(config.decoder, params, spec.kind, config.hard)
-    order = rmcode.monomials(params)
+    kind, decode = resolve_block_decoder(config.decoder, params, spec.kind, config.hard)
+    step = max(1, min(BLOCK_TRIALS, BLOCK_CELLS // params.n))
     bit_err = 0
     blk_err = 0
     logged = []
-    for trial in range(lo, hi):
-        rng = channel._rng(_stream_key(config.seed, point, trial, 0))
-        bits = rng.integers(0, 2, size=params.k)
-        msg = rmcode.Message(params, {order[i]: int(bits[i]) for i in range(params.k)})
-        c = rmcode.encode(msg)
-        out = channel.transmit(c, spec, _stream_key(config.seed, point, trial, 1))
+    for start in range(lo, hi, step):
+        bits, u = _streams(config, point, range(start, min(start + step, hi)))
+        c = rmcode.encode_rows(params, bits)
+        out = channel.apply_noise(c, u, spec)
         if kind == "hard":
-            word = out.data if spec.kind == "bsc" else channel.hard_decision(channel.llr(out, spec))
+            words = out.data if spec.kind == "bsc" else channel.hard_decision(channel.llr(out, spec))
         else:
-            word = channel.llr(out, spec)
-        try:
-            decoded = fn(word)
-        except Undecodable:
-            decoded = word if kind == "hard" else channel.hard_decision(word)
-        errs = int(np.count_nonzero(decoded != c))
-        if errs:
-            bit_err += errs
-            blk_err += 1
-            if len(logged) < config.max_errors_to_log:
-                logged.append(trial)
+            words = channel.llr(out, spec)
+        errs = np.count_nonzero(decode(words) != c, axis=1)
+        failed = np.flatnonzero(errs)
+        bit_err += int(errs.sum())
+        blk_err += failed.size
+        room = config.max_errors_to_log - len(logged)
+        logged += (start + failed[:room]).tolist()
     return bit_err, blk_err, logged
 
 
@@ -293,42 +348,46 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z):
 
 
 def run_simulation(config: SimConfig, workers: int = 1):
-    """All sweep points; byte-identical output for any worker count."""
+    """All sweep points; byte-identical output for any worker count.
+
+    With workers > 1 one process pool serves the whole sweep, and each
+    point's trials are split into 4 * workers contiguous jobs.
+    """
+    spans = [(0, config.trials)]
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        bounds = np.linspace(0, config.trials, 4 * workers + 1, dtype=int)
+        spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+        pool = ProcessPoolExecutor(max_workers=workers)
     points = []
-    n = config.params.n
-    for idx in range(len(config.channels)):
-        start = time.perf_counter()
-        if workers <= 1:
-            parts = [_run_trials(config, idx, 0, config.trials)]
-        else:
-            bounds = np.linspace(0, config.trials, 4 * workers + 1, dtype=int)
-            jobs = [
-                (config, idx, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if lo < hi
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_run_trials_star, jobs))
-        bit_err = sum(p[0] for p in parts)
-        blk_err = sum(p[1] for p in parts)
-        logged = sorted(t for p in parts for t in p[2])[: config.max_errors_to_log]
-        seconds = time.perf_counter() - start if config.timing else 0.0
-        lo, hi = wilson_interval(blk_err, config.trials)
-        points.append(
-            SimPoint(
-                spec=config.channels[idx],
-                trials=config.trials,
-                bit_err=bit_err,
-                blk_err=blk_err,
-                ber=bit_err / (config.trials * n),
-                fer=blk_err / config.trials,
-                fer_lo=lo,
-                fer_hi=hi,
-                seconds=seconds,
-                error_trials=tuple(logged),
-            )
-        )
+    with pool:
+        for idx in range(len(config.channels)):
+            start = time.perf_counter()
+            jobs = [(config, idx, lo, hi) for lo, hi in spans]
+            parts = list(pool.map(_run_trials_star, jobs)) if workers > 1 else [_run_trials(*jobs[0])]
+            seconds = time.perf_counter() - start if config.timing else 0.0
+            points.append(_sim_point(config, idx, parts, seconds))
     return points
+
+
+def _sim_point(config: SimConfig, idx: int, parts, seconds: float) -> SimPoint:
+    n = config.params.n
+    bit_err = sum(p[0] for p in parts)
+    blk_err = sum(p[1] for p in parts)
+    logged = sorted(t for p in parts for t in p[2])[: config.max_errors_to_log]
+    lo, hi = wilson_interval(blk_err, config.trials)
+    return SimPoint(
+        spec=config.channels[idx],
+        trials=config.trials,
+        bit_err=bit_err,
+        blk_err=blk_err,
+        ber=bit_err / (config.trials * n),
+        fer=blk_err / config.trials,
+        fer_lo=lo,
+        fer_hi=hi,
+        seconds=seconds,
+        error_trials=tuple(logged),
+    )
 
 
 def _run_trials_star(args):

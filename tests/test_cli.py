@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,3 +224,37 @@ def test_simulate_rejects_configs_that_would_fail_mid_sweep(capsys, tmp_path, ov
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "over",
+    [{"hard": "false"}, {"timing": "no"}, {"trials": 2.7}, {"m": True}, {"seed": "1"}],
+)
+def test_simulate_rejects_mistyped_config_values(capsys, tmp_path, over):
+    cfg = tmp_path / "c.json"
+    data = {"m": 3, "r": 1, "decoder": "reed", "trials": 5, "channels": ["bsc:0.01"]}
+    cfg.write_text(json.dumps(data | over))
+    rc, out, err = run(capsys, "simulate", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_decode_rejects_non_finite_llrs(capsys, bad):
+    rc, out, err = run(capsys, "decode", "2", "1", "dumer", f"--llr={bad},1,1,1")
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "rmlab", "encode", "3", "1", '{"x1": 1}'],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "F0"

@@ -327,3 +327,59 @@ def test_config_rejects_stream_key_aliasing():
 def test_config_rejects_non_finite_channel_parameters(text):
     with pytest.raises(ValueError, match="finite|parameter"):
         config_from_dict(base_config(decoder="dumer", channels=[text]))
+
+
+# ---- mistyped config values ----
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"hard": "false"},
+        {"hard": 0},
+        {"timing": "yes"},
+        {"timing": 1},
+        {"trials": 2.7},
+        {"trials": "50"},
+        {"trials": True},
+        {"m": True},
+        {"r": 1.5},
+        {"seed": float("nan")},
+        {"seed": None},
+        {"max_errors_to_log": 2.5},
+        {"max_errors_to_log": -1},
+    ],
+)
+def test_config_rejects_mistyped_values(over):
+    with pytest.raises(ConfigError):
+        config_from_dict(base_config(**over))
+
+
+def test_config_accepts_integral_numbers_and_bools():
+    cfg = config_from_dict(base_config(trials=50.0, seed=7.0, hard=True, timing=False))
+    assert cfg.trials == 50 and isinstance(cfg.trials, int)
+    assert cfg.seed == 7 and cfg.hard is True and cfg.timing is False
+    assert config_from_dict(base_config(seed=10**400)).seed == 10**400  # too big for a float
+    with pytest.raises(ConfigError, match="trials"):
+        config_from_dict(base_config(trials=10**400))
+
+
+# ---- import cost ----
+
+
+def test_wilson_z_is_scipys_quantile():
+    from scipy.special import ndtri
+
+    assert sim._WILSON_Z == float(ndtri(0.975))
+
+
+def test_importing_the_harness_leaves_scipy_unloaded():
+    # scipy.special takes about 0.2 s to import; BSC and BEC runs never need it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, rmlab.sim; sys.exit('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0
