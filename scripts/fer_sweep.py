@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from rmlab import sim
-from rmlab.channel import ChannelSpec
 
 
 def main() -> int:
@@ -26,20 +25,28 @@ def main() -> int:
     ap.add_argument("--hard", action="store_true")
     args = ap.parse_args()
 
-    channels = tuple(
-        ChannelSpec(args.channel, float(p)) for p in args.params.split(",")
-    )
+    # every config is checked before the first row is printed
+    try:
+        configs = [
+            sim.config_from_dict(
+                {
+                    "m": args.m,
+                    "r": args.r,
+                    "decoder": decoder,
+                    "channel": args.channel,
+                    "params": args.params.split(","),
+                    "trials": args.trials,
+                    "seed": args.seed,
+                    "hard": args.hard,
+                }
+            )
+            for decoder in args.decoders.split(",")
+        ]
+    except (sim.ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(sim.CSV_HEADER)
-    for decoder in args.decoders.split(","):
-        config = sim.SimConfig(
-            m=args.m,
-            r=args.r,
-            decoder=decoder,
-            channels=channels,
-            trials=args.trials,
-            seed=args.seed,
-            hard=args.hard,
-        )
+    for config in configs:
         points = sim.run_simulation(config, workers=args.workers)
         body = sim.csv_report(config, points).splitlines()[1:]
         print("\n".join(body))

@@ -17,7 +17,6 @@ from itertools import permutations
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import channel, gf2, rmcode
 from .rmcode import CodeParams, TooLarge
@@ -190,6 +189,9 @@ def area_theorem_check(params: CodeParams, grid_size: int = 129):
         raise ValueError("grid_size must be odd and >= 129")
     xs = np.linspace(0.0, 1.0, grid_size)
     ys = np.array([exit_function_bec(params, float(x)) for x in xs])
+    # imported here: scipy.integrate takes about 0.5 s, and only this needs it
+    from scipy.integrate import simpson
+
     integral = float(simpson(ys, x=xs))
     rate = params.k / params.n
     return integral, rate, abs(integral - rate)

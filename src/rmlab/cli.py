@@ -14,9 +14,8 @@ import sys
 import numpy as np
 
 from . import analysis, rmcode, sim
-from .channel import hard_decision
 from .decoders import Undecodable
-from .decoders.types import hard_input_llr, soft_metric
+from .decoders.types import hard_input_llr, result_for
 from .sim import ConfigError
 
 
@@ -43,24 +42,27 @@ def _cmd_decode(args) -> int:
             raise ConfigError(f"expected {params.n} LLRs")
         if not np.isfinite(word).all():
             raise ConfigError("LLRs must be finite")
-        kind, fn = sim.resolve_decoder(args.decoder, params, "awgn", False)
-        if kind != "soft":
-            raise ConfigError(f"{args.decoder!r} needs --hex input")
+        try:
+            fn = sim.resolve_decoder(args.decoder, params, "awgn", False)[1]
+        except ConfigError:
+            # off the BSC only a hard-input decoder fails by itself; a bad id,
+            # argument or code fails on the BSC too and reports that instead
+            sim.resolve_decoder(args.decoder, params, "bsc", False)
+            raise ConfigError(f"{args.decoder!r} needs --hex input") from None
         L = word
     try:
         codeword = fn(word)
     except Undecodable as exc:
         print(json.dumps({"undecodable": str(exc)}))
         return 0
-    msg = None
-    if rmcode.is_codeword(params, codeword):
-        msg = json.loads(rmcode.message_to_json(rmcode.message_of_codeword(params, codeword)))
+    res = result_for(params, codeword, L)
+    msg = None if res.message is None else json.loads(rmcode.message_to_json(res.message))
     print(
         json.dumps(
             {
-                "codeword_hex": rmcode.word_to_hex(codeword),
+                "codeword_hex": rmcode.word_to_hex(res.codeword),
                 "message": msg,
-                "metric": soft_metric(codeword, L),
+                "metric": res.metric,
             }
         )
     )

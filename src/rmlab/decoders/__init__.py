@@ -5,10 +5,10 @@ soft-input decoders take LLR vectors (positive = 0 more likely).  Where a
 decoder returns a DecodeResult, result.metric is the soft score
 (1/2) * sum_z (-1)^{c_z} L_z computed against the decoder's input (hard
 inputs are scored against their +/-1 image), so maximum-likelihood
-decoders can be compared on exact metric equality.  The `*_codeword`
-kernels return the decoded word alone, skipping message extraction; the
-simulation harness binds them.  The `*_codewords` kernels decode a (T, n)
-block of words at once; their single-word forms are blocks of one.
+decoders can be compared on exact metric equality.  The `*_codewords`
+kernels decode a (T, n) block of words at once and return the decoded
+words alone, skipping message extraction; the simulation harness binds
+them, and the public single-word decoders run them on a block of one.
 """
 
 from ..rmcode import TooLarge
@@ -17,10 +17,8 @@ from .fht import fht, fht_decode_order1, fht_list_decode_order1
 from .reed import reed_decode
 from .oracle import erasure_decode, ml_decode
 from .dumer import (
-    dumer_codeword,
     dumer_codewords,
     dumer_decode,
-    dumer_list_codeword,
     dumer_list_codewords,
     dumer_list_decode,
 )
@@ -40,10 +38,8 @@ __all__ = [
     "reed_decode",
     "erasure_decode",
     "ml_decode",
-    "dumer_codeword",
     "dumer_codewords",
     "dumer_decode",
-    "dumer_list_codeword",
     "dumer_list_codewords",
     "dumer_list_decode",
     "sakkour_decode_order2",

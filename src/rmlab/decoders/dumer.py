@@ -17,8 +17,8 @@ Both recursions decode a whole block of T trials at once: the plain one
 over (T, n) LLR rows, the list one over T * P path rows, P paths per
 trial, stored trial-major.  Every path count depends only on (m, r, mu),
 so all trials of a block branch and prune in lockstep; pruning sorts
-each trial's penalties on its own.  The single-word functions run the
-same kernels on a block of one.
+each trial's penalties on its own.  The public single-word decoders
+run the same kernels on a block of one, so each family has one kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import rmcode
 from ..channel import llr_of_sum
-from .fht import order1_codeword
+from .fht import fht_decode_words
 from .types import DecodeResult, result_for
 
 
@@ -41,7 +41,7 @@ def _plain_rec(m: int, r: int, L: np.ndarray) -> np.ndarray:
         bits = (L.sum(axis=-1) < 0).astype(np.uint8)
         return np.repeat(bits[..., None], L.shape[-1], axis=-1)
     if r == 1:
-        return order1_codeword(m, L)
+        return fht_decode_words(L)
     if r == m:
         return (L < 0).astype(np.uint8)
     L0, L1 = L[..., 1::2], L[..., 0::2]
@@ -72,15 +72,10 @@ def dumer_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
     return _plain_rec(params.m, params.r, _llr_rows(params, Ls))
 
 
-def dumer_codeword(params: rmcode.CodeParams, L) -> np.ndarray:
-    """Codeword of dumer_decode(params, L), without message extraction."""
-    return dumer_codewords(params, _llrs(params, L)[None])[0]
-
-
 def dumer_decode(params: rmcode.CodeParams, L) -> DecodeResult:
     """Greedy recursive decoding with first-order and full-code leaves."""
     L = _llrs(params, L)
-    return result_for(params, dumer_codeword(params, L), L)
+    return result_for(params, dumer_codewords(params, L[None])[0], L)
 
 
 def _prune(bits: np.ndarray, pens: np.ndarray, parents: np.ndarray, mu: int):
@@ -177,12 +172,7 @@ def dumer_list_codewords(params: rmcode.CodeParams, Ls, mu: int) -> np.ndarray:
     return out
 
 
-def dumer_list_codeword(params: rmcode.CodeParams, L, mu: int) -> np.ndarray:
-    """Codeword of dumer_list_decode(params, L, mu), without message extraction."""
-    return dumer_list_codewords(params, _llrs(params, L)[None], mu)[0]
-
-
 def dumer_list_decode(params: rmcode.CodeParams, L, mu: int) -> DecodeResult:
     """List decoding with zero-order and full-code leaves, list size mu."""
     L = _llrs(params, L)
-    return result_for(params, dumer_list_codeword(params, L, mu), L)
+    return result_for(params, dumer_list_codewords(params, L[None], mu)[0], L)

@@ -58,11 +58,12 @@ def linear_word(m: int, u: int, u0: int) -> np.ndarray:
     return _parity_table(m)[u] ^ np.uint8(u0)
 
 
-def _linear_message(params: rmcode.CodeParams, u: int, u0: int) -> rmcode.Message:
-    m = params.m
-    coeffs = {1 << (i - 1): (u >> (m - i)) & 1 for i in range(1, m + 1)}
-    coeffs[0] = u0
-    return rmcode.Message(params, {a: v for a, v in coeffs.items() if v})
+def linear_coeffs(m: int, u: int, u0: int) -> dict[int, int]:
+    """Nonzero message coefficients of u0 + sum_i u_i x_i by subset mask."""
+    coeffs = {1 << (i - 1): 1 for i in range(1, m + 1) if (u >> (m - i)) & 1}
+    if u0:
+        coeffs[0] = 1
+    return coeffs
 
 
 def point_transform(L) -> np.ndarray:
@@ -71,24 +72,21 @@ def point_transform(L) -> np.ndarray:
     return fht(arr[..., ::-1])
 
 
-def _best_linear(spec: np.ndarray) -> tuple[int, int]:
-    # smallest u of maximal |transform|; a zero correlation picks u0 = 0
-    u = int(np.argmax(np.abs(spec)))
-    return u, 1 if spec[u] < 0 else 0
-
-
-def order1_codeword(m: int, L: np.ndarray) -> np.ndarray:
-    """Codewords of fht_decode_order1(m, row) for every row of L.
-
-    L is a float64 array whose last axis has length 2^m; any leading axes
-    are batch axes.  Per row: the smallest u of maximal |transform|, and
-    constant term 1 exactly when that transform entry is negative.
+def transform_peak(L) -> tuple[np.ndarray, np.ndarray]:
+    """Point transform of every row of L, a (..., 2^m) array, and per row the
+    smallest u of maximal |transform|, the best first-order linear part.  Its
+    constant term is 1 exactly when the entry at u is negative.
     """
     spec = point_transform(L)
-    u = np.argmax(np.abs(spec), axis=-1)
-    rows = spec.reshape(-1, spec.shape[-1])
-    u0 = rows[np.arange(rows.shape[0]), u.ravel()] < 0
-    return _parity_table(m)[u] ^ u0.reshape(np.shape(u) + (1,)).astype(np.uint8)
+    return spec, np.argmax(np.abs(spec), axis=-1)
+
+
+def _linear_result(params: rmcode.CodeParams, L: np.ndarray, spec: np.ndarray, u) -> DecodeResult:
+    u = int(u)
+    u0 = 1 if spec[u] < 0 else 0
+    c = linear_word(params.m, u, u0)
+    msg = rmcode.Message(params, linear_coeffs(params.m, u, u0))
+    return DecodeResult(params, c, msg, soft_metric(c, L))
 
 
 def fht_decode_order1(m: int, L) -> DecodeResult:
@@ -101,9 +99,8 @@ def fht_decode_order1(m: int, L) -> DecodeResult:
     L = np.asarray(L, dtype=np.float64)
     if L.shape != (params.n,):
         raise ValueError(f"expected {params.n} LLRs")
-    u, u0 = _best_linear(point_transform(L))
-    c = linear_word(m, u, u0)
-    return DecodeResult(params, c, _linear_message(params, u, u0), soft_metric(c, L))
+    spec, u = transform_peak(L)
+    return _linear_result(params, L, spec, u)
 
 
 def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
@@ -114,16 +111,15 @@ def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
         raise ValueError("list size out of range")
     spec = point_transform(L)
     order = np.argsort(-np.abs(spec), kind="stable")[:s]
-    out = []
-    for u in order:
-        u = int(u)
-        u0 = 1 if spec[u] < 0 else 0
-        c = linear_word(m, u, u0)
-        out.append(DecodeResult(params, c, _linear_message(params, u, u0), soft_metric(c, L)))
-    return out
+    return [_linear_result(params, L, spec, u) for u in order]
 
 
-def fht_decode_words(rows: np.ndarray) -> np.ndarray:
-    """Batch hard decoding: per row the best first-order codeword (bits)."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    return order1_codeword(rows.shape[-1].bit_length() - 1, rows)
+def fht_decode_words(L) -> np.ndarray:
+    """Codeword of fht_decode_order1 for every row of L, a (..., 2^m) array;
+    m is read from the row length, and any leading axes are batch axes.
+    """
+    spec, u = transform_peak(L)
+    rows = spec.reshape(-1, spec.shape[-1])
+    u0 = rows[np.arange(rows.shape[0]), u.ravel()] < 0
+    table = _parity_table(spec.shape[-1].bit_length() - 1)
+    return table[u] ^ u0.reshape(np.shape(u) + (1,)).astype(np.uint8)

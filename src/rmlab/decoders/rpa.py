@@ -61,7 +61,7 @@ def rpa_decode_bsc(params: rmcode.CodeParams, y, n_max: int = 3) -> np.ndarray:
     if y.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word")
     if r == 1:
-        return fht_decode_words(1.0 - 2.0 * y[None, :].astype(np.float64))[0]
+        return fht_decode_words(1.0 - 2.0 * y.astype(np.float64))
     n = params.n
     mem0, mem1, cos, xorb = _tables(m)
     rows = np.arange(n - 1)[:, None]
@@ -90,7 +90,7 @@ def rpa_decode_llr(params: rmcode.CodeParams, L, n_max: int = 3) -> np.ndarray:
     if L.shape != (params.n,):
         raise ValueError(f"expected {params.n} LLRs")
     if r == 1:
-        return fht_decode_words(L[None, :])[0]
+        return fht_decode_words(L)
     n = params.n
     mem0, mem1, cos, xorb = _tables(m)
     rows = np.arange(n - 1)[:, None]

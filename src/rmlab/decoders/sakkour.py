@@ -16,18 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import rmcode
-from .fht import fht
+# fht is unused here: bench/replay.py's --trace patches decoders.sakkour.fht
+from .fht import fht, linear_coeffs, transform_peak  # noqa: F401
 from .types import DecodeResult, hard_input_llr, soft_metric
-
-
-def _linear_coefficients(rows: np.ndarray) -> np.ndarray:
-    """FHT-decode each +/-1 row to the best coefficient vector.
-
-    Returned ints are in point encoding (bit m-i = u_i); ties pick the
-    smallest, constant terms are discarded.
-    """
-    spec = fht(rows[:, ::-1])
-    return np.argmax(np.abs(spec), axis=1).astype(np.int64)
 
 
 def _majority(D: np.ndarray, xor: np.ndarray) -> np.ndarray:
@@ -54,7 +45,7 @@ def sakkour_decode_order2(m: int, y) -> DecodeResult:
 
     # derivative words, one row per direction; b = 0 decodes to zero harmlessly
     xor = J[:, None] ^ J[None, :]
-    D = _linear_coefficients(1.0 - 2.0 * (y[None, :] ^ y[xor]))
+    D = transform_peak(1.0 - 2.0 * (y[None, :] ^ y[xor]))[1]
     Dstar = _majority(D, xor)
 
     # column i of U from the word of i-th coordinates of D*_b over b;
@@ -62,7 +53,7 @@ def sakkour_decode_order2(m: int, y) -> DecodeResult:
     col_words = np.empty((m, n), dtype=np.float64)
     for i in range(1, m + 1):
         col_words[i - 1] = 1.0 - 2.0 * ((Dstar[J ^ (n - 1)] >> (m - i)) & 1)
-    col_u = _linear_coefficients(col_words)
+    col_u = transform_peak(col_words)[1]
     quad: dict[int, int] = {}
     for i in range(1, m + 1):
         u = int(col_u[i - 1])
@@ -72,15 +63,8 @@ def sakkour_decode_order2(m: int, y) -> DecodeResult:
 
     deg2 = rmcode.Message(params, {a: v for a, v in quad.items() if v})
     resid = y ^ rmcode.encode(deg2)
-    lin_spec = fht((1.0 - 2.0 * resid)[::-1])
-    u = int(np.argmax(np.abs(lin_spec)))
-    u0 = 1 if lin_spec[u] < 0 else 0
-    coeffs = dict(deg2.coeffs)
-    for i in range(1, m + 1):
-        if (u >> (m - i)) & 1:
-            coeffs[1 << (i - 1)] = 1
-    if u0:
-        coeffs[0] = 1
-    msg = rmcode.Message(params, coeffs)
+    lin_spec, u = transform_peak(1.0 - 2.0 * resid)
+    u = int(u)
+    msg = rmcode.Message(params, deg2.coeffs | linear_coeffs(m, u, 1 if lin_spec[u] < 0 else 0))
     c = rmcode.encode(msg)
     return DecodeResult(params, c, msg, soft_metric(c, hard_input_llr(y)))

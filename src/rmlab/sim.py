@@ -28,9 +28,7 @@ from .decoders import (
     Undecodable,
     bw_decode,
     chase_list,
-    dumer_codeword,
     dumer_codewords,
-    dumer_list_codeword,
     dumer_list_codewords,
     ml_decode,
     reed_decode,
@@ -38,7 +36,7 @@ from .decoders import (
     rpa_decode_llr,
     sakkour_decode_order2,
 )
-from .decoders.fht import order1_codeword
+from .decoders.fht import fht_decode_words
 
 # float(scipy.special.ndtri(0.975)), the 95% two-sided normal quantile, as
 # a literal: importing scipy.special takes about 0.2 s, and only AWGN needs it
@@ -180,8 +178,10 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
     the message, the public *_decode wrappers do it.  Raises ConfigError on
     unusable combinations; TooLarge guards ml.
     """
-    kind, word_fn, _ = _resolve(decoder_id, params, channel_kind, hard)
-    return kind, word_fn
+    kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
+    if batched:
+        return kind, lambda word: fn(np.asarray(word)[None])[0]
+    return kind, fn
 
 
 def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
@@ -192,8 +192,8 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
     each row, and a row that raises Undecodable keeps its hard decision.
     Either way row t equals the single-word decode of row t.
     """
-    kind, word_fn, block_fn = _resolve(decoder_id, params, channel_kind, hard)
-    return kind, block_fn or partial(_each_row, word_fn, kind)
+    kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
+    return kind, fn if batched else partial(_each_row, fn, kind)
 
 
 def _each_row(word_fn, kind: str, words: np.ndarray) -> np.ndarray:
@@ -207,7 +207,7 @@ def _each_row(word_fn, kind: str, words: np.ndarray) -> np.ndarray:
 
 
 def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
-    """(input kind, word callable, block callable or None) of a decoder id."""
+    """(input kind, kernel, batched): a batched kernel decodes (T, n) blocks."""
     name, _, arg = decoder_id.partition(":")
     m, r = params.m, params.r
 
@@ -226,30 +226,28 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         raise bad("this decoder takes no :argument")
 
     if name == "reed":
-        return kind, lambda y: reed_decode(params, y).codeword, None
+        return kind, lambda y: reed_decode(params, y).codeword, False
     if name == "fht":
         if r != 1:
             raise bad("fht decodes first-order codes only")
-        block = lambda Ls: order1_codeword(m, np.asarray(Ls, dtype=np.float64))
-        return kind, lambda L: block(np.asarray(L)[None])[0], block
+        return kind, fht_decode_words, True
     if name == "sakkour":
         if r != 2 or m < 2:
             raise bad("sakkour decodes second-order codes only")
-        return kind, lambda y: sakkour_decode_order2(m, y).codeword, None
+        return kind, lambda y: sakkour_decode_order2(m, y).codeword, False
     if name == "dumer":
-        return kind, lambda L: dumer_codeword(params, L), lambda Ls: dumer_codewords(params, Ls)
+        return kind, lambda Ls: dumer_codewords(params, Ls), True
     if name == "dumer-list":
         mu = _int_arg(arg, decoder_id)
         if mu < 1:
             raise bad("list size must be >= 1")
-        return (kind, lambda L: dumer_list_codeword(params, L, mu),
-                lambda Ls: dumer_list_codewords(params, Ls, mu))
+        return kind, lambda Ls: dumer_list_codewords(params, Ls, mu), True
     if name == "rpa":
         if r < 1:
             raise bad("rpa needs r >= 1")
         if kind == "hard":
-            return kind, lambda y: rpa_decode_bsc(params, y), None
-        return kind, lambda L: rpa_decode_llr(params, L), None
+            return kind, lambda y: rpa_decode_bsc(params, y), False
+        return kind, lambda L: rpa_decode_llr(params, L), False
     if name == "rpa-chase":
         if r < 1:
             raise bad("rpa needs r >= 1")
@@ -257,27 +255,28 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         if not 0 <= t <= min(CHASE_MAX_T, params.n):
             raise bad(f"t must be in [0, {min(CHASE_MAX_T, params.n)}]")
         inner = lambda L: rpa_decode_llr(params, L)
-        return kind, lambda L: chase_list(inner, L, t).codeword, None
+        return kind, lambda L: chase_list(inner, L, t).codeword, False
     if name == "bw":
         gap = m - r - 2
         if gap < 0 or gap % 2:
             raise bad("bw needs m - r even and >= 2")
         r_bw = gap // 2
-        return kind, lambda y: bw_decode(m, r_bw, y).codeword, None
+        return kind, lambda y: bw_decode(m, r_bw, y).codeword, False
     if name == "ml":
         if params.k > 24:
             raise rmcode.TooLarge(f"ml over 2^{params.k} codewords")
-        return kind, lambda L: ml_decode(params, L).codeword, None
+        return kind, lambda L: ml_decode(params, L).codeword, False
     raise bad("unknown decoder id")  # pragma: no cover
 
 
 def _int_arg(arg: str, decoder_id: str) -> int:
     if not arg:
         raise ConfigError(f"{decoder_id!r} needs an integer :argument")
-    try:
-        return int(arg)
-    except ValueError:
-        raise ConfigError(f"bad :argument in {decoder_id!r}") from None
+    # int() alone would also take "1_6", " 8", "+8" and non-ASCII digits
+    if arg.isascii() and arg.isdigit():
+        with contextlib.suppress(ValueError):  # past int()'s digit limit
+            return int(arg)
+    raise ConfigError(f"bad :argument in {decoder_id!r}")
 
 
 _MASK64 = (1 << 64) - 1

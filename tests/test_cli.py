@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rmlab import cli
+from rmlab import cli, sim
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +78,37 @@ def test_decode_requires_matching_input_kind(capsys):
     assert run(capsys, "decode", "3", "1", "reed")[0] == 2
     rc = run(capsys, "decode", "3", "1", "reed", "--hex", "F0", "--llr=1,1,1,1,1,1,1,1")[0]
     assert rc == 2
+
+
+def test_decode_names_the_missing_input_flag(capsys):
+    llrs = "--llr=1,1,1,1,1,1,1,1"
+    rc, out, err = run(capsys, "decode", "3", "1", "reed", llrs)
+    assert (rc, out) == (2, "")
+    assert "'reed' needs --hex input" in err
+    rc, out, err = run(capsys, "decode", "3", "1", "fht", "--hex", "F0")
+    assert (rc, out) == (2, "")
+    assert "'fht' needs --llr input" in err
+    # a bad argument or code reports itself, not the input flag
+    rc, _, err = run(capsys, "decode", "3", "1", "reed:3", llrs)
+    assert rc == 2 and "takes no :argument" in err
+    rc, _, err = run(capsys, "decode", "3", "1", "sakkour", llrs)
+    assert rc == 2 and "second-order" in err
+    # rpa takes either kind
+    assert run(capsys, "decode", "3", "1", "rpa", llrs)[0] == 0
+    assert run(capsys, "decode", "3", "1", "rpa", "--hex", "F0")[0] == 0
+
+
+@pytest.mark.parametrize("arg", ["1_6", " 8", "+8", "\u0663"])
+def test_decoder_argument_must_be_plain_digits(capsys, tmp_path, arg):
+    rc, out, err = run(capsys, "decode", "3", "1", f"dumer-list:{arg}", "--llr=1,1,1,1,1,1,1,1")
+    assert (rc, out) == (2, "")
+    assert "bad :argument" in err
+    cfg = tmp_path / "c.json"
+    data = {"m": 3, "r": 1, "decoder": f"dumer-list:{arg}", "trials": 5, "channels": ["awgn:1.0"]}
+    cfg.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "simulate", str(cfg))
+    assert (rc, out) == (2, "")
+    assert "bad :argument" in err
 
 
 def test_decode_wrong_llr_count(capsys):
@@ -258,3 +289,46 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "F0"
+
+
+def _env_with_src():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy.integrate alone takes about 0.5 s to import; only `analyze area` needs it
+    code = "import sys, rmlab.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), timeout=120)
+    assert done.returncode == 0
+
+
+def _fer_sweep(*argv):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fer_sweep.py"
+    return subprocess.run(
+        [sys.executable, str(script), *argv],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+
+
+def test_fer_sweep_checks_every_config_before_any_row():
+    # fht cannot decode RM(4, 2); reed, listed first, must not print its rows
+    done = _fer_sweep("--m", "4", "--r", "2", "--decoders", "reed,fht", "--trials", "20")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "'fht'" in done.stderr
+    done = _fer_sweep("--params", "0.01,x", "--decoders", "reed", "--trials", "20")
+    assert (done.returncode, done.stdout) == (2, "")
+
+
+def test_fer_sweep_prints_one_row_per_decoder_and_point():
+    done = _fer_sweep("--m", "3", "--r", "1", "--decoders", "reed,dumer", "--params", "0.01,0.05",
+                      "--trials", "20")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == sim.CSV_HEADER
+    assert [line.split(",")[2:5] for line in lines[1:]] == [
+        [d, "bsc", p] for d in ("reed", "dumer") for p in ("0.01", "0.05")
+    ]

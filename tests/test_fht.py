@@ -187,3 +187,17 @@ def test_batch_decode_on_hard_words():
     words = np.stack([rmcode.encode(random_message(params, rng)) for _ in range(8)])
     batch = fht_decode_words(1.0 - 2.0 * words.astype(np.float64))
     assert np.array_equal(batch, words)
+
+
+def test_batch_decode_takes_any_leading_axes():
+    # m comes from the row length; a 1-D word is a block with no leading axes
+    rng = np.random.default_rng(20)
+    rows = rng.normal(size=(2, 3, 8))
+    rows[0, 0] = 0.0  # a zero correlation: u = 0 and constant term 0
+    batch = fht_decode_words(rows)
+    assert batch.shape == (2, 3, 8) and batch.dtype == np.uint8
+    for i in range(2):
+        for j in range(3):
+            word = fht_decode_order1(3, rows[i, j]).codeword
+            assert batch[i, j].tolist() == word.tolist()
+            assert fht_decode_words(rows[i, j]).tolist() == word.tolist()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -110,6 +112,17 @@ def test_resolve_argument_handling():
         resolve_decoder("reed:3", params, "bsc", False)  # takes no argument
 
 
+@pytest.mark.parametrize("arg", ["1_6", " 8", "+8", "\u0663", "-1", "9" * 5000])
+def test_resolve_accepts_only_plain_digit_arguments(arg):
+    # int() parses all but the last; the first four would decode under an id the CSV echoes as typed
+    params = rmcode.CodeParams(4, 2)
+    for name in ("dumer-list", "rpa-chase"):
+        with pytest.raises(ConfigError, match="bad :argument"):
+            resolve_decoder(f"{name}:{arg}", params, "awgn", False)
+        with pytest.raises(ConfigError):
+            config_from_dict(base_config(decoder=f"{name}:{arg}", channels=["awgn:1.0"]))
+
+
 def test_resolve_structural_constraints():
     with pytest.raises(ConfigError):
         resolve_decoder("fht", rmcode.CodeParams(4, 2), "awgn", False)
@@ -122,6 +135,46 @@ def test_resolve_structural_constraints():
     assert resolve_decoder("bw", rmcode.CodeParams(6, 2), "bsc", False)[0] == "hard"
     with pytest.raises(TooLarge):
         resolve_decoder("ml", rmcode.CodeParams(6, 3), "awgn", False)
+
+
+# ---- the README decoder table ----
+
+# a code meeting each constraint the table states, keyed by its first clause
+_TABLE_CODES = {
+    "any (m, r)": (4, 2),
+    "r == 1": (4, 1),
+    "r == 2": (4, 2),
+    "r >= 1": (4, 2),
+    "list size u >= 1": (4, 2),
+    "m - r even and >= 2": (6, 2),
+    "k <= 24 (exhaustive enumeration)": (4, 2),
+}
+
+
+def _readme_decoder_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Decoder ids", 1)[1].split("\n\n", 2)[1]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
+    assert rows[0] == ["id", "input", "constraint"]
+    return rows[2:]
+
+
+def test_readme_decoder_table_matches_resolve():
+    rows = _readme_decoder_rows()
+    assert len(rows) == 9
+    help_text = sim._combo_help()
+    for ident, kind, constraint in rows:
+        name, _, placeholder = ident.strip("`").partition(":")
+        decoder_id = f"{name}:2" if placeholder else name
+        m, r = _TABLE_CODES[constraint.split(";")[0]]
+        params = rmcode.CodeParams(m, r)
+        if kind == "both":
+            assert resolve_decoder(decoder_id, params, "bsc", False)[0] == "hard"
+            assert resolve_decoder(decoder_id, params, "awgn", False)[0] == "soft"
+        else:
+            assert kind in ("hard", "soft")
+            assert resolve_decoder(decoder_id, params, "bsc", False)[0] == kind
+        assert (f"{name}:<" if placeholder else f"{name} (") in help_text
 
 
 # ---- wilson interval ----
