@@ -34,7 +34,7 @@ def main() -> int:
                     "r": args.r,
                     "decoder": decoder,
                     "channel": args.channel,
-                    "params": args.params.split(","),
+                    "params": [float(p) for p in args.params.split(",")],
                     "trials": args.trials,
                     "seed": args.seed,
                     "hard": args.hard,

@@ -23,7 +23,15 @@ from .dumer import (
     dumer_list_decode,
 )
 from .sakkour import sakkour_decode_order2
-from .rpa import CHASE_MAX_T, chase_list, rpa_decode_bsc, rpa_decode_llr
+from .rpa import (
+    CHASE_MAX_T,
+    chase_codewords,
+    chase_list,
+    rpa_bsc_codewords,
+    rpa_decode_bsc,
+    rpa_decode_llr,
+    rpa_llr_codewords,
+)
 from .bw import bw_decode
 
 __all__ = [
@@ -44,8 +52,11 @@ __all__ = [
     "dumer_list_decode",
     "sakkour_decode_order2",
     "CHASE_MAX_T",
+    "chase_codewords",
     "chase_list",
+    "rpa_bsc_codewords",
     "rpa_decode_bsc",
     "rpa_decode_llr",
+    "rpa_llr_codewords",
     "bw_decode",
 ]

@@ -19,28 +19,30 @@ from .types import DecodeResult, soft_metric
 def fht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
-    Integer inputs stay in exact int64 arithmetic.  Each butterfly stage
-    views the rows as (..., n/2h, 2, h) blocks and writes a+b / a-b into a
-    second buffer, so every element sees the same additions as the textbook
-    slice-by-slice loop and results are bit-identical to it.
+    Integer inputs stay in exact int64 arithmetic.  The rows are copied
+    into an (n, rows) transpose, so each butterfly stage is two long
+    operations over (n/2h, 2, h * rows) blocks writing a+b / a-b into a
+    second buffer rather than many short ones; every element sees the same
+    additions as the textbook slice-by-slice loop and results are
+    bit-identical to it.
     """
     v = np.asarray(values)
     dtype = np.int64 if np.issubdtype(v.dtype, np.integer) else np.float64
-    src = v.astype(dtype, copy=True)
-    n = src.shape[-1]
+    n = v.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a power of two")
+    rows = v.size // n
+    src = v.reshape(rows, n).T.astype(dtype, order="C", copy=True)
     dst = np.empty_like(src)
-    lead = src.shape[:-1]
     h = 1
     while h < n:
-        shape = lead + (n // (2 * h), 2, h)
+        shape = (n // (2 * h), 2, h * rows)
         s, d = src.reshape(shape), dst.reshape(shape)
-        np.add(s[..., 0, :], s[..., 1, :], out=d[..., 0, :])
-        np.subtract(s[..., 0, :], s[..., 1, :], out=d[..., 1, :])
+        np.add(s[:, 0], s[:, 1], out=d[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
         src, dst = dst, src
         h *= 2
-    return src
+    return np.ascontiguousarray(src.T).reshape(v.shape)
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +109,8 @@ def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
     """The s best first-order candidates by |transform|, best first."""
     params = rmcode.CodeParams(m, 1)
     L = np.asarray(L, dtype=np.float64)
+    if L.shape != (params.n,):
+        raise ValueError(f"expected {params.n} LLRs")
     if not (1 <= s <= params.n):
         raise ValueError("list size out of range")
     spec = point_transform(L)

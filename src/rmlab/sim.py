@@ -27,15 +27,17 @@ from .decoders import (
     CHASE_MAX_T,
     Undecodable,
     bw_decode,
-    chase_list,
+    chase_codewords,
     dumer_codewords,
     dumer_list_codewords,
     ml_decode,
     reed_decode,
-    rpa_decode_bsc,
-    rpa_decode_llr,
+    rpa_bsc_codewords,
+    rpa_llr_codewords,
     sakkour_decode_order2,
 )
+# unused here: bench/replay.py's --trace patches sim.rpa_decode_bsc and sim.rpa_decode_llr
+from .decoders import rpa_decode_bsc, rpa_decode_llr  # noqa: F401
 from .decoders.fht import fht_decode_words
 
 # float(scipy.special.ndtri(0.975)), the 95% two-sided normal quantile, as
@@ -124,6 +126,26 @@ def _flag(key: str, value) -> bool:
     return value
 
 
+def _channels(data: dict) -> tuple:
+    """The sweep's ChannelSpecs, from 'channels' or 'channel' + 'params'."""
+    try:
+        if "channels" in data:
+            texts = data["channels"]
+            if not isinstance(texts, (list, tuple)) or not all(isinstance(s, str) for s in texts):
+                raise ConfigError(f"'channels' must be a list of strings like \"bsc:0.1\", got {texts!r}")
+            return tuple(ChannelSpec.parse(s) for s in texts)
+        if "channel" in data and "params" in data:
+            kind, values = str(data["channel"]), data["params"]
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(p, numbers.Real) and not isinstance(p, bool) for p in values
+            ):
+                raise ConfigError(f"'params' must be a list of numbers, got {values!r}")
+            return tuple(ChannelSpec(kind, float(p)) for p in values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    raise ConfigError("need 'channels' or 'channel' + 'params'")
+
+
 def config_from_dict(data: dict) -> SimConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
@@ -134,13 +156,7 @@ def config_from_dict(data: dict) -> SimConfig:
         trials = _integer("trials", data["trials"])
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc.args[0]}") from None
-    if "channels" in data:
-        channels = tuple(ChannelSpec.parse(s) for s in data["channels"])
-    elif "channel" in data and "params" in data:
-        kind = str(data["channel"])
-        channels = tuple(ChannelSpec(kind, float(p)) for p in data["params"])
-    else:
-        raise ConfigError("need 'channels' or 'channel' + 'params'")
+    channels = _channels(data)
     try:
         cfg = SimConfig(
             m=m,
@@ -187,9 +203,10 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
 def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
     """Map a decoder id to (input kind, (T, n) block -> (T, n) words).
 
-    This is the harness's kernel.  fht, dumer and dumer-list decode the
-    block at once; every other decoder runs resolve_decoder's callable on
-    each row, and a row that raises Undecodable keeps its hard decision.
+    This is the harness's kernel.  fht, dumer, dumer-list, rpa and
+    rpa-chase decode the block at once; every other decoder runs
+    resolve_decoder's callable on each row, and a row that raises
+    Undecodable keeps its hard decision.
     Either way row t equals the single-word decode of row t.
     """
     kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
@@ -246,16 +263,15 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         if r < 1:
             raise bad("rpa needs r >= 1")
         if kind == "hard":
-            return kind, lambda y: rpa_decode_bsc(params, y), False
-        return kind, lambda L: rpa_decode_llr(params, L), False
+            return kind, lambda Ys: rpa_bsc_codewords(params, Ys), True
+        return kind, lambda Ls: rpa_llr_codewords(params, Ls), True
     if name == "rpa-chase":
         if r < 1:
             raise bad("rpa needs r >= 1")
         t = _int_arg(arg, decoder_id)
         if not 0 <= t <= min(CHASE_MAX_T, params.n):
             raise bad(f"t must be in [0, {min(CHASE_MAX_T, params.n)}]")
-        inner = lambda L: rpa_decode_llr(params, L)
-        return kind, lambda L: chase_list(inner, L, t).codeword, False
+        return kind, lambda Ls: chase_codewords(params, Ls, t), True
     if name == "bw":
         gap = m - r - 2
         if gap < 0 or gap % 2:

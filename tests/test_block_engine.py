@@ -15,6 +15,9 @@ from rmlab import channel, rmcode, sim
 from rmlab.channel import ChannelSpec
 from rmlab.decoders import Undecodable
 from rmlab.decoders import dumer as dumer_mod
+from rmlab.decoders import rpa as rpa_mod
+from rmlab.decoders.fht import fht_decode_words
+from rmlab.decoders.types import soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
 # one case per decoder id and shape of recursion; every channel kind an id
@@ -195,3 +198,196 @@ def test_run_simulation_matches_per_trial_loop(over, monkeypatch):
     runs.append(run_simulation(config))
     for points in runs:
         assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want
+
+
+# ---- the RPA family against copies of its per-word loops ----
+# The public single-word RPA decoders are now blocks of one over the block
+# kernels, so the references are the loops those decoders ran before.
+
+
+def ref_tables(m):
+    n = 1 << m
+    half = n // 2
+    mem0 = np.empty((n - 1, half), dtype=np.intp)
+    mem1 = np.empty((n - 1, half), dtype=np.intp)
+    cos = np.empty((n - 1, n), dtype=np.intp)
+    xorb = np.empty((n - 1, n), dtype=np.intp)
+    jp = np.arange(half)
+    j = np.arange(n)
+    for b in range(1, n):
+        h = b.bit_length() - 1
+        rep = ((jp >> h) << (h + 1)) | (jp & ((1 << h) - 1))
+        mem0[b - 1] = rep
+        mem1[b - 1] = rep ^ b
+        cos[b - 1] = rmcode.coset_index_map(m, b)
+        xorb[b - 1] = j ^ b
+    return mem0, mem1, cos, xorb
+
+
+def ref_rpa_bsc(params, y, n_max=3, rounds=None):
+    """The per-word hard loop; appends the rounds it ran to `rounds`."""
+    m, r = params.m, params.r
+    y = np.asarray(y, dtype=np.uint8)
+    if r == 1:
+        return fht_decode_words(1.0 - 2.0 * y.astype(np.float64))
+    n = params.n
+    mem0, mem1, cos, xorb = ref_tables(m)
+    rows = np.arange(n - 1)[:, None]
+    for done in range(1, n_max + 1):
+        proj = y[mem0] ^ y[mem1]
+        if r == 2:
+            dec = fht_decode_words(1.0 - 2.0 * proj.astype(np.float64))
+        else:
+            sub = rmcode.CodeParams(m - 1, r - 1)
+            dec = np.stack([ref_rpa_bsc(sub, proj[i], n_max) for i in range(n - 1)])
+        est = dec[rows, cos] ^ y[xorb]
+        new = (2 * est.sum(axis=0) > (n - 1)).astype(np.uint8)
+        if np.array_equal(new, y):
+            if rounds is not None:
+                rounds.append(done)
+            return new
+        y = new
+    if rounds is not None:
+        rounds.append(n_max + 1)  # no fixed point within n_max rounds
+    return y
+
+
+def ref_rpa_llr(params, L, n_max=3):
+    m, r = params.m, params.r
+    L = np.asarray(L, dtype=np.float64)
+    if r == 1:
+        return fht_decode_words(L)
+    n = params.n
+    mem0, mem1, cos, xorb = ref_tables(m)
+    rows = np.arange(n - 1)[:, None]
+    for _ in range(n_max):
+        proj = channel.llr_of_sum(L[mem0], L[mem1])
+        if r == 2:
+            dec = fht_decode_words(proj)
+        else:
+            sub = rmcode.CodeParams(m - 1, r - 1)
+            dec = np.stack([ref_rpa_llr(sub, proj[i], n_max) for i in range(n - 1)])
+        tilde = 1.0 - 2.0 * dec[rows, cos]
+        L = (tilde * L[xorb]).sum(axis=0) / (n - 1)
+    return (L < 0).astype(np.uint8)
+
+
+def ref_chase(decode_fn, L, t, ties=None):
+    """The per-word Chase loop; counts in `ties` a winner whose metric a
+    different later candidate word equals."""
+    pos = np.argsort(np.abs(L), kind="stable")[:t]
+    lmax = 2.0 * float(np.abs(L).max())
+    inputs = [L.copy()]
+    for mask in range(1 << t):
+        Lp = L.copy()
+        for b in range(t):
+            Lp[pos[b]] = -lmax if (mask >> b) & 1 else lmax
+        inputs.append(Lp)
+    best, best_metric, scored = None, -np.inf, []
+    for Lc in inputs:
+        cand = np.asarray(decode_fn(Lc), dtype=np.uint8)
+        metric = soft_metric(cand, L)
+        scored.append((metric, cand))
+        if metric > best_metric:
+            best, best_metric = cand, metric
+    if ties is not None:
+        ties.append(any(mt == best_metric and not np.array_equal(c, best) for mt, c in scored))
+    return best
+
+
+def bsc_llrs(params, rows, p, mag, rng):
+    G = rmcode.generator_matrix(params)
+    c = (rng.integers(0, 2, size=(rows, params.k)) @ G) & 1
+    y = c ^ (rng.random(c.shape) < p)
+    return mag * (1.0 - 2.0 * y)
+
+
+@pytest.mark.parametrize("m,r", [(4, 2), (5, 2), (5, 3), (6, 3)])
+@settings(max_examples=8, deadline=None)
+@given(style=st.sampled_from(STYLES), rows=st.integers(1, 4), n_max=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_rpa_kernels_equal_word_loops(m, r, style, rows, n_max, seed):
+    params = rmcode.CodeParams(m, r)
+    L = block_llrs(params, style, rows, np.random.default_rng(seed))
+    got = rpa_mod.rpa_llr_codewords(params, L, n_max)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.array([ref_rpa_llr(params, row, n_max) for row in L]))
+    y = channel.hard_decision(L)
+    assert np.array_equal(rpa_mod.rpa_bsc_codewords(params, y, n_max),
+                          np.array([ref_rpa_bsc(params, row, n_max) for row in y]))
+
+
+@pytest.mark.parametrize("m,r,exhausted", [(5, 2, True), (5, 3, False)])
+def test_hard_rpa_rows_stop_in_different_rounds(m, r, exhausted):
+    params = rmcode.CodeParams(m, r)
+    rng = np.random.default_rng(31)
+    # clean words stop after one round, noisy ones later or never
+    y = np.concatenate([channel.hard_decision(bsc_llrs(params, 6, p, 1.0, rng)) for p in (0.0, 0.03, 0.25, 0.5)])
+    for n_max in (1, 2, 3, 5):
+        rounds = []  # per row: the round it stopped in, n_max + 1 if none
+        want = np.array([ref_rpa_bsc(params, row, n_max, rounds) for row in y])
+        assert np.array_equal(rpa_mod.rpa_bsc_codewords(params, y, n_max), want)
+        assert {1, 2} <= set(rounds)
+        if n_max > 1:
+            assert (n_max + 1 in rounds) == exhausted
+
+
+@pytest.mark.parametrize("t", [0, 1, 3])
+@pytest.mark.parametrize("mag", [1.0, 2.2, 40.0])
+def test_chase_kernel_equals_word_loop_on_tied_bsc_llrs(t, mag):
+    params = rmcode.CodeParams(5, 2)
+    L = bsc_llrs(params, 40, 0.08, mag, np.random.default_rng(int(10 * mag) + t))
+    ties = []
+    want = np.array([ref_chase(lambda x: ref_rpa_llr(params, x), row, t, ties) for row in L])
+    if t:
+        assert any(ties)  # the first-maximum rule decides some trials
+    assert np.array_equal(rpa_mod.chase_codewords(params, L, t), want)
+    for row, w in zip(L, want):
+        res = rpa_mod.chase_list(lambda x: rpa_mod.rpa_decode_llr(params, x), row, t)
+        assert np.array_equal(res.codeword, w) and res.metric == soft_metric(w, row)
+
+
+@pytest.mark.parametrize("t", [1, 3])
+def test_chase_kernel_equals_word_loop_on_rounded_llrs(t):
+    # several tied magnitudes: the stable sort picks the positions
+    params = rmcode.CodeParams(5, 2)
+    L = block_llrs(params, "rounded", 30, np.random.default_rng(40 + t))
+    want = np.array([ref_chase(lambda x: ref_rpa_llr(params, x), row, t) for row in L])
+    assert np.array_equal(rpa_mod.chase_codewords(params, L, t), want)
+
+
+def test_rpa_blocks_span_chunks(monkeypatch):
+    params = rmcode.CodeParams(5, 2)
+    rng = np.random.default_rng(12)
+    L = np.concatenate([bsc_llrs(params, 20, 0.08, 2.2, rng), block_llrs(params, "awgn", 19, rng)])
+    y = channel.hard_decision(L)
+    assert len(L) > rpa_mod._CELLS // ((params.n - 1) * params.n)  # several chunks at the default cap
+    want = (
+        np.array([ref_rpa_llr(params, row) for row in L]),
+        np.array([ref_rpa_bsc(params, row) for row in y]),
+        np.array([ref_chase(lambda x: ref_rpa_llr(params, x), row, 3) for row in L]),
+    )
+
+    def run():
+        return (rpa_mod.rpa_llr_codewords(params, L), rpa_mod.rpa_bsc_codewords(params, y),
+                rpa_mod.chase_codewords(params, L, 3))
+
+    for got, w in zip(run(), want):
+        assert np.array_equal(got, w)
+    # chunks of 2 RPA rows and 5 Chase candidates: a trial's 9 candidates
+    # straddle chunks
+    monkeypatch.setattr(rpa_mod, "_CELLS", 5 * params.n)
+    for got, w in zip(run(), want):
+        assert np.array_equal(got, w)
+
+
+def test_rpa_kernels_reject_bad_blocks():
+    params = rmcode.CodeParams(4, 2)
+    for kernel in (rpa_mod.rpa_llr_codewords, rpa_mod.rpa_bsc_codewords):
+        with pytest.raises(ValueError):
+            kernel(params, np.zeros(16))
+        with pytest.raises(ValueError):
+            kernel(params, np.zeros((2, 8)))
+        with pytest.raises(ValueError):
+            kernel(rmcode.CodeParams(4, 0), np.zeros((2, 16)))
+    with pytest.raises(ValueError):
+        rpa_mod.chase_codewords(params, np.zeros((2, 16)), 17)

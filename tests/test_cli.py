@@ -228,6 +228,17 @@ def test_simulate_rejects_bad_config(capsys, tmp_path):
     assert run(capsys, "simulate", str(tmp_path / "missing.json"))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "over",
+    [{"channel": "bsc", "params": ["x"]}, {"channels": ["bsc:2"]}, {"channels": "bsc:0.1"}, {"channels": [1]}],
+)
+def test_simulate_rejects_bad_channels(capsys, tmp_path, over):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"m": 3, "r": 1, "decoder": "reed", "trials": 5} | over))
+    rc, out, err = run(capsys, "simulate", str(cfg))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
 def test_simulate_rejects_incompatible_decoder(capsys, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(

@@ -123,10 +123,25 @@ def test_butterfly_bit_identical_to_slice_loop(lead, log_n, seed, ints):
     assert not np.shares_memory(got, x)
 
 
+@pytest.mark.parametrize("shape", [(127, 64), (4, 31, 16), (1, 256), (300, 2)])
+def test_butterfly_bit_identical_to_slice_loop_on_many_rows(shape):
+    x = np.random.default_rng(len(shape)).normal(scale=5.0, size=shape)
+    assert fht(x).tobytes() == loop_fht(x).tobytes()
+
+
 def test_butterfly_leaves_input_untouched():
     x = np.arange(8, dtype=np.float64)
     fht(x)
     assert np.array_equal(x, np.arange(8))
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (3, 8)])
+def test_butterfly_returns_a_fresh_c_order_array(shape):
+    # the stages run on a transposed copy, which for one row could be a view
+    x = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    got = fht(x)
+    assert np.array_equal(x, np.arange(np.prod(shape)).reshape(shape))
+    assert got.shape == shape and got.flags.c_contiguous and not np.shares_memory(got, x)
 
 
 # ---- vectorized list leaf and Sakkour votes ----

@@ -172,6 +172,12 @@ def test_list_size_validation():
         fht_list_decode_order1(3, np.zeros(8), 9)
 
 
+@pytest.mark.parametrize("shape", [(16,), (4,), (2, 8)])
+def test_list_decoder_checks_llr_length(shape):
+    with pytest.raises(ValueError, match="expected 8 LLRs"):
+        fht_list_decode_order1(3, np.zeros(shape), 2)
+
+
 def test_batch_decode_matches_scalar_decoder():
     rng = np.random.default_rng(18)
     rows = rng.normal(size=(20, 16))

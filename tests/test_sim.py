@@ -378,8 +378,29 @@ def test_config_rejects_stream_key_aliasing():
 
 @pytest.mark.parametrize("text", ["awgn:nan", "awgn:inf", "bsc:nan", "bec:-inf"])
 def test_config_rejects_non_finite_channel_parameters(text):
-    with pytest.raises(ValueError, match="finite|parameter"):
+    with pytest.raises(ConfigError, match="finite|parameter"):
         config_from_dict(base_config(decoder="dumer", channels=[text]))
+
+
+@pytest.mark.parametrize(
+    "over,match",
+    [
+        ({"channel": "bsc", "params": ["x"]}, "'params' must be a list of numbers"),
+        ({"channel": "bsc", "params": [True]}, "'params' must be a list of numbers"),
+        ({"channel": "bsc", "params": [None]}, "'params' must be a list of numbers"),
+        ({"channel": "bsc", "params": "0.1"}, "'params' must be a list of numbers"),
+        ({"channel": "bsc", "params": [2]}, r"bsc parameter must be in \[0, 1\]"),
+        ({"channel": "fsk", "params": [0.1]}, "unknown channel kind"),
+        ({"channels": ["bsc:2"]}, "bad channel spec 'bsc:2'"),
+        ({"channels": ["bsc"]}, "bad channel spec 'bsc'"),
+        ({"channels": "bsc:0.1"}, "'channels' must be a list of strings"),
+        ({"channels": [0.1]}, "'channels' must be a list of strings"),
+    ],
+)
+def test_config_rejects_bad_channels_with_config_error(over, match):
+    data = {k: v for k, v in base_config().items() if k != "channels"} | over
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(data)
 
 
 # ---- mistyped config values ----
