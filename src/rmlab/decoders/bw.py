@@ -15,12 +15,10 @@ homogeneous F2 system over the E-coefficients.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .. import gf2, rmcode
 from ..channel import ERASURE
 from .oracle import erasure_decode
-from .types import Ambiguous, DecodeResult, Undecodable
+from .types import Ambiguous, DecodeResult, Undecodable, hard_word
 
 
 def bw_decode(m: int, r: int, y) -> DecodeResult:
@@ -29,11 +27,7 @@ def bw_decode(m: int, r: int, y) -> DecodeResult:
         raise ValueError("need 0 <= r <= m/2 - 1")
     code_c = rmcode.CodeParams(m, m - 2 * r - 2)
     n = code_c.n
-    y = np.asarray(y, dtype=np.uint8)
-    if y.shape != (n,):
-        raise ValueError(f"expected a length-{n} word")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("hard word expected")
+    y = hard_word(code_c, y)
     ybits = gf2.pack_bits(y)
 
     checks = rmcode.generator_rows(rmcode.CodeParams(m, r))

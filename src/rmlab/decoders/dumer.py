@@ -28,7 +28,7 @@ import numpy as np
 from .. import rmcode
 from ..channel import llr_of_sum
 from .fht import fht_decode_words
-from .types import DecodeResult, result_for
+from .types import DecodeResult, block_rows, llr_word, result_for
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -53,28 +53,14 @@ def _plain_rec(m: int, r: int, L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _llrs(params: rmcode.CodeParams, L) -> np.ndarray:
-    L = np.asarray(L, dtype=np.float64)
-    if L.shape != (params.n,):
-        raise ValueError(f"expected {params.n} LLRs")
-    return L
-
-
-def _llr_rows(params: rmcode.CodeParams, Ls) -> np.ndarray:
-    Ls = np.asarray(Ls, dtype=np.float64)
-    if Ls.ndim != 2 or Ls.shape[1] != params.n:
-        raise ValueError(f"expected rows of {params.n} LLRs")
-    return Ls
-
-
 def dumer_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
     """Plain recursive decoding of every row of a (T, n) LLR block."""
-    return _plain_rec(params.m, params.r, _llr_rows(params, Ls))
+    return _plain_rec(params.m, params.r, block_rows(params.n, Ls, np.float64))
 
 
 def dumer_decode(params: rmcode.CodeParams, L) -> DecodeResult:
     """Greedy recursive decoding with first-order and full-code leaves."""
-    L = _llrs(params, L)
+    L = llr_word(params, L)
     return result_for(params, dumer_codewords(params, L[None])[0], L)
 
 
@@ -160,7 +146,7 @@ def dumer_list_codewords(params: rmcode.CodeParams, Ls, mu: int) -> np.ndarray:
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    Ls = _llr_rows(params, Ls)
+    Ls = block_rows(params.n, Ls, np.float64)
     out = np.empty(Ls.shape, dtype=np.uint8)
     step = max(1, _LIST_CELLS // (mu * params.n))
     for lo in range(0, Ls.shape[0], step):
@@ -174,5 +160,5 @@ def dumer_list_codewords(params: rmcode.CodeParams, Ls, mu: int) -> np.ndarray:
 
 def dumer_list_decode(params: rmcode.CodeParams, L, mu: int) -> DecodeResult:
     """List decoding with zero-order and full-code leaves, list size mu."""
-    L = _llrs(params, L)
+    L = llr_word(params, L)
     return result_for(params, dumer_list_codewords(params, L[None], mu)[0], L)

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import rmcode
-from .types import DecodeResult, soft_metric
+from .types import DecodeResult, llr_word, soft_metric
 
 
 def fht(values: np.ndarray) -> np.ndarray:
@@ -98,9 +98,7 @@ def fht_decode_order1(m: int, L) -> DecodeResult:
     picks constant term 0.
     """
     params = rmcode.CodeParams(m, 1)
-    L = np.asarray(L, dtype=np.float64)
-    if L.shape != (params.n,):
-        raise ValueError(f"expected {params.n} LLRs")
+    L = llr_word(params, L)
     spec, u = transform_peak(L)
     return _linear_result(params, L, spec, u)
 
@@ -108,9 +106,7 @@ def fht_decode_order1(m: int, L) -> DecodeResult:
 def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
     """The s best first-order candidates by |transform|, best first."""
     params = rmcode.CodeParams(m, 1)
-    L = np.asarray(L, dtype=np.float64)
-    if L.shape != (params.n,):
-        raise ValueError(f"expected {params.n} LLRs")
+    L = llr_word(params, L)
     if not (1 <= s <= params.n):
         raise ValueError("list size out of range")
     spec = point_transform(L)

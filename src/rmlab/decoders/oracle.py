@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import channel, gf2, rmcode
 from ..rmcode import TooLarge
-from .types import Ambiguous, DecodeResult, soft_metric
+from .types import Ambiguous, DecodeResult, block_rows, llr_word, result_for, soft_metric
 
 _ML_GUARD_K = 24
 _CACHE_K = 16
@@ -25,23 +25,39 @@ def _sign_codebook(params: rmcode.CodeParams) -> np.ndarray:
     return _sign_block(params, 0, 1 << params.k)
 
 
+def _index_bits(k: int, idx) -> np.ndarray:
+    """Coefficient rows of message indices.  Bit k-1-row of an index is the coefficient
+    of generator row `row`, so ascending index = lexicographic coefficient order."""
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
+    return ((np.asarray(idx, dtype=np.uint64)[:, None] >> shifts) & 1).astype(np.uint8)
+
+
 def _sign_block(params: rmcode.CodeParams, start: int, count: int) -> np.ndarray:
-    k = params.k
-    G = rmcode.generator_matrix(params)
-    idx = np.arange(start, start + count, dtype=np.uint64)[:, None]
-    # bit k-1-row of the message index is the coefficient of row `row`,
-    # so ascending index = lexicographic coefficient order
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)[None, :]
-    bits = ((idx >> shifts) & 1).astype(np.uint8)
-    words = (bits @ G) & 1
+    bits = _index_bits(params.k, np.arange(start, start + count))
+    words = (bits @ rmcode.generator_matrix(params)) & 1
     return 1.0 - 2.0 * words.astype(np.float64)
 
 
-def _message_from_index(params: rmcode.CodeParams, idx: int) -> rmcode.Message:
-    order = rmcode.monomials(params)
-    k = params.k
-    coeffs = {order[row]: 1 for row in range(k) if (idx >> (k - 1 - row)) & 1}
-    return rmcode.Message(params, coeffs)
+def _ml_index(params: rmcode.CodeParams, L: np.ndarray) -> int:
+    """Index of the first codeword of maximal correlation with L."""
+    if params.k <= _CACHE_K:
+        return int(np.argmax(_sign_codebook(params) @ L))
+    best_idx, best_score = -1, -np.inf
+    total = 1 << params.k
+    for start in range(0, total, _BLOCK):
+        scores = _sign_block(params, start, min(_BLOCK, total - start)) @ L
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best_idx, best_score = start + i, scores[i]
+    return best_idx
+
+
+def ml_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
+    """Exhaustive ML decoding of every row of a (T, n) LLR block, one product per row."""
+    if params.k > _ML_GUARD_K:
+        raise TooLarge(f"k = {params.k} exceeds the exhaustive guard of {_ML_GUARD_K}")
+    idx = [_ml_index(params, L) for L in block_rows(params.n, Ls, np.float64)]
+    return rmcode.encode_rows(params, _index_bits(params.k, idx))
 
 
 def ml_decode(params: rmcode.CodeParams, L) -> DecodeResult:
@@ -50,28 +66,8 @@ def ml_decode(params: rmcode.CodeParams, L) -> DecodeResult:
     Metric ties resolve to the lexicographically smallest coefficient
     vector in generator row order.  Raises TooLarge for k > 24.
     """
-    if params.k > _ML_GUARD_K:
-        raise TooLarge(f"k = {params.k} exceeds the exhaustive guard of {_ML_GUARD_K}")
-    L = np.asarray(L, dtype=np.float64)
-    if L.shape != (params.n,):
-        raise ValueError(f"expected {params.n} LLRs")
-    total = 1 << params.k
-    best_idx = -1
-    best_score = -np.inf
-    if params.k <= _CACHE_K:
-        scores = _sign_codebook(params) @ L
-        best_idx = int(np.argmax(scores))
-        best_score = scores[best_idx]
-    else:
-        for start in range(0, total, _BLOCK):
-            count = min(_BLOCK, total - start)
-            scores = _sign_block(params, start, count) @ L
-            i = int(np.argmax(scores))
-            if scores[i] > best_score:
-                best_idx, best_score = start + i, scores[i]
-    msg = _message_from_index(params, best_idx)
-    c = rmcode.encode(msg)
-    return DecodeResult(params, c, msg, soft_metric(c, L))
+    L = llr_word(params, L)
+    return result_for(params, ml_codewords(params, L[None])[0], L)
 
 
 def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguous]:

@@ -4,6 +4,11 @@ For each subset A of size t the coefficient u_A is read off as the
 majority of the 2^{m-t} coset sums of the current word over V_A; after a
 degree layer is decided its evaluation is subtracted.  Majority ties
 decode to 1.  Guaranteed exact for error weight below 2^{m-r-1}.
+
+reed_codewords decodes a (T, n) block one degree layer at a time: one
+gather of every coset of every degree-t monomial, one XOR-reduce, one vote
+count, and the layer's evaluation subtracted as one product mod 2.
+reed_decode runs it on a block of one.
 """
 
 from __future__ import annotations
@@ -12,46 +17,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from .. import gf2, rmcode
-from .types import DecodeResult, hard_input_llr, soft_metric
+from .. import rmcode
+from .types import DecodeResult, block_rows, hard_input_llr, hard_word, result_for
 
 
 @lru_cache(maxsize=None)
-def _coset_coords(m: int, subset: int) -> np.ndarray:
-    # rows: cosets of V_A; entries: coordinate indices
-    n = 1 << m
-    table = [[n - 1 - p for p in coset] for coset in rmcode.cosets_of_subspace(subset, m)]
-    return np.array(table, dtype=np.intp)
+def _layer(m: int, t: int):
+    """Degree-t tables: the (monomials, cosets, 2^t) coordinates of each V_A's cosets,
+    the float (monomials, n) evaluation rows, and the vote threshold."""
+    subsets = [a for a in rmcode.monomial_order(m) if a.bit_count() == t]
+    # point p sits at coordinate n - 1 - p
+    gather = (1 << m) - 1 - np.array([rmcode.cosets_of_subspace(a, m) for a in subsets], dtype=np.intp)
+    evals = np.stack([rmcode.eval_monomial(a, m) for a in subsets]).astype(np.float64)
+    # half the coset count; the single coset at t == m votes alone
+    threshold = 1 if t == m else 1 << (m - t - 1)
+    return gather, evals, threshold
 
 
-@lru_cache(maxsize=None)
-def _layer_masks(m: int, r: int) -> dict[int, tuple[int, ...]]:
-    layers: dict[int, tuple[int, ...]] = {}
-    for t in range(r + 1):
-        layers[t] = tuple(a for a in rmcode.monomials(rmcode.CodeParams(m, r)) if a.bit_count() == t)
-    return layers
+def reed_codewords(params: rmcode.CodeParams, Ys) -> np.ndarray:
+    """Majority decoding of every row of a (T, n) block of 0/1 words."""
+    Ys = block_rows(params.n, Ys, np.uint8)
+    work = Ys.copy()
+    for t in range(params.r, -1, -1):
+        gather, evals, threshold = _layer(params.m, t)
+        sums = np.bitwise_xor.reduce(work[:, gather], axis=-1)
+        votes = np.count_nonzero(sums, axis=-1) >= threshold
+        # exact: each entry counts at most the layer's monomials
+        work ^= ((votes @ evals).astype(np.int64) & 1).astype(np.uint8)
+    return Ys ^ work
 
 
 def reed_decode(params: rmcode.CodeParams, y) -> DecodeResult:
-    m, r = params.m, params.r
-    y = np.asarray(y, dtype=np.uint8)
-    if y.shape != (params.n,):
-        raise ValueError(f"expected a length-{params.n} word")
-    work = y.copy()
-    layers = _layer_masks(m, r)
-    coeffs: dict[int, int] = {}
-    for t in range(r, -1, -1):
-        layer_word = 0
-        # half the coset count; the single coset at t == m votes alone
-        threshold = 1 if t == m else 1 << (m - t - 1)
-        for a in layers[t]:
-            sums = np.bitwise_xor.reduce(work[_coset_coords(m, a)], axis=1)
-            num1 = int(sums.sum())
-            if num1 >= threshold:
-                coeffs[a] = 1
-                layer_word ^= rmcode.eval_monomial_packed(a, m)
-        if layer_word:
-            work ^= gf2.unpack_bits(layer_word, params.n)
-    msg = rmcode.Message(params, coeffs)
-    c = rmcode.encode(msg)
-    return DecodeResult(params, c, msg, soft_metric(c, hard_input_llr(y)))
+    y = hard_word(params, y)
+    return result_for(params, reed_codewords(params, y[None])[0], hard_input_llr(y))

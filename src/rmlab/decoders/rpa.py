@@ -32,7 +32,7 @@ import numpy as np
 from .. import rmcode
 from ..channel import llr_of_sum
 from .fht import fht_decode_words
-from .types import DecodeResult, result_for, soft_metric
+from .types import DecodeResult, block_rows, hard_word, llr_word, result_for, soft_metric
 
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 
@@ -71,10 +71,7 @@ def _tables(m: int):
 def _rows(params: rmcode.CodeParams, words, dtype) -> np.ndarray:
     if params.r < 1:
         raise ValueError("need r >= 1")
-    words = np.asarray(words, dtype=dtype)
-    if words.ndim != 2 or words.shape[1] != params.n:
-        raise ValueError(f"expected rows of {params.n} values")
-    return words
+    return block_rows(params.n, words, dtype)
 
 
 def _chunks(rows: int, cells_per_row: int):
@@ -140,22 +137,12 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
 
 def rpa_decode_bsc(params: rmcode.CodeParams, y, n_max: int = 3) -> np.ndarray:
     """Hard-input variant; returns a word (a codeword only on convergence)."""
-    if params.r < 1:
-        raise ValueError("need r >= 1")
-    y = np.asarray(y, dtype=np.uint8)
-    if y.shape != (params.n,):
-        raise ValueError(f"expected a length-{params.n} word")
-    return rpa_bsc_codewords(params, y[None], n_max)[0]
+    return rpa_bsc_codewords(params, hard_word(params, y)[None], n_max)[0]
 
 
 def rpa_decode_llr(params: rmcode.CodeParams, L, n_max: int = 3) -> np.ndarray:
     """Soft-input variant; returns the hard decision after the last round."""
-    if params.r < 1:
-        raise ValueError("need r >= 1")
-    L = np.asarray(L, dtype=np.float64)
-    if L.shape != (params.n,):
-        raise ValueError(f"expected {params.n} LLRs")
-    return rpa_llr_codewords(params, L[None], n_max)[0]
+    return rpa_llr_codewords(params, llr_word(params, L)[None], n_max)[0]
 
 
 def _chase_inputs(Ls, pos, lmax, trial, cand) -> np.ndarray:

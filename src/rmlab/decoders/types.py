@@ -35,6 +35,32 @@ def soft_metric(codeword, L) -> float:
     return 0.5 * float(np.dot(1.0 - 2.0 * c, np.asarray(L, dtype=np.float64)))
 
 
+def llr_word(params: rmcode.CodeParams, L) -> np.ndarray:
+    """L as a float64 vector of n LLRs; raises ValueError for another shape."""
+    L = np.asarray(L, dtype=np.float64)
+    if L.shape != (params.n,):
+        raise ValueError(f"expected {params.n} LLRs")
+    return L
+
+
+def block_rows(n: int, words, dtype) -> np.ndarray:
+    """words as a (T, n) array of dtype; raises ValueError for another shape."""
+    words = np.asarray(words, dtype=dtype)
+    if words.ndim != 2 or words.shape[1] != n:
+        raise ValueError(f"expected rows of {n} values")
+    return words
+
+
+def hard_word(params: rmcode.CodeParams, y) -> np.ndarray:
+    """y as a uint8 word of length n; raises ValueError unless every entry is 0 or 1."""
+    y = np.asarray(y)
+    if y.shape != (params.n,):
+        raise ValueError(f"expected a length-{params.n} word")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("hard word expected")
+    return y.astype(np.uint8)
+
+
 def hard_input_llr(y) -> np.ndarray:
     """+/-1 image of a hard word, used to score hard-input decoders."""
     return 1.0 - 2.0 * np.asarray(y, dtype=np.float64)

@@ -30,11 +30,11 @@ from .decoders import (
     chase_codewords,
     dumer_codewords,
     dumer_list_codewords,
-    ml_decode,
-    reed_decode,
+    ml_codewords,
+    reed_codewords,
     rpa_bsc_codewords,
     rpa_llr_codewords,
-    sakkour_decode_order2,
+    sakkour_codewords,
 )
 # unused here: bench/replay.py's --trace patches sim.rpa_decode_bsc and sim.rpa_decode_llr
 from .decoders import rpa_decode_bsc, rpa_decode_llr  # noqa: F401
@@ -203,23 +203,20 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
 def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
     """Map a decoder id to (input kind, (T, n) block -> (T, n) words).
 
-    This is the harness's kernel.  fht, dumer, dumer-list, rpa and
-    rpa-chase decode the block at once; every other decoder runs
-    resolve_decoder's callable on each row, and a row that raises
-    Undecodable keeps its hard decision.
-    Either way row t equals the single-word decode of row t.
+    This is the harness's kernel.  Every decoder but bw decodes the block
+    at once.  bw runs resolve_decoder's callable on each row, because
+    `rmlab decode` needs its Undecodable; a row that raises it keeps its
+    hard word.  Either way row t equals the single-word decode of row t.
     """
     kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
-    return kind, fn if batched else partial(_each_row, fn, kind)
+    return kind, fn if batched else partial(_each_row, fn)
 
 
-def _each_row(word_fn, kind: str, words: np.ndarray) -> np.ndarray:
-    out = np.empty(words.shape, dtype=np.uint8)
+def _each_row(word_fn, words: np.ndarray) -> np.ndarray:
+    out = np.array(words, dtype=np.uint8)
     for i, word in enumerate(words):
-        try:
+        with contextlib.suppress(Undecodable):
             out[i] = word_fn(word)
-        except Undecodable:
-            out[i] = word if kind == "hard" else channel.hard_decision(word)
     return out
 
 
@@ -243,7 +240,7 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         raise bad("this decoder takes no :argument")
 
     if name == "reed":
-        return kind, lambda y: reed_decode(params, y).codeword, False
+        return kind, lambda Ys: reed_codewords(params, Ys), True
     if name == "fht":
         if r != 1:
             raise bad("fht decodes first-order codes only")
@@ -251,7 +248,7 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
     if name == "sakkour":
         if r != 2 or m < 2:
             raise bad("sakkour decodes second-order codes only")
-        return kind, lambda y: sakkour_decode_order2(m, y).codeword, False
+        return kind, lambda Ys: sakkour_codewords(m, Ys), True
     if name == "dumer":
         return kind, lambda Ls: dumer_codewords(params, Ls), True
     if name == "dumer-list":
@@ -281,7 +278,7 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
     if name == "ml":
         if params.k > 24:
             raise rmcode.TooLarge(f"ml over 2^{params.k} codewords")
-        return kind, lambda L: ml_decode(params, L).codeword, False
+        return kind, lambda Ls: ml_codewords(params, Ls), True
     raise bad("unknown decoder id")  # pragma: no cover
 
 
@@ -368,6 +365,8 @@ def run_simulation(config: SimConfig, workers: int = 1):
     With workers > 1 one process pool serves the whole sweep, and each
     point's trials are split into 4 * workers contiguous jobs.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     spans = [(0, config.trials)]
     pool = contextlib.nullcontext()
     if workers > 1:

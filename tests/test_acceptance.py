@@ -24,7 +24,7 @@ from rmlab.decoders.bw import bw_decode
 from rmlab.decoders.dumer import dumer_list_decode
 from rmlab.decoders.fht import fht, fht_decode_order1
 from rmlab.decoders.oracle import ml_decode
-from rmlab.decoders.reed import reed_decode
+from rmlab.decoders.reed import reed_codewords
 from rmlab.decoders.rpa import chase_list, rpa_decode_llr
 
 
@@ -104,15 +104,17 @@ def test_criterion_02_distance():
 
 
 def _reed_sweep(params, max_weight, codewords):
+    """Every error pattern of weight <= max_weight on each codeword, as one
+    (N, n) block per codeword through the harness's reed kernel."""
     n = params.n
+    supports = [pos for w in range(max_weight + 1) for pos in itertools.combinations(range(n), w)]
+    patterns = np.zeros((len(supports), n), dtype=np.uint8)
+    for i, pos in enumerate(supports):
+        patterns[i, list(pos)] = 1
     decodes = 0
     for c in codewords:
-        for w in range(max_weight + 1):
-            for pos in itertools.combinations(range(n), w):
-                y = c.copy()
-                y[list(pos)] ^= 1
-                assert np.array_equal(reed_decode(params, y).codeword, c)
-                decodes += 1
+        assert np.array_equal(reed_codewords(params, patterns ^ c), np.broadcast_to(c, patterns.shape))
+        decodes += len(patterns)
     return decodes
 
 

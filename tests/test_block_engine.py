@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlab import channel, rmcode, sim
+from rmlab import channel, gf2, rmcode, sim
 from rmlab.channel import ChannelSpec
 from rmlab.decoders import Undecodable
 from rmlab.decoders import dumer as dumer_mod
+from rmlab.decoders import oracle as oracle_mod
+from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import rpa as rpa_mod
-from rmlab.decoders.fht import fht_decode_words
-from rmlab.decoders.types import soft_metric
+from rmlab.decoders import sakkour as sakkour_mod
+from rmlab.decoders.fht import fht_decode_words, linear_coeffs, transform_peak
+from rmlab.decoders.types import hard_input_llr, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
 # one case per decoder id and shape of recursion; every channel kind an id
@@ -391,3 +394,201 @@ def test_rpa_kernels_reject_bad_blocks():
             kernel(rmcode.CodeParams(4, 0), np.zeros((2, 16)))
     with pytest.raises(ValueError):
         rpa_mod.chase_codewords(params, np.zeros((2, 16)), 17)
+
+
+# ---- reed, sakkour and ml against copies of their per-word paths ----
+# The public reed_decode, sakkour_decode_order2 and ml_decode are now
+# blocks of one over the block kernels, so the references are the
+# per-word bodies those decoders ran before.  Each returns the Message.
+
+
+def ref_reed(params, y, ties=None):
+    """The per-word majority loop; counts in `ties` the votes that split
+    exactly at the threshold."""
+    m, r, n = params.m, params.r, params.n
+    work = np.asarray(y, dtype=np.uint8).copy()
+    coeffs = {}
+    for t in range(r, -1, -1):
+        layer_word = 0
+        threshold = 1 if t == m else 1 << (m - t - 1)
+        for a in (a for a in rmcode.monomials(params) if a.bit_count() == t):
+            coords = np.array([[n - 1 - p for p in coset] for coset in rmcode.cosets_of_subspace(a, m)])
+            num1 = int(np.bitwise_xor.reduce(work[coords], axis=1).sum())
+            if ties is not None and t < m:
+                ties.append(num1 == threshold)
+            if num1 >= threshold:
+                coeffs[a] = 1
+                layer_word ^= rmcode.eval_monomial_packed(a, m)
+        if layer_word:
+            work ^= gf2.unpack_bits(layer_word, n)
+    return rmcode.Message(params, coeffs)
+
+
+def ref_sakkour(m, y, ties=None):
+    """The per-word derivative decoder; counts in `ties` the directions
+    whose majority had more than one maximal count."""
+    params = rmcode.CodeParams(m, 2)
+    n = params.n
+    y = np.asarray(y, dtype=np.uint8)
+    J = np.arange(n)
+    xor = J[:, None] ^ J[None, :]
+    D = transform_peak(1.0 - 2.0 * (y[None, :] ^ y[xor]))[1]
+    votes = D[xor] ^ D[None, :]
+    counts = np.bincount((votes + n * np.arange(n)[:, None]).ravel(), minlength=n * n).reshape(n, n)
+    if ties is not None:
+        ties.extend((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1)
+    Dstar = np.argmax(counts, axis=1)
+    col_words = np.empty((m, n), dtype=np.float64)
+    for i in range(1, m + 1):
+        col_words[i - 1] = 1.0 - 2.0 * ((Dstar[J ^ (n - 1)] >> (m - i)) & 1)
+    col_u = transform_peak(col_words)[1]
+    quad = {}
+    for i in range(1, m + 1):
+        u = int(col_u[i - 1])
+        for j in range(1, m + 1):
+            if j != i:
+                quad[(1 << (i - 1)) | (1 << (j - 1))] = (u >> (m - j)) & 1
+    deg2 = rmcode.Message(params, {a: v for a, v in quad.items() if v})
+    lin_spec, u = transform_peak(1.0 - 2.0 * (y ^ rmcode.encode(deg2)))
+    u = int(u)
+    return rmcode.Message(params, deg2.coeffs | linear_coeffs(m, u, 1 if lin_spec[u] < 0 else 0))
+
+
+def ref_ml(params, L):
+    """The exhaustive search over the cached sign codebook."""
+    k = params.k
+    idx = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)
+    signs = 1.0 - 2.0 * (((idx & 1).astype(np.uint8) @ rmcode.generator_matrix(params)) & 1).astype(np.float64)
+    best = int(np.argmax(signs @ np.asarray(L, dtype=np.float64)))
+    order = rmcode.monomials(params)
+    return rmcode.Message(params, {order[row]: 1 for row in range(k) if (best >> (k - 1 - row)) & 1})
+
+
+def noisy_words(params, rows, rng, code=None):
+    """Codewords of `code` (default params) plus errors of every weight up
+    to n/2, many of them at the majority ties."""
+    code = code or params
+    c = rmcode.encode_rows(code, rng.integers(0, 2, size=(rows, code.k)))
+    weights = rng.integers(0, params.n // 2 + 1, size=rows)
+    errors = rng.random(c.shape).argsort(axis=1) < weights[:, None]
+    return c ^ errors.astype(np.uint8)
+
+
+def assert_same_result(res, msg, L):
+    c = rmcode.encode(msg)
+    assert np.array_equal(res.codeword, c) and res.codeword.dtype == np.uint8
+    assert res.message == msg
+    assert res.metric == soft_metric(c, L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 6), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reed_kernel_equals_word_loop(m, rows, seed, data):
+    params = rmcode.CodeParams(m, data.draw(st.integers(0, m)))
+    y = noisy_words(params, rows, np.random.default_rng(seed))
+    got = reed_mod.reed_codewords(params, y)
+    assert got.dtype == np.uint8 and got.shape == y.shape
+    msgs = [ref_reed(params, row) for row in y]
+    assert np.array_equal(got, np.array([rmcode.encode(msg) for msg in msgs]))
+    for row, msg in zip(y, msgs):
+        assert_same_result(reed_mod.reed_decode(params, row), msg, hard_input_llr(row))
+
+
+@pytest.mark.parametrize("m,r", [(2, 0), (3, 1), (4, 0), (4, 1), (4, 2), (5, 2), (4, 4)])
+def test_reed_kernel_on_tied_votes(m, r):
+    params = rmcode.CodeParams(m, r)
+    rng = np.random.default_rng(m * 10 + r)
+    # error weight d/2 splits some votes exactly; uniform words split many
+    d = params.d
+    y = np.concatenate([noisy_words(params, 30, rng), rng.integers(0, 2, size=(30, params.n)).astype(np.uint8)])
+    y[:10] = rmcode.encode_rows(params, rng.integers(0, 2, size=(10, params.k))) ^ (
+        rng.random((10, params.n)).argsort(axis=1) < d // 2
+    )
+    ties = []
+    want = np.array([rmcode.encode(ref_reed(params, row, ties)) for row in y])
+    assert any(ties) or r == m
+    assert np.array_equal(reed_mod.reed_codewords(params, y), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 6), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), uniform=st.booleans())
+def test_sakkour_kernel_equals_word_loop(m, rows, seed, uniform):
+    params = rmcode.CodeParams(m, 2)
+    rng = np.random.default_rng(seed)
+    if uniform:  # far from the code: majority ties are common
+        y = rng.integers(0, 2, size=(rows, params.n)).astype(np.uint8)
+    else:
+        y = noisy_words(params, rows, rng)
+    got = sakkour_mod.sakkour_codewords(m, y)
+    assert got.dtype == np.uint8 and got.shape == y.shape
+    msgs = [ref_sakkour(m, row) for row in y]
+    assert np.array_equal(got, np.array([rmcode.encode(msg) for msg in msgs]))
+    for row, msg in zip(y, msgs):
+        assert_same_result(sakkour_mod.sakkour_decode_order2(m, row), msg, hard_input_llr(row))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_sakkour_kernel_on_tied_majorities(m):
+    # (below m = 4 random words gave no majority ties in 500 tries)
+    rng = np.random.default_rng(70 + m)
+    n = 1 << m
+    y = np.concatenate([rng.integers(0, 2, size=(40, n)).astype(np.uint8),
+                        noisy_words(rmcode.CodeParams(m, 2), 20, rng)])
+    ties = []
+    want = np.array([rmcode.encode(ref_sakkour(m, row, ties)) for row in y])
+    assert any(ties)
+    assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
+
+
+def test_sakkour_blocks_span_chunks(monkeypatch):
+    m = 4
+    n = 1 << m
+    y = noisy_words(rmcode.CodeParams(m, 2), 7, np.random.default_rng(81))
+    want = np.array([rmcode.encode(ref_sakkour(m, row)) for row in y])
+    assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
+    monkeypatch.setattr(sakkour_mod, "_CELLS", 3 * n * n - 1)  # chunks of 2, 2, 2, 1 rows
+    assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
+
+
+@pytest.mark.parametrize("m,r", [(1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (4, 2)])
+@settings(max_examples=6, deadline=None)
+@given(style=st.sampled_from(STYLES), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_ml_kernel_equals_word_search(m, r, style, rows, seed):
+    params = rmcode.CodeParams(m, r)
+    L = block_llrs(params, style, rows, np.random.default_rng(seed))
+    got = oracle_mod.ml_codewords(params, L)
+    assert got.dtype == np.uint8 and got.shape == L.shape
+    msgs = [ref_ml(params, row) for row in L]
+    assert np.array_equal(got, np.array([rmcode.encode(msg) for msg in msgs]))
+    for row, msg in zip(L, msgs):
+        assert_same_result(oracle_mod.ml_decode(params, row), msg, row)
+
+
+def test_ml_kernel_over_codebook_blocks(monkeypatch):
+    # past _CACHE_K the search runs block by block; ties keep the first block's word
+    params = rmcode.CodeParams(4, 2)
+    L = np.concatenate([block_llrs(params, style, 6, np.random.default_rng(90)) for style in STYLES])
+    want = np.array([rmcode.encode(ref_ml(params, row)) for row in L])
+    monkeypatch.setattr(oracle_mod, "_CACHE_K", 4)
+    monkeypatch.setattr(oracle_mod, "_BLOCK", 1 << 5)
+    assert np.array_equal(oracle_mod.ml_codewords(params, L), want)
+
+
+def test_reed_sakkour_ml_kernels_reject_bad_blocks():
+    params = rmcode.CodeParams(4, 2)
+    for kernel in (reed_mod.reed_codewords, oracle_mod.ml_codewords,
+                   lambda p, x: sakkour_mod.sakkour_codewords(p.m, x)):
+        with pytest.raises(ValueError):
+            kernel(params, np.zeros(16))
+        with pytest.raises(ValueError):
+            kernel(params, np.zeros((2, 8)))
+    with pytest.raises(ValueError):
+        sakkour_mod.sakkour_codewords(1, np.zeros((2, 2)))
+    with pytest.raises(rmcode.TooLarge):
+        oracle_mod.ml_codewords(rmcode.CodeParams(8, 3), np.zeros((1, 256)))
+
+
+def test_only_bw_runs_row_by_row():
+    for decoder_id, m, r in CASES:
+        batched = sim._resolve(decoder_id, rmcode.CodeParams(m, r), "bsc", True)[2]
+        assert batched == (decoder_id != "bw")

@@ -219,6 +219,13 @@ def test_simulate_parallel_matches_golden(capsys):
     assert out == (DATA / "golden_sim.csv").read_text()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_rejects_worker_counts_below_one(capsys, workers):
+    rc, out, err = run(capsys, "simulate", str(DATA / "golden_sim_config.json"), "--workers", workers)
+    assert rc == 2 and out == ""
+    assert "workers must be >= 1" in err
+
+
 def test_simulate_rejects_bad_config(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"m": 3, "r": 1, "decoder": "reed", "trials": 10}))

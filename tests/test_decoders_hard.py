@@ -1,10 +1,13 @@
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from rmlab import rmcode
+from rmlab.decoders.bw import bw_decode
 from rmlab.decoders.oracle import ml_decode
 from rmlab.decoders.reed import reed_decode
+from rmlab.decoders.rpa import rpa_decode_bsc
 from rmlab.decoders.sakkour import sakkour_decode_order2
 from rmlab.decoders.types import hard_input_llr
 
@@ -134,3 +137,34 @@ def test_sakkour_agrees_with_ml_spot_check():
         if np.array_equal(res.codeword, ml.codeword):
             hits += 1
     assert hits >= 45
+
+
+# the four hard-input wrappers on length-8 words: RM(3,1), RM(3,2), RM(3,1), RM(3,1)
+HARD_WRAPPERS = [
+    lambda y: reed_decode(rmcode.CodeParams(3, 1), y),
+    lambda y: sakkour_decode_order2(3, y),
+    lambda y: rpa_decode_bsc(rmcode.CodeParams(3, 1), y),
+    lambda y: bw_decode(3, 0, y),
+]
+
+
+@pytest.mark.parametrize("decode", HARD_WRAPPERS)
+@pytest.mark.parametrize("word", [[2, 0, 0, 0, 0, 0, 0, 3], [-1, 0, 0, 0, 0, 0, 0, 0], [0.5] + [0] * 7, [256] + [0] * 7])
+def test_hard_decoders_reject_non_binary_words(decode, word):
+    with pytest.raises(ValueError, match="hard word expected"):
+        decode(word)
+
+
+@pytest.mark.parametrize("decode", HARD_WRAPPERS)
+def test_hard_decoders_check_length_and_accept_any_binary_dtype(decode):
+    with pytest.raises(ValueError, match="length-8"):
+        decode([0] * 7)
+    word = [1, 0, 0, 0, 0, 0, 0, 0]
+
+    def codeword(y):  # rpa_decode_bsc returns the word itself
+        out = decode(y)
+        return getattr(out, "codeword", out)
+
+    want = codeword(np.array(word, dtype=np.uint8))
+    for same in (word, np.array(word, dtype=bool), np.array(word, dtype=np.float64)):
+        assert np.array_equal(codeword(same), want)

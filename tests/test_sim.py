@@ -264,6 +264,13 @@ def test_parallel_equals_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("workers", [0, -2, -5])
+def test_run_simulation_rejects_worker_counts_below_one(workers):
+    cfg = config_from_dict(base_config())
+    with pytest.raises(ConfigError, match="workers"):
+        run_simulation(cfg, workers=workers)
+
+
 def test_seed_changes_results():
     noisy = base_config(trials=400, channels=["bsc:0.08"])
     a = run_simulation(config_from_dict(noisy))[0]
