@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import rmcode
-from .types import DecodeResult, llr_word, soft_metric
+from .types import DecodeResult, llr_word, result_for
 
 
 def fht(values: np.ndarray) -> np.ndarray:
@@ -60,14 +60,6 @@ def linear_word(m: int, u: int, u0: int) -> np.ndarray:
     return _parity_table(m)[u] ^ np.uint8(u0)
 
 
-def linear_coeffs(m: int, u: int, u0: int) -> dict[int, int]:
-    """Nonzero message coefficients of u0 + sum_i u_i x_i by subset mask."""
-    coeffs = {1 << (i - 1): 1 for i in range(1, m + 1) if (u >> (m - i)) & 1}
-    if u0:
-        coeffs[0] = 1
-    return coeffs
-
-
 def point_transform(L) -> np.ndarray:
     """Transform of L over points: entry u is sum_z (-1)^{<u, z>} L_z."""
     arr = np.asarray(L, dtype=np.float64)
@@ -83,14 +75,6 @@ def transform_peak(L) -> tuple[np.ndarray, np.ndarray]:
     return spec, np.argmax(np.abs(spec), axis=-1)
 
 
-def _linear_result(params: rmcode.CodeParams, L: np.ndarray, spec: np.ndarray, u) -> DecodeResult:
-    u = int(u)
-    u0 = 1 if spec[u] < 0 else 0
-    c = linear_word(params.m, u, u0)
-    msg = rmcode.Message(params, linear_coeffs(params.m, u, u0))
-    return DecodeResult(params, c, msg, soft_metric(c, L))
-
-
 def fht_decode_order1(m: int, L) -> DecodeResult:
     """ML decoding of RM(m, 1) by exhaustive correlation.
 
@@ -99,8 +83,7 @@ def fht_decode_order1(m: int, L) -> DecodeResult:
     """
     params = rmcode.CodeParams(m, 1)
     L = llr_word(params, L)
-    spec, u = transform_peak(L)
-    return _linear_result(params, L, spec, u)
+    return result_for(params, fht_decode_words(L), L)
 
 
 def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
@@ -111,7 +94,7 @@ def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
         raise ValueError("list size out of range")
     spec = point_transform(L)
     order = np.argsort(-np.abs(spec), kind="stable")[:s]
-    return [_linear_result(params, L, spec, u) for u in order]
+    return [result_for(params, linear_word(m, u, 1 if spec[u] < 0 else 0), L) for u in order.tolist()]
 
 
 def fht_decode_words(L) -> np.ndarray:

@@ -77,9 +77,11 @@ def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguou
     Returns Ambiguous(count_exponent) when 2^count_exponent codewords are
     consistent; raises gf2.InconsistentSystem when none is.
     """
-    y = np.asarray(y, dtype=np.uint8)
+    y = np.asarray(y)
     if y.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word")
+    if not np.isin(y, (0, 1, channel.ERASURE)).all():
+        raise ValueError(f"entries must be 0, 1 or {channel.ERASURE} (erased)")
     cols = gf2.transpose(rmcode.generator_rows(params), params.n)
     rows = []
     b = 0
@@ -95,5 +97,5 @@ def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguou
         params, {order[i]: 1 for i in range(params.k) if (sol.particular >> i) & 1}
     )
     c = rmcode.encode(msg)
-    L = np.where(y == channel.ERASURE, 0.0, 1.0 - 2.0 * np.minimum(y, 1).astype(np.float64))
+    L = np.where(y == channel.ERASURE, 0.0, 1.0 - 2.0 * y)
     return DecodeResult(params, c, msg, soft_metric(c, L))

@@ -1,4 +1,5 @@
-"""Shared result types and scoring for decoders."""
+"""Shared result types, input checks, scoring and result packaging for
+decoders; result_for reads messages by rmcode's Moebius transform."""
 
 from __future__ import annotations
 
@@ -67,11 +68,9 @@ def hard_input_llr(y) -> np.ndarray:
 
 
 def result_for(params: rmcode.CodeParams, codeword: np.ndarray, L) -> DecodeResult:
-    """Package a decoded word, extracting the message when it is a codeword."""
-    msg = None
-    if rmcode.is_codeword(params, codeword):
-        try:
-            msg = rmcode.message_of_codeword(params, codeword)
-        except gf2.InconsistentSystem:  # pragma: no cover - guarded by is_codeword
-            msg = None
+    """Package a decoded word, with its message when it is a codeword."""
+    try:
+        msg = rmcode.message_of_codeword(params, codeword)
+    except gf2.InconsistentSystem:
+        msg = None
     return DecodeResult(params, np.asarray(codeword, dtype=np.uint8), msg, soft_metric(codeword, L))

@@ -11,6 +11,9 @@ n-1-j, z_1 most significant.  Points are therefore enumerated from
 the integer p = j XOR (n-1), with z_i = bit (m-i) of p.  All direction /
 point arguments below use that integer encoding.  A handy consequence:
 translating a point by a direction b is coordinate index XOR b.
+
+is_codeword and message_of_codeword read a word's polynomial by one binary
+Moebius transform of the packed word (m shift-and-XOR steps).
 """
 
 from __future__ import annotations
@@ -202,27 +205,37 @@ def encode_rows(params: CodeParams, bits) -> np.ndarray:
 
 
 def as_packed(y, n: int) -> int:
-    if isinstance(y, (int, np.integer)):
-        return int(y)
-    arr = np.asarray(y, dtype=np.uint8)
+    """y, a word of n entries 0 or 1, as an int with bit j = coordinate j."""
+    arr = np.asarray(y)
     if arr.shape != (n,):
         raise ValueError(f"expected a length-{n} word")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("word entries must be 0 or 1")
     return gf2.pack_bits(arr)
 
 
-def is_codeword(params: CodeParams, y) -> bool:
-    """Parity check against the dual generator; RM(m, m) accepts every word."""
-    w = as_packed(y, params.n)
-    if w >> params.n:
-        raise ValueError("word longer than n bits")
-    if params.r == params.m:
-        return True
-    return gf2.mat_vec(generator_rows(dual_params(params)), w) == 0
-
-
 @lru_cache(maxsize=None)
-def _transposed_generator(params: CodeParams) -> tuple[int, ...]:
-    return tuple(gf2.transpose(generator_rows(params), params.n))
+def _moebius_tables(m: int, r: int):
+    # per step (2^h, positions with bit h set); positions of degree > r; monomial per position
+    j = np.arange(1 << m)
+    steps = tuple((1 << h, gf2.pack_bits((j >> h) & 1)) for h in range(m))
+    high = gf2.pack_bits(np.bitwise_count(j) < m - r)
+    return steps, high, np.array([point_mask(p, m) for p in j[::-1]])
+
+
+def _coefficient_word(params: CodeParams, y) -> int | None:
+    """The binary Moebius transform of y (its own inverse), or None if y is not
+    a codeword.  Bit n-1-point_mask(A) of the transform is u_A."""
+    steps, high, _ = _moebius_tables(params.m, params.r)
+    w = as_packed(y, params.n)
+    for shift, mask in steps:
+        w ^= (w & mask) >> shift
+    return None if w & high else w
+
+
+def is_codeword(params: CodeParams, y) -> bool:
+    """True iff y's polynomial has degree <= r; RM(m, m) accepts every word."""
+    return _coefficient_word(params, y) is not None
 
 
 def message_of_codeword(params: CodeParams, y) -> Message:
@@ -230,11 +243,12 @@ def message_of_codeword(params: CodeParams, y) -> Message:
 
     Raises gf2.InconsistentSystem when y is not in the code.
     """
-    w = as_packed(y, params.n)
-    sol = gf2.solve_affine(_transposed_generator(params), params.k, w)
-    order = monomials(params)
-    coeffs = {order[i]: 1 for i in range(params.k) if (sol.particular >> i) & 1}
-    return Message(params, coeffs)
+    u = _coefficient_word(params, y)
+    if u is None:
+        raise gf2.InconsistentSystem(f"word is not in RM({params.m}, {params.r})")
+    monomial_at = _moebius_tables(params.m, params.r)[2]
+    chosen = monomial_at[np.flatnonzero(gf2.unpack_bits(u, params.n))]
+    return Message(params, dict.fromkeys(chosen.tolist(), 1))
 
 
 def plotkin_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -84,6 +84,8 @@ class SimConfig:
             raise ConfigError(f"at most {MAX_POINTS} sweep points, got {len(self.channels)}")
         if self.max_errors_to_log < 0:
             raise ConfigError("max_errors_to_log must be >= 0")
+        for kind in dict.fromkeys(spec.kind for spec in self.channels):
+            resolve_decoder(self.decoder, self.params, kind, self.hard)
 
     @property
     def params(self) -> rmcode.CodeParams:
@@ -171,8 +173,6 @@ def config_from_dict(data: dict) -> SimConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for kind in dict.fromkeys(spec.kind for spec in channels):
-        resolve_decoder(cfg.decoder, cfg.params, kind, cfg.hard)
     return cfg
 
 

@@ -25,7 +25,7 @@ from rmlab.decoders.dumer import dumer_list_decode
 from rmlab.decoders.fht import fht, fht_decode_order1
 from rmlab.decoders.oracle import ml_decode
 from rmlab.decoders.reed import reed_codewords
-from rmlab.decoders.rpa import chase_list, rpa_decode_llr
+from rmlab.decoders.rpa import _chase, rpa_llr_codewords
 
 
 def _report(num, detail):
@@ -271,7 +271,8 @@ def _c9_block(block):
     order = rmcode.monomials(_P9)
     mag = math.log((1.0 - _P9_P) / _P9_P)
     spec = channel.ChannelSpec("bsc", _P9_P)
-    ml_fail = chase_fail = 0
+    ml_fail = 0
+    sent, Ls = [], []
     for trial in range(lo, hi):
         rng = channel._rng(sim._stream_key(_P9_SEED, 0, trial, 0))
         bits = rng.integers(0, 2, size=_P9.k)
@@ -281,9 +282,11 @@ def _c9_block(block):
         L = mag * (1.0 - 2.0 * out.data)
         if not np.array_equal(ml_decode(_P9, L).codeword, c):
             ml_fail += 1
-        res = chase_list(lambda x: rpa_decode_llr(_P9, x, n_max=_P9_ROUNDS), L, 3, _P9)
-        if not np.array_equal(res.codeword, c):
-            chase_fail += 1
+        sent.append(c)
+        Ls.append(L)
+    # every trial's 2^3 + 1 Chase candidates, as rows of the RPA block kernel
+    chase = _chase(lambda rows: rpa_llr_codewords(_P9, rows, _P9_ROUNDS), np.array(Ls), 3)
+    chase_fail = int(np.count_nonzero((chase != np.array(sent)).any(axis=1)))
     return ml_fail, chase_fail
 
 

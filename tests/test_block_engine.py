@@ -19,7 +19,7 @@ from rmlab.decoders import oracle as oracle_mod
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import rpa as rpa_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import fht_decode_words, linear_coeffs, transform_peak
+from rmlab.decoders.fht import fht_decode_words, transform_peak
 from rmlab.decoders.types import hard_input_llr, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
@@ -422,6 +422,14 @@ def ref_reed(params, y, ties=None):
         if layer_word:
             work ^= gf2.unpack_bits(layer_word, n)
     return rmcode.Message(params, coeffs)
+
+
+def linear_coeffs(m, u, u0):
+    """Coefficients of u0 + sum_i u_i x_i, u in point encoding (bit m-i = u_i)."""
+    coeffs = {1 << (i - 1): 1 for i in range(1, m + 1) if (u >> (m - i)) & 1}
+    if u0:
+        coeffs[0] = 1
+    return coeffs
 
 
 def ref_sakkour(m, y, ties=None):

@@ -132,6 +132,15 @@ def test_erasure_inconsistent_word_raises():
         erasure_decode(params, y)
 
 
+@pytest.mark.parametrize("bad", [3, 255, -1, 0.5])
+def test_erasure_rejects_entries_outside_bits_and_erasure(bad):
+    params = rmcode.CodeParams(3, 1)
+    with pytest.raises(ValueError, match="entries"):
+        erasure_decode(params, [bad] * 4 + [0] * 4)
+    with pytest.raises(ValueError, match="length"):
+        erasure_decode(params, np.zeros(7, dtype=np.uint8))
+
+
 def test_erasure_all_erased_counts_whole_code():
     params = rmcode.CodeParams(3, 1)
     res = erasure_decode(params, np.full(8, channel.ERASURE, dtype=np.uint8))

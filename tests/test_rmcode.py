@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab import gf2, rmcode
+from rmlab.decoders.fht import fht_decode_order1, fht_list_decode_order1, linear_word, transform_peak
 from rmlab.rmcode import CodeParams
 
 
@@ -159,6 +160,84 @@ def test_message_of_codeword_roundtrip():
             c = rmcode.encode(msg)
             back = rmcode.message_of_codeword(p, c)
             assert back.coeffs == msg.coeffs
+
+
+def ref_is_codeword(params, y):
+    """The dual-generator parity check the Moebius transform replaced."""
+    if params.r == params.m:
+        return True
+    return gf2.mat_vec(rmcode.generator_rows(rmcode.dual_params(params)), gf2.pack_bits(y)) == 0
+
+
+def ref_message_of_codeword(params, y):
+    """The coefficients by elimination over the transposed generator;
+    raises gf2.InconsistentSystem off the code."""
+    cols = gf2.transpose(rmcode.generator_rows(params), params.n)
+    sol = gf2.solve_affine(cols, params.k, gf2.pack_bits(y))
+    order = rmcode.monomials(params)
+    return {order[i]: 1 for i in range(params.k) if (sol.particular >> i) & 1}
+
+
+def ref_linear_coeffs(m, u, u0):
+    """Coefficients of u0 + sum_i u_i x_i, u in point encoding (bit m-i = u_i)."""
+    coeffs = {1 << (i - 1): 1 for i in range(1, m + 1) if (u >> (m - i)) & 1}
+    if u0:
+        coeffs[0] = 1
+    return coeffs
+
+
+@st.composite
+def code_and_words(draw):
+    """RM(m, r) with m <= 9, a codeword, and its one- and two-bit corruptions."""
+    m = draw(st.integers(1, 9))
+    p = CodeParams(m, draw(st.integers(0, m)))
+    order = rmcode.monomials(p)
+    chosen = draw(st.lists(st.sampled_from(order), max_size=p.k, unique=True))
+    c = rmcode.encode(rmcode.Message(p, dict.fromkeys(chosen, 1)))
+    i, j = draw(st.integers(0, p.n - 1)), draw(st.integers(0, p.n - 1))
+    one, two = c.copy(), c.copy()
+    one[i] ^= 1
+    two[[i, j]] ^= 1
+    return p, [c, one, two]
+
+
+@settings(max_examples=80, deadline=None)
+@given(code_and_words())
+def test_moebius_membership_and_message_match_linear_algebra(case):
+    p, words = case
+    for y in words:
+        member = rmcode.is_codeword(p, y)
+        assert member == ref_is_codeword(p, y)
+        if member:
+            assert rmcode.message_of_codeword(p, y).coeffs == ref_message_of_codeword(p, y)
+        else:
+            with pytest.raises(gf2.InconsistentSystem):
+                ref_message_of_codeword(p, y)
+            with pytest.raises(gf2.InconsistentSystem):
+                rmcode.message_of_codeword(p, y)
+    c = words[0]
+    bads = [c[:-1], np.append(c, 0)]
+    for entry in (2, -1, 0.5):
+        bads.append(np.append(c[:-1], entry))
+    for bad in bads:
+        for fn in (rmcode.is_codeword, rmcode.message_of_codeword):
+            with pytest.raises(ValueError):
+                fn(p, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+def test_first_order_messages_match_linear_coeffs(m, seed, tied):
+    rng = np.random.default_rng(seed)
+    # small integer LLRs give tied peaks and zero correlations
+    L = rng.integers(-2, 3, size=1 << m).astype(float) if tied else rng.normal(size=1 << m)
+    spec, peak = transform_peak(L)
+    s = min(4, 1 << m)
+    results = [fht_decode_order1(m, L)] + fht_list_decode_order1(m, L, s)
+    for res, u in zip(results, [peak, *np.argsort(-np.abs(spec), kind="stable")[:s]]):
+        u0 = 1 if spec[u] < 0 else 0
+        assert res.message.coeffs == ref_linear_coeffs(m, int(u), u0)
+        assert np.array_equal(res.codeword, linear_word(m, int(u), u0))
 
 
 def test_plotkin_fixture():

@@ -367,6 +367,11 @@ def test_config_resolves_decoder_on_every_channel():
     assert config_from_dict(mixed | {"hard": True}).hard is True
     with pytest.raises(ConfigError, match="on bec"):
         config_from_dict(base_config(decoder="sakkour", r=2, channels=["bsc:0.01", "bec:0.1"]))
+    # a SimConfig built directly is checked the same way, not at point 1 of the sweep
+    mixed_specs = (ChannelSpec("bsc", 0.05), ChannelSpec("awgn", 0.8))
+    with pytest.raises(ConfigError, match="on awgn"):
+        SimConfig(m=4, r=1, decoder="reed", channels=mixed_specs, trials=50)
+    assert SimConfig(m=4, r=1, decoder="reed", channels=mixed_specs, trials=50, hard=True).hard is True
 
 
 def test_config_rejects_stream_key_aliasing():
