@@ -8,6 +8,12 @@ numpy's documented Philox4x64-10 double generation (top 53 bits / 2^53);
 Gaussians come from the inverse normal CDF applied to that stream, which
 keeps the byte stream identical across platforms.
 
+A block of keyed streams is drawn at once by one vectorized Philox4x64-10
+kernel (philox_words, with philox_uniforms and philox_bits on top).  Row i
+of its output equals, bit for bit, what numpy's own
+Generator(Philox(key_i)) gives for .random(n) and .integers(0, 2, size=k),
+so the harness's blocks and transmit's single words draw the same numbers.
+
 LLR sign convention: positive means "0 more likely".  All LLRs are
 saturated to +/- LLR_SATURATION = 40, and tests must not depend on
 distinctions beyond that magnitude.
@@ -71,6 +77,57 @@ class ChannelOutput:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy implements it: the round
+# multipliers, the Weyl key increments, and the low-32-bit limb mask
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+_BITS32 = np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray):
+    """Low and high 64-bit words of the 128-bit product a * b, the high
+    word from 32-bit limbs; uint64 array products wrap mod 2^64."""
+    a0, a1 = a & _LO32, a >> _BITS32
+    b0, b1 = b & _LO32, b >> _BITS32
+    t = a0 * b0
+    mid1 = a1 * b0 + (t >> _BITS32)
+    mid2 = a0 * b1 + (mid1 & _LO32)
+    return a * b, a1 * b1 + (mid1 >> _BITS32) + (mid2 >> _BITS32)
+
+
+def philox_words(key_lo, key_hi, count: int) -> np.ndarray:
+    """(T, count) uint64: row i is the first `count` outputs of numpy's
+    Philox(key=key_hi[i] << 64 | key_lo[i]).  key_lo and key_hi broadcast
+    to a common 1-d shape (T,) of uint64 words."""
+    k0, k1 = (np.asarray(k, dtype=np.uint64)[:, None] for k in np.broadcast_arrays(key_lo, key_hi))
+    blocks = -(-count // 4)
+    # counters (j, 0, 0, 0) for j = 1, 2, ...: numpy bumps the counter before
+    # its first block.  Broadcasting against the keys makes every word (T, blocks).
+    zero = np.uint64(0)
+    c0, c1, c2, c3 = np.arange(1, blocks + 1, dtype=np.uint64), zero, zero, zero
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(k0.shape[0], 4 * blocks)[:, :count]
+
+
+def philox_uniforms(key_lo, key_hi, n: int) -> np.ndarray:
+    """(T, n) float64, row i equal to Generator(Philox(key_i)).random(n)."""
+    return (philox_words(key_lo, key_hi, n) >> np.uint64(11)) * 2.0**-53
+
+
+def philox_bits(key_lo, key_hi, k: int) -> np.ndarray:
+    """(T, k) int64, row i equal to Generator(Philox(key_i)).integers(0, 2, size=k):
+    Lemire's method with range 2 takes bit 31 of each uint32, low half first."""
+    x = philox_words(key_lo, key_hi, -(-k // 2))
+    halves = np.stack(((x >> np.uint64(31)) & np.uint64(1), x >> np.uint64(63)), axis=-1)
+    return halves.reshape(x.shape[0], -1)[:, :k].astype(np.int64)
 
 
 def transmit(codeword, spec: ChannelSpec, seed: int) -> ChannelOutput:

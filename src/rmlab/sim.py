@@ -308,13 +308,14 @@ def _stream_key(seed: int, point: int, trial: int, tag: int) -> int:
 
 def _streams(config: SimConfig, point: int, trials: range):
     """Message bits (T, k) and channel uniforms (T, n) of the given trials,
-    each row drawn from the trial's own Philox streams."""
+    row i equal to the draws of trial trials[i]'s own Philox streams: keys
+    _stream_key(seed, point, trial, tag), tag 0 for bits and 1 for uniforms."""
     params = config.params
-    bits = np.empty((len(trials), params.k), dtype=np.int64)
-    u = np.empty((len(trials), params.n))
-    for i, trial in enumerate(trials):
-        bits[i] = channel._rng(_stream_key(config.seed, point, trial, 0)).integers(0, 2, size=params.k)
-        channel._rng(_stream_key(config.seed, point, trial, 1)).random(out=u[i])
+    trial = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64) & np.uint64(_MASK32)
+    low = np.uint64((point & 0xFFFF) << 48) | (trial << np.uint64(16))
+    high = np.uint64(config.seed & _MASK64)
+    bits = channel.philox_bits(low, high, params.k)  # tag 0
+    u = channel.philox_uniforms(low | np.uint64(1), high, params.n)  # tag 1
     return bits, u
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmlab import channel
@@ -185,3 +185,29 @@ def test_spec_rejects_non_finite_parameters(kind, param):
         ChannelSpec(kind, param)
     with pytest.raises(ValueError):
         ChannelSpec.parse(f"{kind}:{param}")
+
+
+# ---- the vectorized Philox4x64-10 kernel against numpy's generator ----
+
+_KEY128 = st.one_of(st.sampled_from([0, (1 << 128) - 1]), st.integers(0, (1 << 128) - 1))
+_LENGTHS = st.one_of(st.sampled_from([1, 2, 3, 5, 7, 9, 13, 255, 299]), st.integers(1, 300))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(keys=st.lists(_KEY128, min_size=1, max_size=4), n=_LENGTHS, k=_LENGTHS)
+@example(keys=[0, (1 << 128) - 1], n=1, k=1)
+@example(keys=[(1 << 128) - 1], n=299, k=257)
+def test_philox_kernel_equals_numpy_generator(keys, n, k):
+    lo = np.array([key & ((1 << 64) - 1) for key in keys], dtype=np.uint64)
+    hi = np.array([key >> 64 for key in keys], dtype=np.uint64)
+    words = channel.philox_words(lo, hi, n)
+    u = channel.philox_uniforms(lo, hi, n)
+    bits = channel.philox_bits(lo, hi, k)
+    assert u.shape == (len(keys), n) and bits.shape == (len(keys), k)
+    for i, key in enumerate(keys):
+        assert np.array_equal(words[i], np.random.Philox(key=key).random_raw(n))
+        want_u = np.random.Generator(np.random.Philox(key=key)).random(n)
+        want_bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=k)
+        assert u.dtype == want_u.dtype and np.array_equal(u[i], want_u)
+        assert bits.dtype == want_bits.dtype and np.array_equal(bits[i], want_bits)
+
