@@ -109,15 +109,11 @@ def generalized_hamming_weight(m: int, r: int, a: int) -> int:
 
 # ---------------------------------------------------------------- BEC EXIT
 
-def _generator_columns(params: CodeParams):
-    return gf2.transpose(rmcode.generator_rows(params), params.n)
-
-
 def _exit_counts_for_coord(params: CodeParams, z: int):
     """counts[e] = erasure patterns of size e on the other n-1 coordinates
     from which coordinate z is NOT recoverable."""
     n = params.n
-    cols = _generator_columns(params)
+    cols = rmcode.generator_columns(params)
     gz = cols[z]
     others = [cols[j] for j in range(n) if j != z]
     counts = [0] * n
@@ -142,14 +138,12 @@ def exit_function_bec(
     mode: str = "exact",
     trials: int = 100_000,
     seed: int = 0,
-    check_symmetry: bool = False,
 ) -> float:
     """h(p): probability that coordinate 0 is unrecoverable from the rest.
 
     A coordinate is recoverable from an unerased set S exactly when its
     generator column lies in the span of the columns indexed by S.  The
-    exact mode sums binomial pattern weights over all 2^(n-1) patterns;
-    check_symmetry recomputes every coordinate and insists they agree.
+    exact mode sums binomial pattern weights over all 2^(n-1) patterns.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
@@ -159,17 +153,9 @@ def exit_function_bec(
         h = math.fsum(
             counts[e] * p**e * (1.0 - p) ** (n - 1 - e) for e in range(n)
         )
-        if check_symmetry:
-            for z in range(1, n):
-                cz = _exit_counts_for_coord(params, z)
-                hz = math.fsum(
-                    cz[e] * p**e * (1.0 - p) ** (n - 1 - e) for e in range(n)
-                )
-                if abs(hz - h) > 1e-9:
-                    raise AssertionError(f"EXIT asymmetry at coordinate {z}")
         return h
     if mode == "mc":
-        cols = _generator_columns(params)
+        cols = rmcode.generator_columns(params)
         g0 = cols[0]
         others = cols[1:]
         rng = channel._rng(seed)

@@ -81,10 +81,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    return args.analyze_func(args)
-
-
 def _an_weights(args) -> int:
     wd = analysis.weight_distribution(rmcode.CodeParams(args.m, args.r))
     for w, count in wd.counts.items():
@@ -192,12 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
     w = asub.add_parser("weights")
     w.add_argument("m", type=int)
     w.add_argument("r", type=int)
-    w.set_defaults(func=_cmd_analyze, analyze_func=_an_weights)
+    w.set_defaults(func=_an_weights)
 
     g = asub.add_parser("ghw")
     g.add_argument("m", type=int)
     g.add_argument("r", type=int)
-    g.set_defaults(func=_cmd_analyze, analyze_func=_an_ghw)
+    g.set_defaults(func=_an_ghw)
 
     e = asub.add_parser("exit")
     e.add_argument("m", type=int)
@@ -206,13 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", choices=("exact", "mc"), default="exact")
     e.add_argument("--trials", type=int, default=100_000)
     e.add_argument("--seed", type=int, default=0)
-    e.set_defaults(func=_cmd_analyze, analyze_func=_an_exit)
+    e.set_defaults(func=_an_exit)
 
     a = asub.add_parser("area")
     a.add_argument("m", type=int)
     a.add_argument("r", type=int)
     a.add_argument("--grid", type=int, default=129)
-    a.set_defaults(func=_cmd_analyze, analyze_func=_an_area)
+    a.set_defaults(func=_an_area)
 
     pz = asub.add_parser("polarize")
     pz.add_argument("m", type=int)
@@ -220,13 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--mode", choices=("exact", "mc"), default="exact")
     pz.add_argument("--trials", type=int, default=100_000)
     pz.add_argument("--seed", type=int, default=0)
-    pz.set_defaults(func=_cmd_analyze, analyze_func=_an_polarize)
+    pz.set_defaults(func=_an_polarize)
 
     tw = asub.add_parser("twin")
     tw.add_argument("m", type=int)
     tw.add_argument("p", type=float)
     tw.add_argument("eps", type=float)
-    tw.set_defaults(func=_cmd_analyze, analyze_func=_an_twin)
+    tw.set_defaults(func=_an_twin)
 
     return parser
 

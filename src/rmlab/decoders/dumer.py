@@ -16,9 +16,12 @@ an exhaustive list reproduces ML ranking.
 Both recursions decode a whole block of T trials at once: the plain one
 over (T, n) LLR rows, the list one over T * P path rows, P paths per
 trial, stored trial-major.  Every path count depends only on (m, r, mu),
-so all trials of a block branch and prune in lockstep; pruning sorts
-each trial's penalties on its own.  The public single-word decoders
-run the same kernels on a block of one, so each family has one kernel.
+so all trials of a block branch and prune in lockstep.  A list leaf
+first scores its candidates (bit-major at zero order, path-major and
+cheapest first at full codes), then keeps per trial the mu cheapest by a
+stable sort of that trial's penalties, and only then builds the words
+and parents of the survivors.  The public single-word decoders run the
+same kernels on a block of one, so each family has one kernel.
 """
 
 from __future__ import annotations
@@ -47,10 +50,7 @@ def _plain_rec(m: int, r: int, L: np.ndarray) -> np.ndarray:
     L0, L1 = L[..., 1::2], L[..., 0::2]
     v = _plain_rec(m - 1, r - 1, llr_of_sum(L0, L1))
     u = _plain_rec(m - 1, r, L0 + (1.0 - 2.0 * v) * L1)
-    out = np.empty(L.shape, dtype=np.uint8)
-    out[..., 1::2] = u
-    out[..., 0::2] = u ^ v
-    return out
+    return rmcode.plotkin_join(u, v)
 
 
 def dumer_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
@@ -64,42 +64,14 @@ def dumer_decode(params: rmcode.CodeParams, L) -> DecodeResult:
     return result_for(params, dumer_codewords(params, L[None])[0], L)
 
 
-def _prune(bits: np.ndarray, pens: np.ndarray, parents: np.ndarray, mu: int):
-    """Keep per trial the mu cheapest paths; ties keep path order.
-
-    pens is (T, Q); bits and parents hold the T * Q paths trial-major.
-    """
+def _prune(pens: np.ndarray, mu: int):
+    """Per trial the indices of the mu cheapest of the Q candidates in
+    pens, a (T, Q) array, and their penalties; ties keep candidate order."""
     T, Q = pens.shape
     if Q <= mu:
-        return bits, pens, parents
+        return np.broadcast_to(np.arange(Q), (T, Q)), pens
     keep = np.argsort(pens, axis=1, kind="stable")[:, :mu]
-    flat = (keep + Q * np.arange(T)[:, None]).ravel()
-    return bits[flat], pens.ravel()[flat].reshape(T, mu), parents[flat]
-
-
-def _full_leaf(Ls: np.ndarray, pens: np.ndarray):
-    """Full-code leaf: per path the up-to-4 cheapest words among the hard
-    decision and its flips of the 3 least reliable positions.
-
-    Returns (bits, penalties, parent) unpruned, path-major and cheapest
-    first within a path, which fixes the order _prune's stable sort sees.
-    """
-    P, n = Ls.shape
-    prow = np.arange(P)[:, None]
-    hard = (Ls < 0).astype(np.uint8)
-    mag = np.abs(Ls)
-    base = pens + _softplus(-mag).sum(axis=1)
-    t = min(3, n)
-    pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
-    combos = ((np.arange(1 << t)[:, None] >> np.arange(t)[None, :]) & 1).astype(np.float64)
-    cand_pen = base[:, None] + mag[prow, pos] @ combos.T  # (P, 2^t)
-    take = np.argsort(cand_pen, axis=1, kind="stable")[:, :4]  # (P, K)
-    K = take.shape[1]
-    flips = np.zeros((P, K, n), dtype=np.uint8)
-    # positions within a path are distinct, so the scatter never collides
-    flips[prow[:, :, None], np.arange(K)[None, :, None], pos[:, None, :]] = combos[take]
-    rows = (hard[:, None, :] ^ flips).reshape(P * K, n)
-    return rows, cand_pen[prow, take].ravel(), np.repeat(np.arange(P), K)
+    return keep, pens[np.arange(T)[:, None], keep]
 
 
 def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
@@ -107,30 +79,44 @@ def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
 
     pens is (T, P): P paths for each of T trials.  Ls holds their LLRs as
     (T * P, 2^m) rows, trial-major, and so do bits; parent maps each
-    surviving path to its input row.
+    surviving path to its input row.  A leaf scores its candidates, prunes
+    them, and builds the words of the survivors only.
     """
+    if 0 < r < m:
+        L0, L1 = Ls[:, 1::2], Ls[:, 0::2]
+        vbits, vpens, vpar = _list_rec(m - 1, r - 1, llr_of_sum(L0, L1), pens, mu)
+        Lt = L0[vpar] + (1.0 - 2.0 * vbits) * L1[vpar]
+        ubits, upens, upar = _list_rec(m - 1, r, Lt, vpens, mu)
+        return rmcode.plotkin_join(ubits, vbits[upar]), upens, vpar[upar]
     T, P = pens.shape
     n = Ls.shape[1]
+    trial = P * np.arange(T)[:, None]
     if r == 0:
+        # candidate q = bit * P + path
         pen0 = pens + _softplus(-Ls).sum(axis=1).reshape(T, P)
         pen1 = pens + _softplus(Ls).sum(axis=1).reshape(T, P)
-        bits = np.zeros((T, 2, P, n), dtype=np.uint8)
-        bits[:, 1] = 1
-        parents = np.tile(np.arange(T * P).reshape(T, 1, P), (1, 2, 1))
-        cand = np.concatenate([pen0, pen1], axis=1)
-        return _prune(bits.reshape(-1, n), cand, parents.ravel(), mu)
-    if r == m:
-        bits, leaf_pens, parents = _full_leaf(Ls, pens.ravel())
-        return _prune(bits, leaf_pens.reshape(T, -1), parents, mu)
-    L0, L1 = Ls[:, 1::2], Ls[:, 0::2]
-    vbits, vpens, vpar = _list_rec(m - 1, r - 1, llr_of_sum(L0, L1), pens, mu)
-    Lt = L0[vpar] + (1.0 - 2.0 * vbits) * L1[vpar]
-    ubits, upens, upar = _list_rec(m - 1, r, Lt, vpens, mu)
-    vsel = vbits[upar]
-    out = np.empty((ubits.shape[0], n), dtype=np.uint8)
-    out[:, 1::2] = ubits
-    out[:, 0::2] = ubits ^ vsel
-    return out, upens, vpar[upar]
+        keep, kept = _prune(np.concatenate([pen0, pen1], axis=1), mu)
+        bits = np.repeat((keep // P).astype(np.uint8).reshape(-1, 1), n, axis=1)
+        return bits, kept, (trial + keep % P).ravel()
+    # r == m: per path the up-to-4 cheapest words among the hard decision
+    # and its flips of the 3 least reliable positions, cheapest first;
+    # candidate q = path * K + rank
+    prow = np.arange(T * P)[:, None]
+    mag = np.abs(Ls)
+    base = pens.ravel() + _softplus(-mag).sum(axis=1)
+    t = min(3, n)
+    pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
+    combos = ((np.arange(1 << t)[:, None] >> np.arange(t)[None, :]) & 1).astype(np.float64)
+    cand_pen = base[:, None] + mag[prow, pos] @ combos.T  # (T * P, 2^t)
+    take = np.argsort(cand_pen, axis=1, kind="stable")[:, :4]  # (T * P, K)
+    K = take.shape[1]
+    keep, kept = _prune(cand_pen[prow, take].reshape(T, P * K), mu)
+    parents = (trial + keep // K).ravel()
+    bits = (Ls[parents] < 0).astype(np.uint8)
+    # positions within a path are distinct, so the scatter never collides
+    flips = combos[take[parents, (keep % K).ravel()]].astype(np.uint8)
+    bits[np.arange(len(parents))[:, None], pos[parents]] ^= flips
+    return bits, kept, parents
 
 
 # LLR cells (trials x paths x n) one list-recursion pass may hold per array

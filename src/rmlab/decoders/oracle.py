@@ -25,12 +25,6 @@ def _sign_codebook(params: rmcode.CodeParams) -> np.ndarray:
     return _sign_block(params, 0, 1 << params.k)
 
 
-@lru_cache(maxsize=None)
-def _generator_columns(params: rmcode.CodeParams) -> tuple[int, ...]:
-    """Column j of the generator, packed over monomial indices."""
-    return tuple(gf2.transpose(rmcode.generator_rows(params), params.n))
-
-
 def _index_bits(k: int, idx) -> np.ndarray:
     """Coefficient rows of message indices.  Bit k-1-row of an index is the coefficient
     of generator row `row`, so ascending index = lexicographic coefficient order."""
@@ -88,7 +82,7 @@ def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguou
         raise ValueError(f"expected a length-{params.n} word")
     if not np.isin(y, (0, 1, channel.ERASURE)).all():
         raise ValueError(f"entries must be 0, 1 or {channel.ERASURE} (erased)")
-    cols = _generator_columns(params)
+    cols = rmcode.generator_columns(params)
     rows = []
     b = 0
     for j in np.flatnonzero(y != channel.ERASURE):

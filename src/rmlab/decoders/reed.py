@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import rmcode
-from .types import DecodeResult, block_rows, hard_input_llr, hard_word, result_for
+from .types import DecodeResult, hard_input_llr, hard_rows, hard_word, result_for
 
 
 @lru_cache(maxsize=None)
@@ -36,7 +36,7 @@ def _layer(m: int, t: int):
 
 def reed_codewords(params: rmcode.CodeParams, Ys) -> np.ndarray:
     """Majority decoding of every row of a (T, n) block of 0/1 words."""
-    Ys = block_rows(params.n, Ys, np.uint8)
+    Ys = hard_rows(params.n, Ys)
     work = Ys.copy()
     for t in range(params.r, -1, -1):
         gather, evals, threshold = _layer(params.m, t)

@@ -32,7 +32,7 @@ import numpy as np
 from .. import rmcode
 from ..channel import llr_of_sum
 from .fht import fht_decode_words
-from .types import DecodeResult, block_rows, hard_word, llr_word, result_for, soft_metric
+from .types import DecodeResult, block_rows, hard_rows, hard_word, llr_word, result_for, soft_metric
 
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 
@@ -68,10 +68,10 @@ def _tables(m: int):
     return mem0, mem1, fcos, xorb
 
 
-def _rows(params: rmcode.CodeParams, words, dtype) -> np.ndarray:
+def _rows(params: rmcode.CodeParams, words, hard: bool = False) -> np.ndarray:
     if params.r < 1:
         raise ValueError("need r >= 1")
-    return block_rows(params.n, words, dtype)
+    return hard_rows(params.n, words) if hard else block_rows(params.n, words, np.float64)
 
 
 def _chunks(rows: int, cells_per_row: int):
@@ -89,7 +89,7 @@ def _decode_projections(params: rmcode.CodeParams, kernel, proj: np.ndarray, n_m
 def rpa_llr_codewords(params: rmcode.CodeParams, Ls, n_max: int = 3) -> np.ndarray:
     """Soft-input RPA of every row of a (T, n) LLR block; each row's hard
     decision after the last round."""
-    Ls = _rows(params, Ls, np.float64)
+    Ls = _rows(params, Ls)
     if params.r == 1:
         return fht_decode_words(Ls)
     n = params.n
@@ -113,7 +113,7 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
     A row stops at its fixed point; a row that reaches none within n_max
     rounds keeps its last word, which need not be a codeword.
     """
-    Ys = _rows(params, Ys, np.uint8)
+    Ys = _rows(params, Ys, hard=True)
     if params.r == 1:
         return fht_decode_words(1.0 - 2.0 * Ys)
     n = params.n
@@ -190,7 +190,7 @@ def _chase(decode_rows, Ls: np.ndarray, t: int) -> np.ndarray:
 def chase_codewords(params: rmcode.CodeParams, Ls, t: int) -> np.ndarray:
     """Chase-RPA of every row of a (T, n) LLR block: each trial's 2^t + 1
     candidates are rows of rpa_llr_codewords blocks."""
-    Ls = _rows(params, Ls, np.float64)
+    Ls = _rows(params, Ls)
     return _chase(lambda rows: rpa_llr_codewords(params, rows), Ls, t)
 
 

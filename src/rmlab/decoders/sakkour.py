@@ -25,7 +25,7 @@ import numpy as np
 from .. import rmcode
 # fht is unused here: bench/replay.py's --trace patches decoders.sakkour.fht
 from .fht import fht, fht_decode_words, transform_peak  # noqa: F401
-from .types import DecodeResult, block_rows, hard_input_llr, hard_word, result_for
+from .types import DecodeResult, hard_input_llr, hard_rows, hard_word, result_for
 
 # Cells of each (rows, n, n) array one chunk of rows may hold
 _CELLS = 1 << 16
@@ -62,7 +62,7 @@ def sakkour_codewords(m: int, Ys) -> np.ndarray:
     if m < 2:
         raise ValueError("order-2 decoding needs m >= 2")
     n = 1 << m
-    Ys = block_rows(n, Ys, np.uint8)
+    Ys = hard_rows(n, Ys)
     xor, cols, shifts, evals = _tables(m)
     out = np.empty(Ys.shape, dtype=np.uint8)
     step = max(1, _CELLS // (n * n))

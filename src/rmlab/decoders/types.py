@@ -52,14 +52,21 @@ def block_rows(n: int, words, dtype) -> np.ndarray:
     return words
 
 
+def hard_rows(n: int, words) -> np.ndarray:
+    """words as a (T, n) uint8 array; raises ValueError for another shape
+    or unless every entry is 0 or 1."""
+    words = block_rows(n, words, None)
+    if not ((words == 0) | (words == 1)).all():
+        raise ValueError("hard word expected")
+    return words.astype(np.uint8, copy=False)
+
+
 def hard_word(params: rmcode.CodeParams, y) -> np.ndarray:
     """y as a uint8 word of length n; raises ValueError unless every entry is 0 or 1."""
     y = np.asarray(y)
     if y.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("hard word expected")
-    return y.astype(np.uint8)
+    return hard_rows(params.n, y[None])[0]
 
 
 def hard_input_llr(y) -> np.ndarray:

@@ -89,11 +89,6 @@ def monomial_order(m: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << m), key=_subset_key))
 
 
-def rm_ordering(m: int) -> tuple[int, ...]:
-    """Alias for monomial_order; the canonical successive-decoding order."""
-    return monomial_order(m)
-
-
 @lru_cache(maxsize=None)
 def _restricted_order(m: int, r: int) -> tuple[int, ...]:
     return tuple(a for a in monomial_order(m) if a.bit_count() <= r)
@@ -134,6 +129,12 @@ def eval_monomial(subset: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def generator_rows(params: CodeParams) -> tuple[int, ...]:
     return tuple(eval_monomial_packed(a, params.m) for a in monomials(params))
+
+
+@lru_cache(maxsize=None)
+def generator_columns(params: CodeParams) -> tuple[int, ...]:
+    """Column j of the generator, packed over monomial indices."""
+    return tuple(gf2.transpose(generator_rows(params), params.n))
 
 
 def generator_matrix(params: CodeParams) -> np.ndarray:
@@ -266,13 +267,14 @@ def plotkin_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def plotkin_join(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inverse of plotkin_split along the last axis; leading axes are a batch."""
     u = np.asarray(u, dtype=np.uint8)
     v = np.asarray(v, dtype=np.uint8)
     if u.shape != v.shape:
         raise ValueError("halves must have equal length")
-    out = np.empty(2 * u.size, dtype=np.uint8)
-    out[1::2] = u
-    out[0::2] = u ^ v
+    out = np.empty(u.shape[:-1] + (2 * u.shape[-1],), dtype=np.uint8)
+    out[..., 1::2] = u
+    out[..., 0::2] = u ^ v
     return out
 
 

@@ -379,7 +379,7 @@ def run_simulation(config: SimConfig, workers: int = 1):
         for idx in range(len(config.channels)):
             start = time.perf_counter()
             jobs = [(config, idx, lo, hi) for lo, hi in spans]
-            parts = list(pool.map(_run_trials_star, jobs)) if workers > 1 else [_run_trials(*jobs[0])]
+            parts = list(pool.map(_run_trials, *zip(*jobs))) if workers > 1 else [_run_trials(*jobs[0])]
             seconds = time.perf_counter() - start if config.timing else 0.0
             points.append(_sim_point(config, idx, parts, seconds))
     return points
@@ -403,10 +403,6 @@ def _sim_point(config: SimConfig, idx: int, parts, seconds: float) -> SimPoint:
         seconds=seconds,
         error_trials=tuple(logged),
     )
-
-
-def _run_trials_star(args):
-    return _run_trials(*args)
 
 
 def csv_report(config: SimConfig, points) -> str:

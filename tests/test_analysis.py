@@ -167,7 +167,17 @@ def test_exit_monotone_and_bounded():
 
 
 def test_exit_symmetry_across_coordinates():
-    exit_function_bec(CodeParams(3, 1), 0.4, check_symmetry=True)
+    params, p = CodeParams(3, 1), 0.4
+    n = params.n
+
+    def h(z):
+        counts = analysis._exit_counts_for_coord(params, z)
+        return math.fsum(counts[e] * p**e * (1.0 - p) ** (n - 1 - e) for e in range(n))
+
+    h0 = exit_function_bec(params, p)
+    assert h(0) == h0
+    for z in range(1, n):
+        assert abs(h(z) - h0) <= 1e-9, z
 
 
 def test_exit_mc_agrees_with_exact():

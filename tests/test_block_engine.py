@@ -600,3 +600,99 @@ def test_only_bw_runs_row_by_row():
     for decoder_id, m, r in CASES:
         batched = sim._resolve(decoder_id, rmcode.CodeParams(m, r), "bsc", True)[2]
         assert batched == (decoder_id != "bw")
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_hard_block_kernels_reject_non_binary_entries(bad):
+    params = rmcode.CodeParams(4, 2)
+    words = noisy_words(params, 3, np.random.default_rng(3))
+    for kernel in (reed_mod.reed_codewords, rpa_mod.rpa_bsc_codewords,
+                   lambda p, x: sakkour_mod.sakkour_codewords(p.m, x)):
+        want = kernel(params, words)
+        # any 0/1 dtype is read as the same words
+        for dtype in (np.int64, np.float64, bool):
+            assert np.array_equal(kernel(params, words.astype(dtype)), want)
+        bad_rows = words.astype(type(bad))
+        bad_rows[1, 5] = bad
+        with pytest.raises(ValueError, match="hard word expected"):
+            kernel(params, bad_rows)
+        with pytest.raises(ValueError, match="expected rows of 16"):
+            kernel(params, words[:, :15])
+
+
+# ---- dumer-list against a copy of its build-then-prune recursion ----
+# The list leaves used to build every candidate word and then prune to mu
+# per trial; they now prune first and build the survivors only.  The
+# reference is the old recursion, unchunked.
+
+
+def ref_prune(bits, pens, parents, mu):
+    T, Q = pens.shape
+    if Q <= mu:
+        return bits, pens, parents
+    keep = np.argsort(pens, axis=1, kind="stable")[:, :mu]
+    flat = (keep + Q * np.arange(T)[:, None]).ravel()
+    return bits[flat], pens.ravel()[flat].reshape(T, mu), parents[flat]
+
+
+def ref_full_leaf(Ls, pens):
+    P, n = Ls.shape
+    prow = np.arange(P)[:, None]
+    hard = (Ls < 0).astype(np.uint8)
+    mag = np.abs(Ls)
+    base = pens + np.logaddexp(0.0, -mag).sum(axis=1)
+    t = min(3, n)
+    pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
+    combos = ((np.arange(1 << t)[:, None] >> np.arange(t)[None, :]) & 1).astype(np.float64)
+    cand_pen = base[:, None] + mag[prow, pos] @ combos.T
+    take = np.argsort(cand_pen, axis=1, kind="stable")[:, :4]
+    K = take.shape[1]
+    flips = np.zeros((P, K, n), dtype=np.uint8)
+    flips[prow[:, :, None], np.arange(K)[None, :, None], pos[:, None, :]] = combos[take]
+    rows = (hard[:, None, :] ^ flips).reshape(P * K, n)
+    return rows, cand_pen[prow, take].ravel(), np.repeat(np.arange(P), K)
+
+
+def ref_list_rec(m, r, Ls, pens, mu):
+    T, P = pens.shape
+    n = Ls.shape[1]
+    if r == 0:
+        pen0 = pens + np.logaddexp(0.0, -Ls).sum(axis=1).reshape(T, P)
+        pen1 = pens + np.logaddexp(0.0, Ls).sum(axis=1).reshape(T, P)
+        bits = np.zeros((T, 2, P, n), dtype=np.uint8)
+        bits[:, 1] = 1
+        parents = np.tile(np.arange(T * P).reshape(T, 1, P), (1, 2, 1))
+        cand = np.concatenate([pen0, pen1], axis=1)
+        return ref_prune(bits.reshape(-1, n), cand, parents.ravel(), mu)
+    if r == m:
+        bits, leaf_pens, parents = ref_full_leaf(Ls, pens.ravel())
+        return ref_prune(bits, leaf_pens.reshape(T, -1), parents, mu)
+    L0, L1 = Ls[:, 1::2], Ls[:, 0::2]
+    vbits, vpens, vpar = ref_list_rec(m - 1, r - 1, channel.llr_of_sum(L0, L1), pens, mu)
+    Lt = L0[vpar] + (1.0 - 2.0 * vbits) * L1[vpar]
+    ubits, upens, upar = ref_list_rec(m - 1, r, Lt, vpens, mu)
+    out = np.empty((ubits.shape[0], n), dtype=np.uint8)
+    out[:, 1::2] = ubits
+    out[:, 0::2] = ubits ^ vbits[upar]
+    return out, upens, vpar[upar]
+
+
+def ref_dumer_list(params, Ls, mu):
+    T = len(Ls)
+    bits, pens, _ = ref_list_rec(params.m, params.r, Ls, np.zeros((T, 1)), mu)
+    return bits[np.argmin(pens, axis=1) + pens.shape[1] * np.arange(T)]
+
+
+@pytest.mark.parametrize("m,r", [(3, 0), (3, 3), (4, 2), (5, 2), (6, 3)])
+@pytest.mark.parametrize("mu", [1, 2, 3, 4, 16, None])
+@pytest.mark.parametrize("style", ["bsc", "bec", "rounded", "awgn"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_list_kernel_equals_build_then_prune_recursion(m, r, mu, style, rows, seed):
+    params = rmcode.CodeParams(m, r)
+    # None: an exhaustive list, 2^k, where the reference can hold it
+    mu = mu or 1 << min(params.k, 11)
+    L = block_llrs(params, style, rows, np.random.default_rng(seed))
+    got = dumer_mod.dumer_list_codewords(params, L, mu)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, ref_dumer_list(params, L, mu))

@@ -149,25 +149,35 @@ def test_butterfly_returns_a_fresh_c_order_array(shape):
 
 @settings(max_examples=80, deadline=None)
 @given(
+    trials=st.integers(2, 4),
     paths=st.integers(1, 6),
-    log_n=st.integers(0, 4),
+    log_n=st.integers(1, 4),
+    mu=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
     tied=st.booleans(),
 )
-def test_full_leaf_matches_loop(paths, log_n, seed, tied):
+def test_full_leaf_matches_loop(trials, paths, log_n, mu, seed, tied):
+    # the r == m leaf of the list recursion keeps, per trial, the mu
+    # cheapest of loop_full_leaf's candidates under a stable sort, or all
+    # of them in their own order when there are at most mu
     rng = np.random.default_rng(seed)
-    shape = (paths, 1 << log_n)
+    shape = (trials * paths, 1 << log_n)
     if tied:  # few distinct magnitudes and equal path penalties: many exact ties
         Ls = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=shape)
-        pens = np.full(paths, 0.5)
+        pens = np.full((trials, paths), 0.5)
     else:
         Ls = rng.normal(scale=3.0, size=shape)
-        pens = rng.exponential(size=paths)
-    got = dumer_mod._full_leaf(Ls, pens)
-    want = loop_full_leaf(Ls, pens)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
+        pens = rng.exponential(size=(trials, paths))
+    bits, kept, parents = dumer_mod._list_rec(log_n, log_n, Ls, pens, mu)
+    K = len(bits) // trials
+    assert bits.dtype == np.uint8 and kept.shape == (trials, K)
+    for t in range(trials):
+        rows, want_pens, want_par = loop_full_leaf(Ls[t * paths : (t + 1) * paths], pens[t])
+        keep = np.argsort(want_pens, kind="stable")[:mu] if len(rows) > mu else np.arange(len(rows))
+        got = slice(t * K, (t + 1) * K)
+        assert np.array_equal(bits[got], rows[keep])
+        assert np.array_equal(kept[t], want_pens[keep])
+        assert np.array_equal(parents[got], want_par[keep] + t * paths)
 
 
 @settings(max_examples=80, deadline=None)

@@ -48,8 +48,9 @@ def test_monomial_order_m3():
     assert names == ["x1x2x3", "x1x2", "x1x3", "x2x3", "x1", "x2", "x3", "1"]
 
 
-def test_rm_ordering_alias():
-    assert rmcode.rm_ordering(4) == rmcode.monomial_order(4)
+def test_monomial_order_m4_is_lexicographic_within_a_degree():
+    degree2 = [rmcode.monomial_name(a) for a in rmcode.monomial_order(4) if a.bit_count() == 2]
+    assert degree2 == ["x1x2", "x1x3", "x1x4", "x2x3", "x2x4", "x3x4"]
 
 
 def test_monomial_order_is_permutation():
@@ -254,6 +255,14 @@ def test_plotkin_roundtrip():
         c = rng.integers(0, 2, size=16).astype(np.uint8)
         u, v = rmcode.plotkin_split(c)
         assert np.array_equal(rmcode.plotkin_join(u, v), c)
+
+
+def test_plotkin_join_over_batch_axes():
+    c = np.random.default_rng(5).integers(0, 2, size=(3, 2, 16)).astype(np.uint8)
+    u, v = c[..., 1::2], c[..., 1::2] ^ c[..., 0::2]
+    assert np.array_equal(rmcode.plotkin_join(u, v), c)
+    with pytest.raises(ValueError):
+        rmcode.plotkin_join(u, v[0])
 
 
 def test_plotkin_too_short():
