@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Optional
 
 import numpy as np
 

@@ -1,11 +1,29 @@
 """Reference decoders: exhaustive ML and erasure solving.
 
-ml_decode enumerates all 2^k codewords (guarded at k <= 24), so it serves
-as the ground truth the structured decoders are compared against.
+ml_codewords scores all 2^k codewords (guarded at k <= 24), so it serves
+as the ground truth the structured decoders are compared against.  It
+never holds the 2^k x n codebook.  With t = min(k, 8), the codeword of
+message index a << t | b has signs head[a] * tail[b], where head spans
+the first k - t generator rows and tail the last t (the constant row,
+the linear rows and the last quadratic ones).  The correlations of one
+LLR row L are then the product tail @ (head * L).T, (2^t, 2^(k-t)).
+Pass 1 keeps each head row's maximum; pass 2 recomputes the head rows
+that can hold the maximum.
+
+Ties go to the smallest message index, that is the lexicographically
+smallest coefficient vector in generator row order, whatever the BLAS:
+two correlations tie when their exact sums round to the same double.  A
+row of integer multiples of one unit (sign-quantized or integer LLRs) is
+divided by that unit and scored exactly, in integers.  In any other row
+a computed correlation lies within eps = n * 2^-52 * sum|L| of its exact
+value, so the candidates, the codewords within 2 * eps of the row's top
+score, hold every exact maximum: a lone candidate wins, and otherwise
+the candidates are rescored with math.fsum.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Union
 
@@ -16,13 +34,10 @@ from ..rmcode import TooLarge
 from .types import Ambiguous, DecodeResult, block_rows, llr_word, result_for, soft_metric
 
 _ML_GUARD_K = 24
-_CACHE_K = 16
-_BLOCK = 1 << 16
-
-
-@lru_cache(maxsize=4)
-def _sign_codebook(params: rmcode.CodeParams) -> np.ndarray:
-    return _sign_block(params, 0, 1 << params.k)
+_TAIL_ROWS = 8
+# Each product, its operand and the per-(trial, head row) maxima hold at
+# most about _CELLS float64 cells.
+_CELLS = 1 << 18
 
 
 def _index_bits(k: int, idx) -> np.ndarray:
@@ -32,39 +47,131 @@ def _index_bits(k: int, idx) -> np.ndarray:
     return ((np.asarray(idx, dtype=np.uint64)[:, None] >> shifts) & 1).astype(np.uint8)
 
 
-def _sign_block(params: rmcode.CodeParams, start: int, count: int) -> np.ndarray:
-    bits = _index_bits(params.k, np.arange(start, start + count))
-    words = (bits @ rmcode.generator_matrix(params)) & 1
-    return 1.0 - 2.0 * words.astype(np.float64)
+def _span_signs(rows: np.ndarray) -> np.ndarray:
+    """(+/-1) signs of all 2^len(rows) sums of the generator rows, by index."""
+    bits = _index_bits(len(rows), np.arange(1 << len(rows)))
+    return 1.0 - 2.0 * ((bits @ rows) & 1).astype(np.float64)
 
 
-def _ml_index(params: rmcode.CodeParams, L: np.ndarray) -> int:
-    """Index of the first codeword of maximal correlation with L."""
-    if params.k <= _CACHE_K:
-        return int(np.argmax(_sign_codebook(params) @ L))
-    best_idx, best_score = -1, -np.inf
-    total = 1 << params.k
-    for start in range(0, total, _BLOCK):
-        scores = _sign_block(params, start, min(_BLOCK, total - start)) @ L
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best_idx, best_score = start + i, scores[i]
-    return best_idx
+def _tail_rows(params: rmcode.CodeParams) -> int:
+    return min(params.k, _TAIL_ROWS)
+
+
+@lru_cache(maxsize=4)
+def _sign_codebook(params: rmcode.CodeParams) -> np.ndarray:
+    """The tail factor: signs of the 2^t codewords of the last t generator rows.
+    The kernel uses it only as the left operand of @."""
+    return _span_signs(rmcode.generator_matrix(params)[params.k - _tail_rows(params):])
+
+
+@lru_cache(maxsize=4)
+def _head_signs(params: rmcode.CodeParams) -> np.ndarray:
+    """The head factor: signs of the 2^(k-t) codewords of the first k - t rows."""
+    return _span_signs(rmcode.generator_matrix(params)[: params.k - _tail_rows(params)])
+
+
+def _in_units(L: np.ndarray):
+    """L with each row that is a multiple of one unit u by integers of
+    total size below 2^52 divided by u, and each row's rounding bound eps,
+    0 for a divided row.
+
+    The correlations of a divided row are u * N with integer N, exact when
+    computed from L / u, and distinct N stay distinct after rounding, so
+    every order and every tie is kept.  Sign-quantized rows (BSC, BEC,
+    Chase perturbations) and integer LLRs are divided.
+    """
+    frac, ex = np.frexp(np.abs(L))
+    M = (frac * 2.0**53).astype(np.int64)  # |L| = M * 2^(ex - 53)
+    tz = np.frexp((M & -M).astype(np.float64))[1] - 1  # trailing zero bits of M, -1 for M = 0
+    g = np.gcd.reduce(M >> np.maximum(tz, 0), axis=1)  # gcd of the odd parts, 0 for a zero row
+    low = np.where(M > 0, ex - 53 + tz, 0x7FFF).min(axis=1)
+    unit = np.ldexp(np.maximum(g, 1).astype(np.float64), np.where(g > 0, low, 0))
+    with np.errstate(over="ignore"):
+        scaled = L / unit[:, None]
+    divided = np.abs(scaled).sum(axis=1) < 2.0**52
+    eps = np.where(divided, 0.0, L.shape[1] * 2.0**-52 * np.abs(L).sum(axis=1))
+    return np.where(divided[:, None], scaled, L), eps
+
+
+def _ml_indices(params: rmcode.CodeParams, L: np.ndarray) -> np.ndarray:
+    """Message index of the ML codeword of each row of L, smallest index on ties."""
+    t = _tail_rows(params)
+    head = _head_signs(params)
+    T, H = len(L), len(head)
+    width = max(1 << t, params.n)  # cells per (trial, head row) in a product or its operand
+    step = max(1, _CELLS // width)  # (trial, head row) pairs per product
+    L, eps = _in_units(L)
+
+    # pass 1: the best correlation of every (trial, head row)
+    rowmax = np.empty((T, H))
+    tc, hc = max(1, step // H), min(H, step)
+    for i in range(0, T, tc):
+        for j in range(0, H, hc):
+            X = (head[j:j + hc] * L[i:i + tc, None]).reshape(-1, params.n)
+            S = _sign_codebook(params) @ X.T
+            rowmax[i:i + tc, j:j + hc] = S.max(axis=0).reshape(-1, min(hc, H - j))
+    top = rowmax.max(axis=1)
+    near = rowmax >= (top - 2 * eps)[:, None]
+    # a row scored exactly (eps = 0) needs only its first maximal head row,
+    # and its first candidate wins
+    exact = eps == 0
+    near[exact] = False
+    near[exact, rowmax[exact].argmax(axis=1)] = True
+
+    # pass 2: every entry of a near head row within 2 * eps of the top
+    trial, a = np.nonzero(near)
+    cand_trial, cand_idx = [], []
+    for lo in range(0, len(trial), step):
+        tr, hd = trial[lo:lo + step], a[lo:lo + step]
+        S = _sign_codebook(params) @ (head[hd] * L[tr]).T
+        col, b = np.nonzero((S >= top[tr] - 2 * eps[tr]).T)
+        cand_trial.append(tr[col])
+        cand_idx.append((hd[col] << t) | b)
+    cand_trial = np.concatenate(cand_trial)
+    cand_idx = np.concatenate(cand_idx)
+
+    # candidates come sorted by (trial, index), so a trial's first is its smallest
+    counts = np.bincount(cand_trial, minlength=T)
+    starts = np.cumsum(counts) - counts
+    best = cand_idx[starts]
+    for i in np.flatnonzero((counts > 1) & ~exact):
+        idx = cand_idx[starts[i]:starts[i] + counts[i]]
+        scores = _fsum_scores(params, idx, L[i])
+        best[i] = idx[scores.index(max(scores))]
+    return best
+
+
+def _fsum_scores(params: rmcode.CodeParams, idx: np.ndarray, L: np.ndarray) -> list[float]:
+    """Correctly rounded correlations of L with the codewords of message indices idx."""
+    step = max(1, _CELLS // params.n)
+    scores = []
+    for lo in range(0, len(idx), step):
+        words = rmcode.encode_rows(params, _index_bits(params.k, idx[lo:lo + step]))
+        scores += [math.fsum(row) for row in ((1.0 - 2.0 * words) * L).tolist()]
+    return scores
 
 
 def ml_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
-    """Exhaustive ML decoding of every row of a (T, n) LLR block, one product per row."""
+    """Exhaustive ML decoding of every row of a (T, n) LLR block (see the module
+    docstring for the factored search and its exact tie rule)."""
     if params.k > _ML_GUARD_K:
         raise TooLarge(f"k = {params.k} exceeds the exhaustive guard of {_ML_GUARD_K}")
-    idx = [_ml_index(params, L) for L in block_rows(params.n, Ls, np.float64)]
-    return rmcode.encode_rows(params, _index_bits(params.k, idx))
+    Ls = block_rows(params.n, Ls, np.float64)
+    if not np.isfinite(Ls).all():
+        raise ValueError("LLRs must be finite")
+    step = max(1, _CELLS // len(_head_signs(params)))  # trials whose (trials, head rows) maxima fit
+    idx = [np.empty(0, np.int64)]  # so that an empty block decodes too
+    idx += [_ml_indices(params, Ls[lo:lo + step]) for lo in range(0, len(Ls), step)]
+    return rmcode.encode_rows(params, _index_bits(params.k, np.concatenate(idx)))
 
 
 def ml_decode(params: rmcode.CodeParams, L) -> DecodeResult:
     """Exhaustive maximum-likelihood decoding.
 
-    Metric ties resolve to the lexicographically smallest coefficient
-    vector in generator row order.  Raises TooLarge for k > 24.
+    Returns the codeword of maximal correlation with L.  Ties, equal
+    correlations after one correct rounding of their exact sums, resolve
+    to the lexicographically smallest coefficient vector in generator row
+    order, whatever the BLAS.  Raises TooLarge for k > 24.
     """
     L = llr_word(params, L)
     return result_for(params, ml_codewords(params, L[None])[0], L)

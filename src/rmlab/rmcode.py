@@ -23,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 

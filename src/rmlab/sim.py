@@ -13,11 +13,13 @@ byte-reproducible.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -360,11 +362,41 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z):
     return lo, hi
 
 
+def _openblas(name: str):
+    """OpenBLAS's `openblas_<name>` from the copy numpy wheels bundle in
+    numpy.libs, or None when numpy runs on another BLAS."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                       f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread():
+    """Pool initializer: the worker's BLAS runs on one thread.  The workers
+    already share the cores out, and BLAS threads inside each of them would
+    oversubscribe the machine."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers run single-threaded BLAS."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def run_simulation(config: SimConfig, workers: int = 1):
     """All sweep points; byte-identical output for any worker count.
 
     With workers > 1 one process pool serves the whole sweep, and each
-    point's trials are split into 4 * workers contiguous jobs.
+    point's trials are split into 4 * workers contiguous jobs.  The pool's
+    workers run single-threaded BLAS; the serial path keeps BLAS's own
+    thread count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -373,7 +405,7 @@ def run_simulation(config: SimConfig, workers: int = 1):
     if workers > 1:
         bounds = np.linspace(0, config.trials, 4 * workers + 1, dtype=int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = worker_pool(workers)
     points = []
     with pool:
         for idx in range(len(config.channels)):

@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from rmlab.rmcode import CodeParams
 from rmlab.decoders.bw import bw_decode
 from rmlab.decoders.dumer import dumer_list_decode
 from rmlab.decoders.fht import fht, fht_decode_order1
-from rmlab.decoders.oracle import ml_decode
+from rmlab.decoders.oracle import ml_codewords, ml_decode
 from rmlab.decoders.reed import reed_codewords
 from rmlab.decoders.rpa import _chase, rpa_llr_codewords
 
@@ -271,7 +270,6 @@ def _c9_block(block):
     order = rmcode.monomials(_P9)
     mag = math.log((1.0 - _P9_P) / _P9_P)
     spec = channel.ChannelSpec("bsc", _P9_P)
-    ml_fail = 0
     sent, Ls = [], []
     for trial in range(lo, hi):
         rng = channel._rng(sim._stream_key(_P9_SEED, 0, trial, 0))
@@ -279,14 +277,13 @@ def _c9_block(block):
         msg = rmcode.Message(_P9, {order[i]: int(bits[i]) for i in range(_P9.k)})
         c = rmcode.encode(msg)
         out = channel.transmit(c, spec, sim._stream_key(_P9_SEED, 0, trial, 1))
-        L = mag * (1.0 - 2.0 * out.data)
-        if not np.array_equal(ml_decode(_P9, L).codeword, c):
-            ml_fail += 1
         sent.append(c)
-        Ls.append(L)
+        Ls.append(mag * (1.0 - 2.0 * out.data))
+    sent, Ls = np.array(sent), np.array(Ls)
+    ml_fail = int(np.count_nonzero((ml_codewords(_P9, Ls) != sent).any(axis=1)))
     # every trial's 2^3 + 1 Chase candidates, as rows of the RPA block kernel
-    chase = _chase(lambda rows: rpa_llr_codewords(_P9, rows, _P9_ROUNDS), np.array(Ls), 3)
-    chase_fail = int(np.count_nonzero((chase != np.array(sent)).any(axis=1)))
+    chase = _chase(lambda rows: rpa_llr_codewords(_P9, rows, _P9_ROUNDS), Ls, 3)
+    chase_fail = int(np.count_nonzero((chase != sent).any(axis=1)))
     return ml_fail, chase_fail
 
 
@@ -306,8 +303,8 @@ def test_criterion_09_decoder_quality():
 
     step = _P9_TRIALS // (2 * workers)
     blocks = [(lo, min(lo + step, _P9_TRIALS)) for lo in range(0, _P9_TRIALS, step)]
-    with Pool(workers) as pool:
-        parts = pool.map(_c9_block, blocks)
+    with sim.worker_pool(workers) as pool:
+        parts = list(pool.map(_c9_block, blocks))
     ml_fail = sum(p[0] for p in parts)
     chase_fail = sum(p[1] for p in parts)
     # the direct sweep replays the exact harness streams

@@ -6,6 +6,9 @@ noise, LLR) must match their single-word forms; and run_simulation must
 reproduce a per-trial reference loop kept here.
 """
 
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -462,12 +465,25 @@ def ref_sakkour(m, y, ties=None):
     return rmcode.Message(params, deg2.coeffs | linear_coeffs(m, u, 1 if lin_spec[u] < 0 else 0))
 
 
+@lru_cache(maxsize=None)
+def codebook_signs(params):
+    """All 2^k codewords as +/-1 integer rows, by message index."""
+    idx = np.arange(1 << params.k)
+    return 1 - 2 * rmcode.encode_rows(params, oracle_mod._index_bits(params.k, idx)).astype(np.int64)
+
+
+def ml_maxima(params, L):
+    """Indices of every codeword of maximal exact correlation with L: per
+    codeword the math.fsum of its +/-L products."""
+    signed = codebook_signs(params) * np.asarray(L, dtype=np.float64)
+    scores = np.array([math.fsum(row) for row in signed.tolist()])
+    return np.flatnonzero(scores == scores.max())
+
+
 def ref_ml(params, L):
-    """The exhaustive search over the cached sign codebook."""
+    """The exhaustive search, exact, ties to the smallest index (lexicographic coefficients)."""
+    best = int(ml_maxima(params, L)[0])
     k = params.k
-    idx = np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)
-    signs = 1.0 - 2.0 * (((idx & 1).astype(np.uint8) @ rmcode.generator_matrix(params)) & 1).astype(np.float64)
-    best = int(np.argmax(signs @ np.asarray(L, dtype=np.float64)))
     order = rmcode.monomials(params)
     return rmcode.Message(params, {order[row]: 1 for row in range(k) if (best >> (k - 1 - row)) & 1})
 
@@ -573,13 +589,69 @@ def test_ml_kernel_equals_word_search(m, r, style, rows, seed):
 
 
 def test_ml_kernel_over_codebook_blocks(monkeypatch):
-    # past _CACHE_K the search runs block by block; ties keep the first block's word
+    # RM(4,2) has 2^3 head rows of 2^8 tail words each.  The cell caps give
+    # one (trial, head row) per product and one trial per search, head rows
+    # in chunks of 3, 3 and 2, and two whole trials per product: exact ties
+    # fall across head-row chunks and the first of them must still win
     params = rmcode.CodeParams(4, 2)
     L = np.concatenate([block_llrs(params, style, 6, np.random.default_rng(90)) for style in STYLES])
+    assert sum(len(set(ml_maxima(params, row) >> 8)) > 1 for row in L) >= 5
     want = np.array([rmcode.encode(ref_ml(params, row)) for row in L])
-    monkeypatch.setattr(oracle_mod, "_CACHE_K", 4)
-    monkeypatch.setattr(oracle_mod, "_BLOCK", 1 << 5)
-    assert np.array_equal(oracle_mod.ml_codewords(params, L), want)
+    for cells in (1, 3 * 256, 20 * 256):
+        monkeypatch.setattr(oracle_mod, "_CELLS", cells)
+        assert np.array_equal(oracle_mod.ml_codewords(params, L), want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mr=st.sampled_from([(3, 0), (3, 1), (4, 2), (5, 1), (5, 2), (6, 1)]),
+       mag=st.sampled_from([math.log(0.95 / 0.05), math.log(0.92 / 0.08), 2.2, 40.0]),
+       style=st.sampled_from(["bsc", "chase", "bec", "zeros"]),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_ml_equals_integer_agreement_argmax(mr, mag, style, rows, seed):
+    # sign-quantized rows L = mag * w with integer w: the ML word maximizes
+    # the integer correlation, and ties go to the smallest message index
+    params = rmcode.CodeParams(*mr)
+    rng = np.random.default_rng(seed)
+    x = 1 - 2 * rmcode.encode_rows(params, rng.integers(0, 2, size=(rows, params.k))).astype(np.int64)
+    w = np.where(rng.random(x.shape) < rng.uniform(0.0, 0.35), -x, x)  # BSC flips
+    if style == "chase":  # +-2 max|L| at up to three positions, as rpa-chase perturbs
+        for row in w:
+            pos = rng.choice(params.n, size=min(3, params.n), replace=False)
+            row[pos] = 2 * rng.choice([-1, 1], size=pos.size)
+    elif style == "bec":
+        w[rng.random(x.shape) < rng.uniform(0.2, 1.0)] = 0
+    elif style == "zeros":
+        w[rng.random(x.shape) < 0.9] = 0
+    want = codebook_signs(params)[np.argmax(w @ codebook_signs(params).T, axis=1)]
+    got = oracle_mod.ml_codewords(params, mag * w)
+    assert np.array_equal(1 - 2 * got.astype(np.int64), want)
+
+
+def test_ml_rescores_near_ties(monkeypatch):
+    # multiples of 0.1 are not integer multiples of one unit, so these rows
+    # keep the rounding bound, and sums such as 0.1 + 0.2 against 0.3 differ
+    # in the last bits only: their near candidates are rescored exactly
+    params = rmcode.CodeParams(4, 2)
+    L = 0.1 * np.random.default_rng(91).integers(-3, 4, size=(40, params.n))
+    rescored = []
+    fsum_scores = oracle_mod._fsum_scores
+    monkeypatch.setattr(oracle_mod, "_fsum_scores", lambda *args: rescored.append(1) or fsum_scores(*args))
+    got = oracle_mod.ml_codewords(params, L)
+    assert len(rescored) >= 5
+    assert np.array_equal(got, np.array([rmcode.encode(ref_ml(params, row)) for row in L]))
+
+
+def test_ml_kernel_at_k22():
+    # RM(6,2), k = 22: up to 7 flips of +-1 LLRs decode back, an all-zero row ties
+    # everywhere and gives index 0, and a lone +1 picks the first word with a 0 there
+    params = rmcode.CodeParams(6, 2)
+    rng = np.random.default_rng(22)
+    c = rmcode.encode_rows(params, rng.integers(0, 2, size=(4, params.k)))
+    flips = rng.random(c.shape).argsort(axis=1) < np.array([[0], [3], [5], [7]])
+    L = np.concatenate([1.0 - 2.0 * (c ^ flips), np.zeros((1, 64)), np.eye(64)[[9]]])
+    got = oracle_mod.ml_codewords(params, L)
+    assert np.array_equal(got[:4], c)
+    assert not got[4:].any()
 
 
 def test_reed_sakkour_ml_kernels_reject_bad_blocks():
@@ -594,6 +666,10 @@ def test_reed_sakkour_ml_kernels_reject_bad_blocks():
         sakkour_mod.sakkour_codewords(1, np.zeros((2, 2)))
     with pytest.raises(rmcode.TooLarge):
         oracle_mod.ml_codewords(rmcode.CodeParams(8, 3), np.zeros((1, 256)))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            oracle_mod.ml_codewords(params, np.where(np.arange(16) == 3, bad, 1.0)[None])
+    assert oracle_mod.ml_codewords(params, np.zeros((0, 16))).shape == (0, 16)
 
 
 def test_only_bw_runs_row_by_row():

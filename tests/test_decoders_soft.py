@@ -8,7 +8,7 @@ from rmlab.decoders.dumer import dumer_decode, dumer_list_decode
 from rmlab.decoders.fht import fht_decode_order1
 from rmlab.decoders.oracle import erasure_decode, ml_decode
 from rmlab.decoders.reed import reed_decode
-from rmlab.decoders.types import Ambiguous, hard_input_llr, soft_metric
+from rmlab.decoders.types import Ambiguous, soft_metric
 
 
 def random_message(params, rng):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab import rmcode
-from rmlab.decoders import fht as fht_mod
 from rmlab.decoders.fht import (
     fht,
     fht_decode_order1,

@@ -1,3 +1,4 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -484,3 +485,18 @@ def test_importing_the_harness_leaves_scipy_unloaded():
     code = "import sys, rmlab.sim; sys.exit('scipy.special' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0
+
+
+def _blas_threads(_=None):
+    get_threads = sim._openblas("get_num_threads")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
+def test_pool_workers_run_one_blas_thread():
+    if sim._openblas("get_num_threads") is None:
+        pytest.skip("numpy does not run on a bundled OpenBLAS")
+    before = _blas_threads()
+    with sim.worker_pool(2) as pool:
+        assert list(pool.map(_blas_threads, range(4))) == [1] * 4
+    assert _blas_threads() == before  # the serial path keeps its threads
