@@ -6,13 +6,9 @@ function of (codeword, channel, seed).  Substreams for independent trials
 are derived by the harness as disjoint key values.  The uniform stream is
 numpy's documented Philox4x64-10 double generation (top 53 bits / 2^53);
 Gaussians come from the inverse normal CDF applied to that stream, which
-keeps the byte stream identical across platforms.
-
-A block of keyed streams is drawn at once by one vectorized Philox4x64-10
-kernel (philox_words, with philox_uniforms and philox_bits on top).  Row i
-of its output equals, bit for bit, what numpy's own
-Generator(Philox(key_i)) gives for .random(n) and .integers(0, 2, size=k),
-so the harness's blocks and transmit's single words draw the same numbers.
+keeps the byte stream identical across platforms.  The harness draws a
+block's message bits and uniforms in one pass of a vectorized Philox4x64-10
+kernel (philox_draws) whose rows equal numpy's draws bit for bit.
 
 LLR sign convention: positive means "0 more likely".  All LLRs are
 saturated to +/- LLR_SATURATION = 40, and tests must not depend on
@@ -79,63 +75,71 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
 
 
-# Philox4x64-10 (Salmon et al., SC'11) as numpy implements it: the round
-# multipliers, the Weyl key increments, and the low-32-bit limb mask
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LO32 = np.uint64(0xFFFFFFFF)
-_BITS32 = np.uint64(32)
+# Philox4x64-10 (Salmon et al., SC'11) as numpy implements it: the limb mask and shift, the
+# round multipliers and their 32-bit limbs, the Weyl key increments, as 0-d arrays (a small op
+# is up to 2x slower with an np.uint64 operand).  _CHUNK lanes per pass keep temporaries below
+# the 128 KB from which glibc's malloc hands freed memory back to the system and refaults it.
+_LO32, _BITS32, *_PHILOX_M, _W0, _W1 = (np.array(x, dtype=np.uint64) for x in (
+    0xFFFFFFFF, 32, 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
+_LIMBS, _CHUNK = [(np.array(m & _LO32), np.array(m >> _BITS32)) for m in _PHILOX_M], 1 << 13
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray):
-    """Low and high 64-bit words of the 128-bit product a * b, the high
-    word from 32-bit limbs; uint64 array products wrap mod 2^64."""
-    a0, a1 = a & _LO32, a >> _BITS32
-    b0, b1 = b & _LO32, b >> _BITS32
-    t = a0 * b0
-    mid1 = a1 * b0 + (t >> _BITS32)
-    mid2 = a0 * b1 + (mid1 & _LO32)
-    return a * b, a1 * b1 + (mid1 >> _BITS32) + (mid2 >> _BITS32)
+def _mulhilo(a: int, b):
+    """Low and high words of _PHILOX_M[a] * b; uint64 arrays wrap mod 2^64."""
+    (a0, a1), b0, b1 = _LIMBS[a], b & _LO32, b >> _BITS32
+    mid = a0 * b0
+    mid >>= _BITS32
+    mid += a1 * b0
+    hi = mid & _LO32
+    hi += a0 * b1
+    hi >>= _BITS32
+    mid >>= _BITS32
+    hi += mid
+    hi += a1 * b1
+    return _PHILOX_M[a] * b, hi
 
 
-def philox_words(key_lo, key_hi, count: int) -> np.ndarray:
-    """(T, count) uint64: row i is the first `count` outputs of numpy's
-    Philox(key=key_hi[i] << 64 | key_lo[i]).  key_lo and key_hi broadcast
-    to a common 1-d shape (T,) of uint64 words."""
-    k0, k1 = (np.asarray(k, dtype=np.uint64)[:, None] for k in np.broadcast_arrays(key_lo, key_hi))
-    blocks = -(-count // 4)
-    # counters (j, 0, 0, 0) for j = 1, 2, ...: numpy bumps the counter before
-    # its first block.  Broadcasting against the keys makes every word (T, blocks).
-    zero = np.uint64(0)
-    c0, c1, c2, c3 = np.arange(1, blocks + 1, dtype=np.uint64), zero, zero, zero
-    for rnd in range(10):
-        if rnd:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(k0.shape[0], 4 * blocks)[:, :count]
+def _philox_lanes(k0: np.ndarray, k1: np.ndarray, ctr: np.ndarray) -> np.ndarray:
+    """(L, 4) uint64: row j is numpy's Philox block for key k1[j] << 64 | k0[j]
+    and counter (ctr[j], 0, 0, 0).  Advances the 1-d uint64 lanes k0, k1 in place."""
+    c0, c1, c2, c3 = ctr, np.uint64(0), np.uint64(0), np.uint64(0)
+    for _ in range(10):
+        lo0, hi0 = _mulhilo(0, c0)
+        lo1, hi1 = _mulhilo(1, c2)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+        k0 += _W0
+        k1 += _W1
+    return np.stack((c0, c1, c2, c3), axis=-1)
 
 
-def philox_uniforms(key_lo, key_hi, n: int) -> np.ndarray:
-    """(T, n) float64, row i equal to Generator(Philox(key_i)).random(n)."""
-    return (philox_words(key_lo, key_hi, n) >> np.uint64(11)) * 2.0**-53
-
-
-def philox_bits(key_lo, key_hi, k: int) -> np.ndarray:
-    """(T, k) int64, row i equal to Generator(Philox(key_i)).integers(0, 2, size=k):
-    Lemire's method with range 2 takes bit 31 of each uint32, low half first."""
-    x = philox_words(key_lo, key_hi, -(-k // 2))
-    halves = np.stack(((x >> np.uint64(31)) & np.uint64(1), x >> np.uint64(63)), axis=-1)
-    return halves.reshape(x.shape[0], -1)[:, :k].astype(np.int64)
+def philox_draws(bit_keys, u_keys, k: int, n: int):
+    """Bits (T, k) int64, row i equal to Generator(Philox(bit key i)).integers(0, 2, size=k),
+    and u (T, n) float64, row i equal to Generator(Philox(u key i)).random(n), from one
+    kernel pass.  Each keys argument is a (lo, hi) pair of (T,) uint64 arrays."""
+    T, nb, nu = len(bit_keys[0]), -(-k // 8), -(-n // 4)
+    # a lane is one (key, counter) pair, counter-major; numpy's counters start at 1
+    k0, k1 = (np.concatenate([b] * nb + [u] * nu) for b, u in zip(bit_keys, u_keys))
+    ctr = np.repeat(np.concatenate([np.arange(1, c + 1, dtype=np.uint64) for c in (nb, nu)]), T)
+    words = np.empty((T * (nb + nu), 4), dtype=np.uint64)
+    for part in (slice(lo, lo + _CHUNK) for lo in range(0, len(words), _CHUNK)):
+        words[part] = _philox_lanes(k0[part], k1[part], ctr[part])
+    # integers(0, 2) is Lemire's: bit 31 of each uint32, low half first
+    halves = words[: nb * T].astype("<u8", copy=False).view("<u4").reshape(nb, T, 8) >> np.uint32(31)
+    bits = halves.transpose(1, 0, 2).reshape(T, 8 * nb)[:, :k].astype(np.int64)
+    u = words[nb * T:].reshape(nu, T, 4).transpose(1, 0, 2).reshape(T, 4 * nu)[:, :n] >> np.uint64(11)
+    return bits, u * 2.0**-53
 
 
 def transmit(codeword, spec: ChannelSpec, seed: int) -> ChannelOutput:
     """Send a binary word through the channel; pure in (codeword, spec, seed)."""
-    c = np.asarray(codeword, dtype=np.uint8)
-    if c.ndim != 1 or not np.isin(c, (0, 1)).all():
+    c = np.asarray(codeword)
+    if c.ndim != 1 or not ((c == 0) | (c == 1)).all():
         raise ValueError("codeword must be a 1-d 0/1 array")
-    return apply_noise(c, _rng(seed).random(c.size), spec)
+    return apply_noise(c.astype(np.uint8), _rng(seed).random(c.size), spec)
 
 
 def apply_noise(c: np.ndarray, u: np.ndarray, spec: ChannelSpec) -> ChannelOutput:

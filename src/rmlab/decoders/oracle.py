@@ -187,7 +187,7 @@ def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguou
     y = np.asarray(y)
     if y.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word")
-    if not np.isin(y, (0, 1, channel.ERASURE)).all():
+    if not ((y == 0) | (y == 1) | (y == channel.ERASURE)).all():
         raise ValueError(f"entries must be 0, 1 or {channel.ERASURE} (erased)")
     cols = rmcode.generator_columns(params)
     rows = []

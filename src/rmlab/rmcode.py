@@ -198,7 +198,7 @@ def encode_rows(params: CodeParams, bits) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != params.k:
         raise ValueError(f"expected rows of {params.k} coefficients")
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("coefficients must be 0 or 1")
     counts = bits.astype(np.float64) @ _generator_float(params)
     return (counts.astype(np.int64) & 1).astype(np.uint8)

@@ -3,11 +3,11 @@
 Every trial draws its message and channel noise from Philox substreams
 keyed by (seed, sweep point, trial, purpose), so results are a pure
 function of the config and identical under any execution order or worker
-count.  Trials run in blocks of at most BLOCK_TRIALS: each block stacks
-its per-trial streams, encodes, transmits and decodes as whole (T, n)
-arrays, and counts errors with array operations.  Wall-clock seconds are
-recorded only when timing is enabled; the default keeps the CSV
-byte-reproducible.
+count.  Trials run in blocks of T = BLOCK_CELLS // n: each block draws
+its trials' message bits and uniforms in one Philox kernel call, encodes,
+transmits and decodes as whole (T, n) arrays, and counts errors with array
+operations.  Wall-clock seconds are recorded only when timing is enabled;
+the default keeps the CSV byte-reproducible.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ CSV_HEADER = (
 MAX_POINTS = 1 << 16
 MAX_TRIALS = 1 << 32
 
-# A block holds at most BLOCK_TRIALS trials and about BLOCK_CELLS cells
-# of each (T, n) array: 256 trials up to n = 256, fewer beyond.
-BLOCK_TRIALS = 256
+# A block holds T = BLOCK_CELLS // n trials (at least one), so each of
+# its (T, n) arrays has about BLOCK_CELLS cells: 2048 trials at n = 32.
 BLOCK_CELLS = 1 << 16
 
 
@@ -309,16 +308,12 @@ def _stream_key(seed: int, point: int, trial: int, tag: int) -> int:
 
 
 def _streams(config: SimConfig, point: int, trials: range):
-    """Message bits (T, k) and channel uniforms (T, n) of the given trials,
-    row i equal to the draws of trial trials[i]'s own Philox streams: keys
-    _stream_key(seed, point, trial, tag), tag 0 for bits and 1 for uniforms."""
-    params = config.params
+    """Message bits (T, k) and channel uniforms (T, n): row i holds the draws of trial trials[i]'s
+    Philox streams, keys _stream_key(seed, point, trial, tag), tag 0 for bits and 1 for uniforms."""
     trial = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64) & np.uint64(_MASK32)
     low = np.uint64((point & 0xFFFF) << 48) | (trial << np.uint64(16))
-    high = np.uint64(config.seed & _MASK64)
-    bits = channel.philox_bits(low, high, params.k)  # tag 0
-    u = channel.philox_uniforms(low | np.uint64(1), high, params.n)  # tag 1
-    return bits, u
+    high = np.full(trial.shape, config.seed & _MASK64, dtype=np.uint64)
+    return channel.philox_draws((low, high), (low | np.uint64(1), high), config.params.k, config.params.n)
 
 
 def _run_trials(config: SimConfig, point: int, lo: int, hi: int):
@@ -327,7 +322,7 @@ def _run_trials(config: SimConfig, point: int, lo: int, hi: int):
     params = config.params
     spec = config.channels[point]
     kind, decode = resolve_block_decoder(config.decoder, params, spec.kind, config.hard)
-    step = max(1, min(BLOCK_TRIALS, BLOCK_CELLS // params.n))
+    step = max(1, BLOCK_CELLS // params.n)
     bit_err = 0
     blk_err = 0
     logged = []

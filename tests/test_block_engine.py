@@ -137,6 +137,22 @@ def test_encode_rows_validation():
         rmcode.encode_rows(params, np.full((2, 4), 2))
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+def test_encode_rows_and_transmit_reject_entries_other_than_0_and_1(bad):
+    params = rmcode.CodeParams(3, 1)
+    bits, word = np.zeros((2, params.k)), np.zeros(params.n)
+    bits[1, 2] = word[5] = bad
+    with pytest.raises(ValueError):
+        rmcode.encode_rows(params, bits)
+    with pytest.raises(ValueError):
+        channel.transmit(word, ChannelSpec("bsc", 0.1), 0)
+    if bad in (2, -1):  # the integer forms too
+        with pytest.raises(ValueError):
+            rmcode.encode_rows(params, bits.astype(np.int64))
+        with pytest.raises(ValueError):
+            channel.transmit(word.astype(np.int64).tolist(), ChannelSpec("bsc", 0.1), 0)
+
+
 @pytest.mark.parametrize("spec", ["bsc:0.1", "bsc:0", "bsc:1", "bec:0.3", "awgn:0.8", "awgn:1e-3"])
 def test_block_noise_and_llr_equal_transmit_row_by_row(spec):
     spec = ChannelSpec.parse(spec)
@@ -196,11 +212,11 @@ def reference_point(config, point):
 def test_run_simulation_matches_per_trial_loop(over, monkeypatch):
     data = {"m": 4, "r": 2, "trials": 601, "seed": 5, "max_errors_to_log": 40} | over
     config = config_from_dict(data)
-    assert config.trials % sim.BLOCK_TRIALS != 0
+    assert config.trials % (sim.BLOCK_CELLS // config.params.n) != 0
     want = [reference_point(config, p) for p in range(len(config.channels))]
     assert any(len(w[2]) == config.max_errors_to_log for w in want)
     runs = [run_simulation(config), run_simulation(config, workers=2)]
-    monkeypatch.setattr(sim, "BLOCK_TRIALS", 7)  # many blocks, a partial one last
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 7 * config.params.n)  # many blocks, a partial one last
     runs.append(run_simulation(config))
     for points in runs:
         assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want

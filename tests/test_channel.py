@@ -193,21 +193,60 @@ _KEY128 = st.one_of(st.sampled_from([0, (1 << 128) - 1]), st.integers(0, (1 << 1
 _LENGTHS = st.one_of(st.sampled_from([1, 2, 3, 5, 7, 9, 13, 255, 299]), st.integers(1, 300))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(keys=st.lists(_KEY128, min_size=1, max_size=4), n=_LENGTHS, k=_LENGTHS)
-@example(keys=[0, (1 << 128) - 1], n=1, k=1)
-@example(keys=[(1 << 128) - 1], n=299, k=257)
-def test_philox_kernel_equals_numpy_generator(keys, n, k):
-    lo = np.array([key & ((1 << 64) - 1) for key in keys], dtype=np.uint64)
-    hi = np.array([key >> 64 for key in keys], dtype=np.uint64)
-    words = channel.philox_words(lo, hi, n)
-    u = channel.philox_uniforms(lo, hi, n)
-    bits = channel.philox_bits(lo, hi, k)
-    assert u.shape == (len(keys), n) and bits.shape == (len(keys), k)
-    for i, key in enumerate(keys):
-        assert np.array_equal(words[i], np.random.Philox(key=key).random_raw(n))
-        want_u = np.random.Generator(np.random.Philox(key=key)).random(n)
-        want_bits = np.random.Generator(np.random.Philox(key=key)).integers(0, 2, size=k)
-        assert u.dtype == want_u.dtype and np.array_equal(u[i], want_u)
-        assert bits.dtype == want_bits.dtype and np.array_equal(bits[i], want_bits)
+def _key_words(keys):
+    """(lo, hi) uint64 arrays of 128-bit keys."""
+    return (np.array([key & ((1 << 64) - 1) for key in keys], dtype=np.uint64),
+            np.array([key >> 64 for key in keys], dtype=np.uint64))
 
+
+def _assert_draws_equal_generators(bit_keys, u_keys, k, n):
+    bits, u = channel.philox_draws(_key_words(bit_keys), _key_words(u_keys), k, n)
+    assert bits.shape == (len(bit_keys), k) and u.shape == (len(u_keys), n)
+    for i, (bit_key, u_key) in enumerate(zip(bit_keys, u_keys)):
+        want_bits = np.random.Generator(np.random.Philox(key=bit_key)).integers(0, 2, size=k)
+        want_u = np.random.Generator(np.random.Philox(key=u_key)).random(n)
+        assert bits.dtype == want_bits.dtype and np.array_equal(bits[i], want_bits)
+        assert u.dtype == want_u.dtype and np.array_equal(u[i], want_u)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(keys=st.lists(st.tuples(_KEY128, _KEY128), min_size=1, max_size=4), n=_LENGTHS, k=_LENGTHS)
+@example(keys=[(0, 0), ((1 << 128) - 1, (1 << 128) - 1)], n=1, k=1)
+@example(keys=[((1 << 128) - 1, (1 << 128) - 1)], n=299, k=257)
+def test_philox_kernel_equals_numpy_generator(keys, n, k):
+    """One philox_draws call gives every row's bits and uniforms, from
+    independent keys per row and per stream kind."""
+    _assert_draws_equal_generators([b for b, _ in keys], [u for _, u in keys], k, n)
+
+
+@pytest.mark.parametrize(
+    "T, k, n",
+    [
+        (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 1, 5),  # one bit counter block, few uniform ones
+        (2, 5, 4), (2, 10, 7), (2, 17, 64), (2, 58, 3),  # ceil(k / 2) not a multiple of 4
+        (2, 257, 299),
+        (1, 16, 32), (1, 93, 256), (1, 1, 1),  # one-trial blocks
+        (300, 64, 128),  # 12 000 lanes: more than one chunk
+    ],
+)
+def test_philox_draws_where_the_stream_kinds_need_different_counter_counts(T, k, n):
+    keys = [(0x9E3779B97F4A7C15 * (i + 1)) << 17 for i in range(T)]  # both key words vary
+    _assert_draws_equal_generators(keys, [key | 1 for key in keys], k, n)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 8])
+def test_philox_draws_across_chunk_boundaries(chunk, monkeypatch):
+    monkeypatch.setattr(channel, "_CHUNK", chunk)
+    keys = [0, 1, (1 << 128) - 1, 1 << 64, (1 << 64) - 1]
+    _assert_draws_equal_generators(keys, keys[::-1], 19, 13)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_philox_lanes_equal_raw_words(blocks):
+    """Lane j of the kernel is block ctr[j] of its key's raw Philox stream."""
+    keys = [0, (1 << 128) - 1, 0x0123456789ABCDEF_FEDCBA9876543210]
+    lo, hi = (np.repeat(w, blocks) for w in _key_words(keys))
+    ctr = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
+    words = channel._philox_lanes(lo, hi, ctr).reshape(len(keys), 4 * blocks)
+    for i, key in enumerate(keys):
+        assert np.array_equal(words[i], np.random.Philox(key=key).random_raw(4 * blocks))

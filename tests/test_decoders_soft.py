@@ -70,6 +70,14 @@ def test_ml_guard_and_validation():
 # ---- erasure_decode ----
 
 
+@pytest.mark.parametrize("bad", [3, -1, 0.5, float("nan")])
+def test_erasure_decode_rejects_symbols_other_than_0_1_and_erasure(bad):
+    y = np.zeros(8)
+    y[[2, 5]] = channel.ERASURE, bad
+    with pytest.raises(ValueError):
+        erasure_decode(rmcode.CodeParams(3, 1), y)
+
+
 def test_erasure_no_erasures_roundtrip():
     rng = np.random.default_rng(34)
     params = rmcode.CodeParams(4, 2)
