@@ -195,16 +195,27 @@ def llr_of_sum(l1, l2):
     """
     a = np.asarray(l1, dtype=np.float64)
     b = np.asarray(l2, dtype=np.float64)
-    s = a + b
-    out = (
-        np.maximum(s, 0.0)
-        - np.maximum(a, b)
-        + np.log1p(np.exp(-np.abs(s)))
-        - np.log1p(np.exp(-np.abs(a - b)))
-    )
-    if np.ndim(l1) == 0 and np.ndim(l2) == 0:
-        return float(out)
-    return out
+    scalar = a.ndim == 0 and b.ndim == 0
+    if scalar:  # so that the ufuncs return arrays to write into
+        a, b = a.reshape(1), b.reshape(1)
+    # max(s, 0) - max(a, b) + log1p(exp(-|s|)) - log1p(exp(-|a - b|)) with
+    # s = a + b, left to right, in the result and one scratch buffer w; s is
+    # computed twice rather than kept in a third buffer
+    out = a + b
+    np.maximum(out, 0.0, out=out)
+    w = np.maximum(a, b)
+    out -= w
+    out += _log1p_exp_neg_abs(np.add(a, b, out=w))
+    out -= _log1p_exp_neg_abs(np.subtract(a, b, out=w))
+    return float(out[0]) if scalar else out
+
+
+def _log1p_exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """log1p(exp(-|x|)), overwriting x."""
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    return np.log1p(x, out=x)
 
 
 def hard_decision(L) -> np.ndarray:

@@ -4,11 +4,15 @@ ml_codewords scores all 2^k codewords (guarded at k <= 24), so it serves
 as the ground truth the structured decoders are compared against.  It
 never holds the 2^k x n codebook.  With t = min(k, 8), the codeword of
 message index a << t | b has signs head[a] * tail[b], where head spans
-the first k - t generator rows and tail the last t (the constant row,
-the linear rows and the last quadratic ones).  The correlations of one
-LLR row L are then the product tail @ (head * L).T, (2^t, 2^(k-t)).
-Pass 1 keeps each head row's maximum; pass 2 recomputes the head rows
-that can hold the maximum.
+the first k - t generator rows and tail the last t (the linear rows, the
+last quadratic ones and, last of all, the constant row).  The constant
+row flips every sign, so tail[2c + 1] = -tail[2c]: the kernel keeps only
+the 2^(t-1) even tail words, the span of the t - 1 rows above the
+constant row, and one entry S of the product tail @ (head * L).T,
+(2^(t-1), 2^(k-t)), scores the pair b = 2c (score S) and b = 2c + 1
+(score -S), the first step of the coset decomposition of Be'ery and
+Snyders.  Pass 1 keeps each head row's maximum of |S|; pass 2 recomputes
+the head rows that can hold the maximum and reads both signs.
 
 Ties go to the smallest message index, that is the lexicographically
 smallest coefficient vector in generator row order, whatever the BLAS:
@@ -18,7 +22,8 @@ divided by that unit and scored exactly, in integers.  In any other row
 a computed correlation lies within eps = n * 2^-52 * sum|L| of its exact
 value, so the candidates, the codewords within 2 * eps of the row's top
 score, hold every exact maximum: a lone candidate wins, and otherwise
-the candidates are rescored with math.fsum.
+the candidates are rescored with math.fsum.  A complement's exact score
+is the negated exact score, so both bounds hold for either sign.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ def _tail_rows(params: rmcode.CodeParams) -> int:
 
 @lru_cache(maxsize=4)
 def _sign_codebook(params: rmcode.CodeParams) -> np.ndarray:
-    """The tail factor: signs of the 2^t codewords of the last t generator rows.
-    The kernel uses it only as the left operand of @."""
-    return _span_signs(rmcode.generator_matrix(params)[params.k - _tail_rows(params):])
+    """The half tail factor: signs of the 2^(t-1) even tail words, the span of
+    the t - 1 generator rows above the last one, the constant row.  The
+    kernel uses it only as the left operand of @."""
+    return _span_signs(rmcode.generator_matrix(params)[params.k - _tail_rows(params):-1])
 
 
 @lru_cache(maxsize=4)
@@ -98,7 +104,7 @@ def _ml_indices(params: rmcode.CodeParams, L: np.ndarray) -> np.ndarray:
     t = _tail_rows(params)
     head = _head_signs(params)
     T, H = len(L), len(head)
-    width = max(1 << t, params.n)  # cells per (trial, head row) in a product or its operand
+    width = max(1 << t, params.n)  # bounds the cells per (trial, head row) in a product or its operand
     step = max(1, _CELLS // width)  # (trial, head row) pairs per product
     L, eps = _in_units(L)
 
@@ -108,7 +114,11 @@ def _ml_indices(params: rmcode.CodeParams, L: np.ndarray) -> np.ndarray:
     for i in range(0, T, tc):
         for j in range(0, H, hc):
             X = (head[j:j + hc] * L[i:i + tc, None]).reshape(-1, params.n)
-            S = _sign_codebook(params) @ X.T
+            S = _sign_codebook(params) @ X.T  # b = 2c scores S, b = 2c + 1 scores -S
+            # in place: with a second product-sized temporary, glibc returned
+            # and refaulted heap pages on every product in one free order
+            # (half the kernel's speed)
+            np.abs(S, out=S)
             rowmax[i:i + tc, j:j + hc] = S.max(axis=0).reshape(-1, min(hc, H - j))
     top = rowmax.max(axis=1)
     near = rowmax >= (top - 2 * eps)[:, None]
@@ -118,13 +128,16 @@ def _ml_indices(params: rmcode.CodeParams, L: np.ndarray) -> np.ndarray:
     near[exact] = False
     near[exact, rowmax[exact].argmax(axis=1)] = True
 
-    # pass 2: every entry of a near head row within 2 * eps of the top
+    # pass 2: every word of a near head row within 2 * eps of the top, read
+    # from both signs of S; hit[2c + s] holds the word b = 2c + s
     trial, a = np.nonzero(near)
     cand_trial, cand_idx = [], []
     for lo in range(0, len(trial), step):
         tr, hd = trial[lo:lo + step], a[lo:lo + step]
         S = _sign_codebook(params) @ (head[hd] * L[tr]).T
-        col, b = np.nonzero((S >= top[tr] - 2 * eps[tr]).T)
+        thr = top[tr] - 2 * eps[tr]
+        hit = np.stack((S >= thr, S <= -thr), axis=1).reshape(1 << t, -1)
+        col, b = np.nonzero(hit.T)
         cand_trial.append(tr[col])
         cand_idx.append((hd[col] << t) | b)
     cand_trial = np.concatenate(cand_trial)

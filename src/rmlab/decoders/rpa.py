@@ -37,9 +37,11 @@ from .types import DecodeResult, block_rows, hard_rows, hard_word, llr_word, res
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 
 # Cells of each float array one chunk of rows may hold: (rows, n-1, n) in
-# an RPA round, (rows, n) for Chase candidates.  At n = 128 a chunk is one
-# row; larger caps buy little speed and cost peak memory.
-_CELLS = 1 << 14
+# an RPA round, (rows, n) for Chase candidates.  At n = 128 a chunk is two
+# rows, at n = 32 thirty-three.  Side by side, 2^14 (one row at n = 128)
+# was slower for rpa RM(7,2) and rpa-chase:3 RM(5,2), and 2^16 no faster
+# for rpa-chase:3 at twice the peak memory.
+_CELLS = 1 << 15
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ reproduce a per-trial reference loop kept here.
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ def test_rpa_blocks_span_chunks(monkeypatch):
     rng = np.random.default_rng(12)
     L = np.concatenate([bsc_llrs(params, 20, 0.08, 2.2, rng), block_llrs(params, "awgn", 19, rng)])
     y = channel.hard_decision(L)
-    assert len(L) > rpa_mod._CELLS // ((params.n - 1) * params.n)  # several chunks at the default cap
+    monkeypatch.setattr(rpa_mod, "_CELLS", 16 * (params.n - 1) * params.n)  # chunks of 16, 16 and 7 rows
     want = (
         np.array([ref_rpa_llr(params, row) for row in L]),
         np.array([ref_rpa_bsc(params, row) for row in y]),
@@ -668,6 +669,71 @@ def test_ml_kernel_at_k22():
     got = oracle_mod.ml_codewords(params, L)
     assert np.array_equal(got[:4], c)
     assert not got[4:].any()
+
+
+def test_ml_constant_row_is_the_last_generator_row():
+    # the half tail factor scores word 2c + 1 as the negated word 2c, which
+    # holds only while the last generator row is all ones (r = 0: k = 1 and
+    # the tail spans no rows)
+    for m in range(1, 9):
+        for r in range(m + 1):
+            params = rmcode.CodeParams(m, r)
+            if params.k > 24:
+                continue
+            assert rmcode.generator_matrix(params)[-1].all()
+            tail = oracle_mod._sign_codebook(params)
+            assert tail.shape == (1 << (oracle_mod._tail_rows(params) - 1), params.n)
+            assert tail.flags.c_contiguous
+
+
+def pair_rows(params, style, rows, rng):
+    """LLR rows that stress the pair b = 2c, 2c + 1 of the half product."""
+    msg = rng.integers(0, 2, size=(rows, params.k))
+    msg[:, -1] = 1  # odd message indices: complement words of the even ones
+    x = 1.0 - 2.0 * rmcode.encode_rows(params, msg)
+    n = params.n
+    if style == "odd":  # fewer than d/2 flips: the odd word itself wins
+        flips = rng.random(x.shape).argsort(axis=1) < rng.integers(0, (params.d + 1) // 2, size=(rows, 1))
+        return np.where(flips, -x, x) * rng.choice([1.0, 2.2, 40.0])
+    if style == "coset":  # BEC rows that erase every point off an affine hyperplane
+        masked = np.arange(n) & rng.integers(1, n, size=(rows, 1))
+        dot = sum((masked >> h) & 1 for h in range(params.m)) & 1
+        return np.where(dot == rng.integers(0, 2, size=(rows, 1)), 40.0 * x, 0.0)
+    if style == "zeros":  # all-zero rows tie every pair at 0; mostly zero rows tie many
+        L = np.where(rng.random(x.shape) < 0.9, 0.0, x)
+        L[::2] = 0.0
+        return L
+    # "sum0": AWGN values and their negatives, one of them nudged by at most
+    # an ulp: at r = 0 the pair's exact scores are 0 or +-(tiny), both within
+    # 2 * eps of the top, and math.fsum decides
+    a = rng.normal(size=(rows, (n + 1) // 2)) * rng.choice([1e-3, 1.0, 800.0])
+    L = np.concatenate([a, -a], axis=1)[:, :n]
+    nudge = rng.random(rows) < 0.7
+    L[:, -1] = np.where(nudge, np.nextafter(L[:, -1], rng.choice([-np.inf, np.inf], size=rows)), L[:, -1])
+    return rng.permuted(L, axis=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mr=st.sampled_from([(1, 0), (3, 0), (5, 0), (2, 1), (3, 1), (4, 2), (5, 1), (6, 1)]),
+       style=st.sampled_from(["odd", "coset", "zeros", "sum0"]),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_ml_half_product_reads_both_signs(mr, style, rows, seed):
+    params = rmcode.CodeParams(*mr)
+    L = pair_rows(params, style, rows, np.random.default_rng(seed))
+    rescored = []
+    fsum_scores = oracle_mod._fsum_scores
+    with mock.patch.object(oracle_mod, "_fsum_scores",
+                           lambda p, idx, row: rescored.append(idx.tolist()) or fsum_scores(p, idx, row)):
+        got = oracle_mod.ml_codewords(params, L)
+    best = [int(ml_maxima(params, row)[0]) for row in L]
+    assert np.array_equal(got, np.array([rmcode.encode(ref_ml(params, row)) for row in L]))
+    if style == "odd":
+        assert all(b & 1 for b in best)
+    if style == "zeros":
+        assert best[0] == 0 and not got[0].any()
+    if style == "sum0" and params.r == 0 and params.m > 1:
+        # both members of the pair reach the exact rescoring
+        assert [0, 1] in rescored
 
 
 def test_reed_sakkour_ml_kernels_reject_bad_blocks():

@@ -155,6 +155,40 @@ def test_llr_of_sum_vectorized():
     assert r[0] == pytest.approx(-1.6934536609708954)
 
 
+def llr_of_sum_expression(l1, l2):
+    """llr_of_sum as one expression with a temporary per operation."""
+    a = np.asarray(l1, dtype=np.float64)
+    b = np.asarray(l2, dtype=np.float64)
+    s = a + b
+    return (
+        np.maximum(s, 0.0)
+        - np.maximum(a, b)
+        + np.log1p(np.exp(-np.abs(s)))
+        - np.log1p(np.exp(-np.abs(a - b)))
+    )
+
+
+def test_llr_of_sum_equals_the_expression_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, 1e308, -1e308, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-320, 1.0, -40.0])
+    rng = np.random.default_rng(17)
+    scales = np.array([1e-3, 1e-1, 1.0, 40.0, 800.0])
+    rand = rng.normal(size=(len(scales), 4000)) * scales[:, None]
+    a = np.concatenate([np.repeat(special, len(special)), rand[:, :2000].ravel()])
+    b = np.concatenate([np.tile(special, len(special)), rand[::-1, 2000:].ravel()])
+    with np.errstate(all="ignore"):  # 1e308 + 1e308 overflows in both forms
+        got = channel.llr_of_sum(a, b)
+        want = llr_of_sum_expression(a, b)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # broadcast shapes, and the scalar path still returns a float
+        col = channel.llr_of_sum(a[:50, None], b[None, :50])
+        assert np.array_equal(col.view(np.uint64), llr_of_sum_expression(a[:50, None], b[None, :50]).view(np.uint64))
+        for x, y in zip(a[:200].tolist(), b[:200].tolist()):
+            r = channel.llr_of_sum(x, y)
+            assert type(r) is float
+            assert np.float64(r).view(np.uint64) == llr_of_sum_expression(x, y).view(np.uint64)
+
+
 def test_output_symmetry_bsc_awgn():
     # L | transmitted 1 is distributed as -(L | transmitted 0)
     n = 100_000
