@@ -16,23 +16,39 @@ from .. import rmcode
 from .types import DecodeResult, llr_word, result_for
 
 
+def _exact_dtype(dtype: np.dtype, n: int):
+    """Working type of a length-n transform: float64 for non-integer input;
+    for integer input the narrowest of int16, int32 and int64 that holds n
+    times the largest magnitude of the input type, which bounds every
+    butterfly output.  int64 and unsigned 64-bit input work in int64."""
+    if not np.issubdtype(dtype, np.integer):
+        return np.float64
+    info = np.iinfo(dtype)
+    bound = n * max(-int(info.min), int(info.max))
+    for t in (np.int16, np.int32):
+        if bound <= np.iinfo(t).max:
+            return t
+    return np.int64
+
+
 def fht(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (length a power of two).
 
-    Integer inputs stay in exact int64 arithmetic.  The rows are copied
-    into an (n, rows) transpose, so each butterfly stage is two long
-    operations over (n/2h, 2, h * rows) blocks writing a+b / a-b into a
-    second buffer rather than many short ones; every element sees the same
-    additions as the textbook slice-by-slice loop and results are
-    bit-identical to it.
+    Integer input is transformed exactly in the narrowest signed type that
+    cannot overflow for its dtype and n: int8 signs run in int16 up to
+    n = 128 and in int32 from n = 256, and int64 input stays int64.  Other
+    input runs in float64.  The rows are copied into an (n, rows)
+    transpose, so each butterfly stage is two long operations over
+    (n/2h, 2, h * rows) blocks writing a+b / a-b into a second buffer
+    rather than many short ones; every element sees the same additions as
+    the textbook slice-by-slice loop and results are bit-identical to it.
     """
     v = np.asarray(values)
-    dtype = np.int64 if np.issubdtype(v.dtype, np.integer) else np.float64
     n = v.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a power of two")
     rows = v.size // n
-    src = v.reshape(rows, n).T.astype(dtype, order="C", copy=True)
+    src = v.reshape(rows, n).T.astype(_exact_dtype(v.dtype, n), order="C", copy=True)
     dst = np.empty_like(src)
     h = 1
     while h < n:
@@ -43,6 +59,12 @@ def fht(values: np.ndarray) -> np.ndarray:
         src, dst = dst, src
         h *= 2
     return np.ascontiguousarray(src.T).reshape(v.shape)
+
+
+def hard_signs(words) -> np.ndarray:
+    """int8 +/-1 image of 0/1 words (bit 1 -> -1), the exact transform input
+    of hard-input decoders."""
+    return 1 - 2 * np.asarray(words, dtype=np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -61,15 +83,17 @@ def linear_word(m: int, u: int, u0: int) -> np.ndarray:
 
 
 def point_transform(L) -> np.ndarray:
-    """Transform of L over points: entry u is sum_z (-1)^{<u, z>} L_z."""
-    arr = np.asarray(L, dtype=np.float64)
-    return fht(arr[..., ::-1])
+    """Transform of L over points: entry u is sum_z (-1)^{<u, z>} L_z.
+    Integer L is transformed exactly (see fht), any other L in float64."""
+    return fht(np.asarray(L)[..., ::-1])
 
 
 def transform_peak(L) -> tuple[np.ndarray, np.ndarray]:
     """Point transform of every row of L, a (..., 2^m) array, and per row the
     smallest u of maximal |transform|, the best first-order linear part.  Its
-    constant term is 1 exactly when the entry at u is negative.
+    constant term is 1 exactly when the entry at u is negative.  Integer
+    (hard_signs) and float images of the same +/-1 words give equal spectra
+    and peaks: every sum of +/-1 terms is exact in both.
     """
     spec = point_transform(L)
     return spec, np.argmax(np.abs(spec), axis=-1)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .. import rmcode
 from ..channel import llr_of_sum
-from .fht import fht_decode_words
+from .fht import fht_decode_words, hard_signs
 from .types import DecodeResult, block_rows, hard_rows, hard_word, llr_word, result_for, soft_metric
 
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
@@ -117,7 +117,7 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
     """
     Ys = _rows(params, Ys, hard=True)
     if params.r == 1:
-        return fht_decode_words(1.0 - 2.0 * Ys)
+        return fht_decode_words(hard_signs(Ys))
     n = params.n
     mem0, mem1, fcos, xorb = _tables(params.m)
     out = Ys.copy()

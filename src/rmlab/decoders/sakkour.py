@@ -10,6 +10,11 @@ the degree-2 evaluation leaves a first-order word for a final FHT pass.
 Under the coordinate convention translating points by b is plain index
 XOR, so derivative words never need explicit reindexing.
 
+Every transform input is a 0/1 word, so all three passes feed int8 +/-1
+signs (fht.hard_signs) and the transforms run exactly in int16 up to
+n = 128; the majority votes are int16 too.  Only the degree-2 evaluation
+runs in floats, as a product of small integers that is exact.
+
 sakkour_codewords runs every step over a (T, n) block, in chunks of rows
 whose (rows, n, n) derivative arrays hold at most _CELLS cells.
 sakkour_decode_order2 runs it on a block of one.
@@ -24,10 +29,14 @@ import numpy as np
 
 from .. import rmcode
 # fht is unused here: bench/replay.py's --trace patches decoders.sakkour.fht
-from .fht import fht, fht_decode_words, transform_peak  # noqa: F401
+from .fht import fht, fht_decode_words, hard_signs, transform_peak  # noqa: F401
 from .types import DecodeResult, hard_input_llr, hard_rows, hard_word, result_for
 
-# Cells of each (rows, n, n) array one chunk of rows may hold
+# Cells of each (rows, n, n) array one chunk of rows may hold: 64 rows at
+# n = 32, whose int16 transform and vote arrays take 128 KB each and the
+# intp bincount index 512 KB.  Side by side at RM(5,2), 2^15 was slower
+# for 40-row blocks (two chunks) and a little faster for 2048-row blocks;
+# 2^17 was no faster at twice the peak memory; 2^13 and 2^14 were slower.
 _CELLS = 1 << 16
 
 
@@ -49,9 +58,12 @@ def _majority(D: np.ndarray, xor: np.ndarray) -> np.ndarray:
 
     Row b of xor holds J ^ b.  Ties pick the lexicographically smallest
     vector (= smallest packed int): argmax returns the first maximal count.
+    D may have any integer type; the votes, values in [0, n), are int16.
     """
     n = D.shape[-1]
-    votes = D[..., xor] ^ D[..., None, :]  # (..., b, b'), values in [0, n)
+    D = D.astype(np.int16, copy=False)
+    votes = D[..., xor]  # (..., b, b')
+    votes ^= D[..., None, :]
     offsets = n * np.arange(votes.size // n).reshape(votes.shape[:-1] + (1,))
     counts = np.bincount((votes + offsets).ravel(), minlength=votes.size)
     return np.argmax(counts.reshape(votes.shape), axis=-1)
@@ -69,14 +81,14 @@ def sakkour_codewords(m: int, Ys) -> np.ndarray:
     for lo in range(0, len(Ys), step):
         y = Ys[lo : lo + step]
         # derivative words, one per direction; b = 0 decodes to zero harmlessly
-        Dstar = _majority(transform_peak(1.0 - 2.0 * (y[:, None, :] ^ y[:, xor]))[1], xor)
+        Dstar = _majority(transform_peak(hard_signs(y[:, None, :] ^ y[:, xor]))[1], xor)
         # column i of U from the word of i-th coordinates of D*_b over b
         col_bits = (Dstar[:, None, ::-1] >> np.arange(m - 1, -1, -1)[:, None]) & 1
-        col_u = transform_peak(1.0 - 2.0 * col_bits)[1]
+        col_u = transform_peak(hard_signs(col_bits))[1]
         # exact: each entry counts at most m(m-1)/2 pairs
         quad = (col_u[:, cols] >> shifts) & 1
         deg2 = ((quad @ evals).astype(np.int64) & 1).astype(np.uint8)
-        out[lo : lo + step] = deg2 ^ fht_decode_words(1.0 - 2.0 * (y ^ deg2))
+        out[lo : lo + step] = deg2 ^ fht_decode_words(hard_signs(y ^ deg2))
     return out
 
 

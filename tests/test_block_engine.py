@@ -354,6 +354,22 @@ def test_hard_rpa_rows_stop_in_different_rounds(m, r, exhausted):
             assert (n_max + 1 in rounds) == exhausted
 
 
+@pytest.mark.parametrize("m", [5, 6])
+def test_hard_rpa_sign_leaf_equals_float_leaf(monkeypatch, m):
+    # the r = 1 leaf decodes int8 signs; patched to the float image it
+    # decodes 1.0 - 2.0 * word, the leaf's earlier input
+    params = rmcode.CodeParams(m, 2)
+    rng = np.random.default_rng(90 + m)
+    y = np.concatenate([channel.hard_decision(bsc_llrs(params, 16, p, 1.0, rng)) for p in (0.0, 0.05, 0.2, 0.5)])
+    rounds = []
+    want = np.array([ref_rpa_bsc(params, row, 3, rounds) for row in y])
+    assert {1, 4} <= set(rounds)  # rows stopping at once and rows never reaching a fixed point
+    got = rpa_mod.rpa_bsc_codewords(params, y)
+    assert np.array_equal(got, want)
+    monkeypatch.setattr(rpa_mod, "hard_signs", lambda words: 1.0 - 2.0 * words)
+    assert np.array_equal(rpa_mod.rpa_bsc_codewords(params, y), got)
+
+
 @pytest.mark.parametrize("t", [0, 1, 3])
 @pytest.mark.parametrize("mag", [1.0, 2.2, 40.0])
 def test_chase_kernel_equals_word_loop_on_tied_bsc_llrs(t, mag):
@@ -552,7 +568,7 @@ def test_reed_kernel_on_tied_votes(m, r):
 
 
 @settings(max_examples=25, deadline=None)
-@given(m=st.integers(2, 6), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), uniform=st.booleans())
+@given(m=st.integers(2, 7), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), uniform=st.booleans())
 def test_sakkour_kernel_equals_word_loop(m, rows, seed, uniform):
     params = rmcode.CodeParams(m, 2)
     rng = np.random.default_rng(seed)
@@ -581,14 +597,36 @@ def test_sakkour_kernel_on_tied_majorities(m):
     assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
 
 
+def bsc_words(params, rows, p, rng):
+    """Random codewords through a BSC with crossover probability p."""
+    c = rmcode.encode_rows(params, rng.integers(0, 2, size=(rows, params.k)))
+    return c ^ (rng.random(c.shape) < p).astype(np.uint8)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.05, 0.1, 0.2, 0.5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_sakkour_kernel_on_bsc_blocks(m, p):
+    rows = 12 if m < 7 else 6
+    y = bsc_words(rmcode.CodeParams(m, 2), rows, p, np.random.default_rng(100 * m + int(100 * p)))
+    ties = []
+    want = np.array([rmcode.encode(ref_sakkour(m, row, ties)) for row in y])
+    if p == 0.5 and m >= 5:
+        assert any(ties)
+    assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
+
+
 def test_sakkour_blocks_span_chunks(monkeypatch):
-    m = 4
-    n = 1 << m
-    y = noisy_words(rmcode.CodeParams(m, 2), 7, np.random.default_rng(81))
-    want = np.array([rmcode.encode(ref_sakkour(m, row)) for row in y])
-    assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
-    monkeypatch.setattr(sakkour_mod, "_CELLS", 3 * n * n - 1)  # chunks of 2, 2, 2, 1 rows
-    assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
+    cells = sakkour_mod._CELLS
+    for m, p in [(4, None), (6, 0.2), (7, 0.5)]:
+        n = 1 << m
+        params = rmcode.CodeParams(m, 2)
+        rng = np.random.default_rng(77 + m)
+        y = noisy_words(params, 7, rng) if p is None else bsc_words(params, 7, p, rng)
+        want = np.array([rmcode.encode(ref_sakkour(m, row)) for row in y])
+        monkeypatch.setattr(sakkour_mod, "_CELLS", cells)
+        assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
+        monkeypatch.setattr(sakkour_mod, "_CELLS", 3 * n * n - 1)  # chunks of 2, 2, 2, 1 rows
+        assert np.array_equal(sakkour_mod.sakkour_codewords(m, y), want)
 
 
 @pytest.mark.parametrize("m,r", [(1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (4, 2)])

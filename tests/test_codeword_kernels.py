@@ -181,12 +181,13 @@ def test_full_leaf_matches_loop(trials, paths, log_n, mu, seed, tied):
 
 
 @settings(max_examples=80, deadline=None)
-@given(log_n=st.integers(1, 7), spread=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_sakkour_majority_matches_counter(log_n, spread, seed):
+@given(log_n=st.integers(1, 7), spread=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.int64, np.int16]))
+def test_sakkour_majority_matches_counter(log_n, spread, seed, dtype):
     n = 1 << log_n
     rng = np.random.default_rng(seed)
     # a small value range makes vote ties common
-    D = rng.integers(0, min(spread, n), size=n).astype(np.int64)
+    D = rng.integers(0, min(spread, n), size=n).astype(dtype)
     J = np.arange(n)
     got = sakkour_mod._majority(D, J[:, None] ^ J[None, :])
     assert got.dtype == np.int64

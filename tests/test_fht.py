@@ -11,8 +11,10 @@ from rmlab.decoders.fht import (
     fht_decode_order1,
     fht_decode_words,
     fht_list_decode_order1,
+    hard_signs,
     linear_word,
     point_transform,
+    transform_peak,
 )
 from rmlab.decoders.oracle import ml_decode
 from rmlab.decoders.types import soft_metric
@@ -65,6 +67,91 @@ def test_matches_naive_exactly_on_integers():
         got = fht(v)
         assert got.dtype == np.int64
         assert got.tolist() == naive_fht([int(x) for x in v])
+
+
+def textbook_fht(values):
+    # in-place slice-by-slice butterflies in float64
+    a = np.array(values, dtype=np.float64)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        for i in range(0, n, 2 * h):
+            x, y = a[..., i : i + h].copy(), a[..., i + h : i + 2 * h].copy()
+            a[..., i : i + h], a[..., i + h : i + 2 * h] = x + y, x - y
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize(
+    "dtype,n,want",
+    [
+        (np.int8, 1, np.int16),
+        (np.int8, 128, np.int16),
+        (np.int8, 256, np.int32),
+        (np.uint8, 128, np.int16),
+        (np.int16, 2, np.int32),
+        (np.int32, 2, np.int64),
+        (np.int64, 2, np.int64),
+        (np.uint64, 2, np.int64),
+    ],
+)
+def test_integer_input_runs_in_the_narrowest_exact_type(dtype, n, want):
+    got = fht(np.zeros((3, n), dtype=dtype))
+    assert got.dtype == want and got.shape == (3, n)
+
+
+def test_extreme_int8_input_does_not_wrap():
+    # -128 everywhere sums to -128 n at entry 0, which |.| must still read
+    for n in (128, 256):
+        spec, u = transform_peak(np.full(n, -128, dtype=np.int8))
+        assert spec[0] == -128 * n and u == 0
+        assert np.abs(spec).max() == 128 * n
+
+
+def test_hard_signs():
+    got = hard_signs(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert got.dtype == np.int8 and got.tolist() == [[1, -1], [-1, 1]]
+
+
+def test_constant_sign_rows_peak_at_plus_minus_n():
+    for m in range(0, 11):
+        n = 1 << m
+        signs = hard_signs(np.array([[0] * n, [1] * n], dtype=np.uint8))
+        spec, u = transform_peak(signs)
+        assert spec.dtype == (np.int16 if n <= 128 else np.int32)
+        assert u.tolist() == [0, 0] and spec[:, 0].tolist() == [n, -n]
+        assert not spec[:, 1:].any()
+        assert fht_decode_words(signs).tolist() == [[0] * n, [1] * n]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+def test_non_integer_input_is_unchanged_float64(dtype):
+    rng = np.random.default_rng(21)
+    for m in range(0, 9):
+        v = rng.normal(scale=40.0, size=(3, 1 << m))
+        v = v > 0 if dtype is np.bool_ else v.astype(dtype)
+        got = fht(v)
+        assert got.dtype == np.float64
+        assert got.tobytes() == textbook_fht(v).tobytes()
+        assert point_transform(v).tobytes() == fht(v[..., ::-1].astype(np.float64)).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(0, 9), rows=st.integers(1, 4), p=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sign_path_equals_float_path_on_hard_words(m, rows, p, seed):
+    # first-order codewords under BSC noise: p = 0.5 gives uniform words,
+    # whose peaks tie often
+    n = 1 << m
+    rng = np.random.default_rng(seed)
+    u, u0 = rng.integers(0, n, size=rows), rng.integers(0, 2, size=rows)
+    words = np.stack([linear_word(m, int(a), int(b)) for a, b in zip(u, u0)])
+    words ^= (rng.random(words.shape) < p).astype(np.uint8)
+    spec, peak = transform_peak(hard_signs(words))
+    spec_f, peak_f = transform_peak(1.0 - 2.0 * words)
+    assert np.issubdtype(spec.dtype, np.integer) and spec_f.dtype == np.float64
+    assert np.array_equal(spec, spec_f) and np.array_equal(peak, peak_f)
+    assert np.array_equal(fht_decode_words(hard_signs(words)), fht_decode_words(1.0 - 2.0 * words))
 
 
 def test_matches_naive_on_reals():
