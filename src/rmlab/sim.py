@@ -3,11 +3,13 @@
 Every trial draws its message and channel noise from Philox substreams
 keyed by (seed, sweep point, trial, purpose), so results are a pure
 function of the config and identical under any execution order or worker
-count.  Trials run in blocks of T = BLOCK_CELLS // n: each block draws
-its trials' message bits and uniforms in one Philox kernel call, encodes,
-transmits and decodes as whole (T, n) arrays, and counts errors with array
-operations.  Wall-clock seconds are recorded only when timing is enabled;
-the default keeps the CSV byte-reproducible.
+count.  The sweep's trials run as one range of rows, point after point,
+in blocks of T = BLOCK_CELLS // n rows that may span consecutive points of
+one channel kind: each block draws its rows' message bits and uniforms in
+one Philox kernel call, encodes them in one product, applies each point's
+channel to its rows, decodes all rows in one kernel call and counts errors
+with array operations.  Wall-clock seconds are recorded only when timing
+is enabled; the default keeps the CSV byte-reproducible.
 """
 
 from __future__ import annotations
@@ -55,9 +57,12 @@ CSV_HEADER = (
 MAX_POINTS = 1 << 16
 MAX_TRIALS = 1 << 32
 
-# A block holds T = BLOCK_CELLS // n trials (at least one), so each of
-# its (T, n) arrays has about BLOCK_CELLS cells: 2048 trials at n = 32.
+# A block holds T = BLOCK_CELLS // n rows (at least one), so each of its
+# (T, n) arrays has about BLOCK_CELLS cells: 2048 rows at n = 32.
 BLOCK_CELLS = 1 << 16
+
+# run_simulation's pool size limit: a fork pool starts all its workers at once
+MAX_WORKERS = 256
 
 
 class ConfigError(Exception):
@@ -307,40 +312,64 @@ def _stream_key(seed: int, point: int, trial: int, tag: int) -> int:
     )
 
 
-def _streams(config: SimConfig, point: int, trials: range):
-    """Message bits (T, k) and channel uniforms (T, n): row i holds the draws of trial trials[i]'s
-    Philox streams, keys _stream_key(seed, point, trial, tag), tag 0 for bits and 1 for uniforms."""
-    trial = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64) & np.uint64(_MASK32)
-    low = np.uint64((point & 0xFFFF) << 48) | (trial << np.uint64(16))
+def _streams(config: SimConfig, point, trials):
+    """Message bits (T, k) and channel uniforms (T, n): row i holds the draws of the Philox
+    streams with keys _stream_key(seed, point[i], trials[i], tag), tag 0 for bits and 1 for
+    uniforms.  point and trials are (T,) arrays, or an int point broadcast over a range."""
+    if isinstance(trials, range):
+        trials = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    trial = np.asarray(trials, dtype=np.uint64) & np.uint64(_MASK32)
+    point = np.asarray(point, dtype=np.uint64) & np.uint64(0xFFFF)
+    low = (point << np.uint64(48)) | (trial << np.uint64(16))
     high = np.full(trial.shape, config.seed & _MASK64, dtype=np.uint64)
     return channel.philox_draws((low, high), (low | np.uint64(1), high), config.params.k, config.params.n)
 
 
-def _run_trials(config: SimConfig, point: int, lo: int, hi: int):
-    """Trials [lo, hi) of one sweep point, block by block; returns integer
-    aggregates and the failing trials, ascending, at most max_errors_to_log."""
-    params = config.params
-    spec = config.channels[point]
-    kind, decode = resolve_block_decoder(config.decoder, params, spec.kind, config.hard)
+def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
+    """Rows [lo, hi) of the whole sweep, row g being trial g % trials of point
+    g // trials, block by block.  A block spans consecutive points of one
+    channel kind.  Returns {point: (bit_err, blk_err, failing trials ascending,
+    at most max_errors_to_log, seconds)} for every point the rows touch, each
+    block's wall time charged to its points in proportion to their rows."""
+    params, trials, specs = config.params, config.trials, config.channels
+    # run_end[p]: the first point after p whose channel kind differs (or the end)
+    run_end = [len(specs)] * len(specs)
+    for p in range(len(specs) - 2, -1, -1):
+        run_end[p] = run_end[p + 1] if specs[p + 1].kind == specs[p].kind else p + 1
+    decoders = {kind: resolve_block_decoder(config.decoder, params, kind, config.hard)
+                for kind in dict.fromkeys(spec.kind for spec in specs)}
     step = max(1, BLOCK_CELLS // params.n)
-    bit_err = 0
-    blk_err = 0
-    logged = []
-    for start in range(lo, hi, step):
-        bits, u = _streams(config, point, range(start, min(start + step, hi)))
+    tally = {}
+    start = lo
+    while start < hi:
+        t0 = time.perf_counter()
+        stop = min(start + step, hi, run_end[start // trials] * trials)
+        point, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), np.uint64(trials))
+        bits, u = _streams(config, point, trial)
         c = rmcode.encode_rows(params, bits)
-        out = channel.apply_noise(c, u, spec)
-        if kind == "hard":
-            words = out.data if spec.kind == "bsc" else channel.hard_decision(channel.llr(out, spec))
-        else:
-            words = channel.llr(out, spec)
-        errs = np.count_nonzero(decode(words) != c, axis=1)
-        failed = np.flatnonzero(errs)
-        bit_err += int(errs.sum())
-        blk_err += failed.size
-        room = config.max_errors_to_log - len(logged)
-        logged += (start + failed[:room]).tolist()
-    return bit_err, blk_err, logged
+        kind, decode = decoders[specs[start // trials].kind]
+        segments, words = [], []
+        for p in range(start // trials, (stop - 1) // trials + 1):
+            rows = slice(max(start, p * trials) - start, min(stop, (p + 1) * trials) - start)
+            spec = specs[p]
+            out = channel.apply_noise(c[rows], u[rows], spec)
+            if kind == "hard":
+                words.append(out.data if spec.kind == "bsc" else channel.hard_decision(channel.llr(out, spec)))
+            else:
+                words.append(channel.llr(out, spec))
+            segments.append((p, rows))
+        errs = np.count_nonzero(decode(words[0] if len(words) == 1 else np.concatenate(words)) != c, axis=1)
+        row_seconds = (time.perf_counter() - t0) / (stop - start)
+        for p, rows in segments:
+            bit_err, blk_err, logged, spent = tally.get(p, (0, 0, [], 0.0))
+            failed = np.flatnonzero(errs[rows])
+            first = start + rows.start - p * trials
+            room = config.max_errors_to_log - len(logged)
+            logged += (first + failed[:room]).tolist()
+            tally[p] = (bit_err + int(errs[rows].sum()), blk_err + failed.size, logged,
+                        spent + row_seconds * (rows.stop - rows.start))
+        start = stop
+    return tally
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z):
@@ -388,28 +417,33 @@ def worker_pool(workers: int) -> ProcessPoolExecutor:
 def run_simulation(config: SimConfig, workers: int = 1):
     """All sweep points; byte-identical output for any worker count.
 
-    With workers > 1 one process pool serves the whole sweep, and each
-    point's trials are split into 4 * workers contiguous jobs.  The pool's
-    workers run single-threaded BLAS; the serial path keeps BLAS's own
-    thread count.
+    The sweep's rows (every point's trials, point after point) run as one
+    range.  With workers > 1 one process pool serves the whole sweep, and
+    the range is split into 4 * workers contiguous jobs whose per-point
+    parts are merged.  The pool's workers run single-threaded BLAS; the
+    serial path keeps BLAS's own thread count.  With timing on, each point's
+    seconds are its share of the sweep's wall time, in proportion to the
+    block time charged to it.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    spans = [(0, config.trials)]
-    pool = contextlib.nullcontext()
-    if workers > 1:
-        bounds = np.linspace(0, config.trials, 4 * workers + 1, dtype=int)
+    if workers > MAX_WORKERS:
+        raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {workers}")
+    total = config.trials * len(config.channels)
+    start = time.perf_counter()
+    if workers == 1:
+        parts = [_run_trials(config, 0, total)]
+    else:
+        bounds = np.linspace(0, total, 4 * workers + 1, dtype=np.int64)
         spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        pool = worker_pool(workers)
-    points = []
-    with pool:
-        for idx in range(len(config.channels)):
-            start = time.perf_counter()
-            jobs = [(config, idx, lo, hi) for lo, hi in spans]
-            parts = list(pool.map(_run_trials, *zip(*jobs))) if workers > 1 else [_run_trials(*jobs[0])]
-            seconds = time.perf_counter() - start if config.timing else 0.0
-            points.append(_sim_point(config, idx, parts, seconds))
-    return points
+        with worker_pool(workers) as pool:
+            parts = list(pool.map(partial(_run_trials, config), *zip(*spans)))
+    wall = time.perf_counter() - start
+    per_point = [[part[idx] for part in parts if idx in part] for idx in range(len(config.channels))]
+    charged = [sum(p[3] for p in point_parts) for point_parts in per_point]
+    scale = wall / (sum(charged) or 1.0) if config.timing else 0.0
+    return [_sim_point(config, idx, point_parts, scale * charged[idx])
+            for idx, point_parts in enumerate(per_point)]
 
 
 def _sim_point(config: SimConfig, idx: int, parts, seconds: float) -> SimPoint:

@@ -223,6 +223,53 @@ def test_run_simulation_matches_per_trial_loop(over, monkeypatch):
         assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want
 
 
+@pytest.mark.parametrize(
+    "over, block_rows",
+    [
+        # one kind, 7-row blocks over 3 points of 61 trials: most blocks hold one point, some two
+        ({"decoder": "dumer-list:4", "channels": ["bsc:0.04", "bsc:0.08", "bsc:0.12"]}, 7),
+        # rpa's kernel changes with the channel kind, so blocks stop where the kind does
+        ({"decoder": "rpa", "channels": ["bsc:0.08", "awgn:0.8", "bsc:0.1"]}, 5),
+        # blocks hold two or three points of 61 trials each
+        ({"decoder": "dumer", "channels": ["bsc:0.02", "bec:0.3", "bec:0.4", "bec:0.5"]}, 150),
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_straddling_sweep_points_match_per_trial_loop(over, block_rows, workers, monkeypatch):
+    config = config_from_dict({"m": 4, "r": 2, "trials": 61, "seed": 9, "max_errors_to_log": 6} | over)
+    want = [reference_point(config, p) for p in range(len(config.channels))]
+    monkeypatch.setattr(sim, "BLOCK_CELLS", block_rows * config.params.n)
+    points = run_simulation(config, workers=workers)
+    assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want
+
+
+def test_error_log_cap_reached_across_a_block_boundary(monkeypatch):
+    config = config_from_dict({"m": 4, "r": 2, "decoder": "dumer-list:4", "trials": 61, "seed": 3,
+                               "channels": ["bsc:0.04", "bsc:0.12"], "max_errors_to_log": 4})
+    want = [reference_point(config, p) for p in range(len(config.channels))]
+    block_rows = 3
+    # point 1's logged failures fall in more than one block, and it fails more often than the cap
+    first = [(config.trials + t) // block_rows for t in want[1][2]]
+    assert len(want[1][2]) == config.max_errors_to_log < want[1][1] and first[0] != first[-1]
+    monkeypatch.setattr(sim, "BLOCK_CELLS", block_rows * config.params.n)
+    for workers in (1, 2):
+        points = run_simulation(config, workers=workers)
+        assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want
+
+
+def test_block_streams_take_per_row_points_across_the_key_mask():
+    config = config_from_dict({"m": 5, "r": 2, "decoder": "dumer", "channels": ["awgn:1"], "trials": 1,
+                               "seed": -7})
+    point = np.array([0xFFFE, 0xFFFF, 0x10000, 0x10001, 0x1FFFF, 3], dtype=np.uint64)
+    trial = np.array([sim.MAX_TRIALS - 1, sim.MAX_TRIALS, 0, sim.MAX_TRIALS + 2, 5, 1 << 40], dtype=np.uint64)
+    bits, u = sim._streams(config, point, trial)
+    p, t = point.tolist(), trial.tolist()
+    keys = [[sim._stream_key(config.seed, p[i], t[i], tag) for i in range(len(p))] for tag in (0, 1)]
+    k, n = config.params.k, config.params.n
+    assert np.array_equal(bits, np.stack([channel._rng(key).integers(0, 2, size=k) for key in keys[0]]))
+    assert np.array_equal(u, np.stack([channel._rng(key).random(n) for key in keys[1]]))
+
+
 # ---- the RPA family against copies of its per-word loops ----
 # The public single-word RPA decoders are now blocks of one over the block
 # kernels, so the references are the loops those decoders ran before.

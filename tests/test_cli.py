@@ -226,6 +226,16 @@ def test_simulate_rejects_worker_counts_below_one(capsys, workers):
     assert "workers must be >= 1" in err
 
 
+def test_simulate_rejects_worker_counts_above_cap(capsys, monkeypatch):
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was asked for")
+
+    monkeypatch.setattr(sim, "worker_pool", no_pool)
+    rc, out, err = run(capsys, "simulate", str(DATA / "golden_sim_config.json"), "--workers", "100000")
+    assert rc == 2 and out == ""
+    assert f"workers must be <= {sim.MAX_WORKERS}" in err
+
+
 def test_simulate_rejects_bad_config(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"m": 3, "r": 1, "decoder": "reed", "trials": 10}))

@@ -1,4 +1,6 @@
 import ctypes
+import dataclasses
+import time
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +329,29 @@ def test_timing_disabled_zeroes_seconds():
     cfg_timed = config_from_dict(base_config(trials=20, timing=True))
     (pt2,) = run_simulation(cfg_timed)
     assert pt2.seconds > 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_timed_sweep_charges_every_point(workers):
+    data = base_config(trials=300, channels=["bsc:0.02", "bsc:0.05", "bec:0.3"], decoder="dumer", r=2)
+    untimed = run_simulation(config_from_dict(data), workers=workers)
+    start = time.perf_counter()
+    timed = run_simulation(config_from_dict(data | {"timing": True}), workers=workers)
+    wall = time.perf_counter() - start
+    assert all(pt.seconds > 0.0 for pt in timed)
+    assert sum(pt.seconds for pt in timed) <= wall
+    assert [dataclasses.replace(pt, seconds=0.0) for pt in timed] == untimed
+
+
+def test_run_simulation_rejects_worker_counts_above_cap_before_any_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was asked for")
+
+    monkeypatch.setattr(sim, "worker_pool", no_pool)
+    cfg = config_from_dict(base_config())
+    for workers in (sim.MAX_WORKERS + 1, 100_000):
+        with pytest.raises(ConfigError, match="workers"):
+            run_simulation(cfg, workers=workers)
 
 
 def test_csv_shape():
