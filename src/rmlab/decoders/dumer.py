@@ -92,9 +92,11 @@ def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
     n = Ls.shape[1]
     trial = P * np.arange(T)[:, None]
     if r == 0:
-        # candidate q = bit * P + path
-        pen0 = pens + _softplus(-Ls).sum(axis=1).reshape(T, P)
-        pen1 = pens + _softplus(Ls).sum(axis=1).reshape(T, P)
+        # candidate q = bit * P + path; softplus(x) = max(x, 0) + E with
+        # E = softplus(-|x|), bit for bit as numpy's logaddexp computes it
+        E = _softplus(-np.abs(Ls))
+        pen0 = pens + (np.maximum(-Ls, 0.0) + E).sum(axis=1).reshape(T, P)
+        pen1 = pens + (np.maximum(Ls, 0.0) + E).sum(axis=1).reshape(T, P)
         keep, kept = _prune(np.concatenate([pen0, pen1], axis=1), mu)
         bits = np.repeat((keep // P).astype(np.uint8).reshape(-1, 1), n, axis=1)
         return bits, kept, (trial + keep % P).ravel()

@@ -12,18 +12,40 @@ constant row, and one entry S of the product tail @ (head * L).T,
 (2^(t-1), 2^(k-t)), scores the pair b = 2c (score S) and b = 2c + 1
 (score -S), the first step of the coset decomposition of Be'ery and
 Snyders.  Pass 1 keeps each head row's maximum of |S|; pass 2 recomputes
-the head rows that can hold the maximum and reads both signs.
+the head rows that can hold the maximum and reads both signs.  Both
+products run in float32.
 
 Ties go to the smallest message index, that is the lexicographically
 smallest coefficient vector in generator row order, whatever the BLAS:
 two correlations tie when their exact sums round to the same double.  A
-row of integer multiples of one unit (sign-quantized or integer LLRs) is
-divided by that unit and scored exactly, in integers.  In any other row
-a computed correlation lies within eps = n * 2^-52 * sum|L| of its exact
-value, so the candidates, the codewords within 2 * eps of the row's top
-score, hold every exact maximum: a lone candidate wins, and otherwise
-the candidates are rescored with math.fsum.  A complement's exact score
-is the negated exact score, so both bounds hold for either sign.
+row of integer multiples of one unit (sign-quantized or integer LLRs)
+whose integers sum below 2^24 is divided by that unit and scored
+exactly: every partial sum is an integer float32 holds.  Any other row
+is scaled by a power of two so that its max|L| lies in [0.5, 1), and
+there a computed correlation lies within eps of its exact (scaled)
+value, with u = 2^-24 and A = sum|L| after scaling:
+
+  - the cast to float32 moves each entry by at most u|L_j| + 2^-150 (half
+    the smallest subnormal; the scaling itself is exact in float64 but
+    for entries below 2^-1074, which the same term covers);
+  - the signs are exact, and any summation tree of n terms adds at most
+    gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the sum of their magnitudes,
+    itself at most (1 + u)A + n 2^-150 (an addition whose result is
+    subnormal is exact);
+  - k <= 24 keeps n <= 2^23, so (n-1)u < 1/2 and gamma_(n-1) < 2(n-1)u:
+    the error is below 2nuA + n 2^-149, and
+
+      eps = n 2^-22 A + n 2^-140
+
+    exceeds it by at least 2nuA >= 2^-23 A, room for two exact sums that
+    round to the same double (they differ by at most 2^-52 A) and for the
+    rounding of the threshold top - 2 eps.
+
+So the candidates, the codewords within 2 * eps of the row's top score,
+hold every exact maximum: a lone candidate wins, and otherwise the
+candidates are rescored with math.fsum from the float64 row.  A
+complement's exact score is the negated exact score, so both bounds hold
+for either sign.
 """
 
 from __future__ import annotations
@@ -41,7 +63,7 @@ from .types import Ambiguous, DecodeResult, block_rows, llr_word, result_for, so
 _ML_GUARD_K = 24
 _TAIL_ROWS = 8
 # Each product, its operand and the per-(trial, head row) maxima hold at
-# most about _CELLS float64 cells.
+# most about _CELLS float32 cells.
 _CELLS = 1 << 18
 
 
@@ -53,9 +75,9 @@ def _index_bits(k: int, idx) -> np.ndarray:
 
 
 def _span_signs(rows: np.ndarray) -> np.ndarray:
-    """(+/-1) signs of all 2^len(rows) sums of the generator rows, by index."""
+    """(+/-1) float32 signs of all 2^len(rows) sums of the generator rows, by index."""
     bits = _index_bits(len(rows), np.arange(1 << len(rows)))
-    return 1.0 - 2.0 * ((bits @ rows) & 1).astype(np.float64)
+    return 1.0 - 2.0 * ((bits @ rows) & 1).astype(np.float32)
 
 
 def _tail_rows(params: rmcode.CodeParams) -> int:
@@ -77,16 +99,20 @@ def _head_signs(params: rmcode.CodeParams) -> np.ndarray:
 
 
 def _in_units(L: np.ndarray):
-    """L with each row that is a multiple of one unit u by integers of
-    total size below 2^52 divided by u, and each row's rounding bound eps,
-    0 for a divided row.
+    """The float32 rows the products score, and each row's rounding bound
+    eps (see the module docstring).
 
-    The correlations of a divided row are u * N with integer N, exact when
-    computed from L / u, and distinct N stay distinct after rounding, so
-    every order and every tie is kept.  Sign-quantized rows (BSC, BEC,
-    Chase perturbations) and integer LLRs are divided.
+    A row that is a multiple of one unit u by integers of total size below
+    2^24 is divided by u, with eps = 0: its correlations are u * N with
+    integer N, exact in float32 when computed from L / u, and distinct N
+    stay distinct after rounding, so every order and every tie is kept.
+    Sign-quantized rows (BSC, BEC, Chase perturbations) and small integer
+    LLRs are divided.  Any other row is scaled by the power of two that
+    puts its max|L| in [0.5, 1), so its float32 copy neither overflows nor
+    loses more than the bound's absolute term to underflow.
     """
-    frac, ex = np.frexp(np.abs(L))
+    mag = np.abs(L)
+    frac, ex = np.frexp(mag)
     M = (frac * 2.0**53).astype(np.int64)  # |L| = M * 2^(ex - 53)
     tz = np.frexp((M & -M).astype(np.float64))[1] - 1  # trailing zero bits of M, -1 for M = 0
     g = np.gcd.reduce(M >> np.maximum(tz, 0), axis=1)  # gcd of the odd parts, 0 for a zero row
@@ -94,9 +120,12 @@ def _in_units(L: np.ndarray):
     unit = np.ldexp(np.maximum(g, 1).astype(np.float64), np.where(g > 0, low, 0))
     with np.errstate(over="ignore"):
         scaled = L / unit[:, None]
-    divided = np.abs(scaled).sum(axis=1) < 2.0**52
-    eps = np.where(divided, 0.0, L.shape[1] * 2.0**-52 * np.abs(L).sum(axis=1))
-    return np.where(divided[:, None], scaled, L), eps
+    divided = np.abs(scaled).sum(axis=1) < 2.0**24
+    top_ex = np.frexp(mag.max(axis=1, initial=0.0))[1]
+    scaled = np.where(divided[:, None], scaled, np.ldexp(L, -top_ex[:, None]))
+    n = L.shape[1]
+    eps = np.where(divided, 0.0, n * 2.0**-22 * np.abs(scaled).sum(axis=1) + n * 2.0**-140)
+    return scaled.astype(np.float32), eps
 
 
 def _ml_indices(params: rmcode.CodeParams, L: np.ndarray) -> np.ndarray:
@@ -106,14 +135,14 @@ def _ml_indices(params: rmcode.CodeParams, L: np.ndarray) -> np.ndarray:
     T, H = len(L), len(head)
     width = max(1 << t, params.n)  # bounds the cells per (trial, head row) in a product or its operand
     step = max(1, _CELLS // width)  # (trial, head row) pairs per product
-    L, eps = _in_units(L)
+    X32, eps = _in_units(L)
 
     # pass 1: the best correlation of every (trial, head row)
-    rowmax = np.empty((T, H))
+    rowmax = np.empty((T, H), np.float32)
     tc, hc = max(1, step // H), min(H, step)
     for i in range(0, T, tc):
         for j in range(0, H, hc):
-            X = (head[j:j + hc] * L[i:i + tc, None]).reshape(-1, params.n)
+            X = (head[j:j + hc] * X32[i:i + tc, None]).reshape(-1, params.n)
             S = _sign_codebook(params) @ X.T  # b = 2c scores S, b = 2c + 1 scores -S
             # in place: with a second product-sized temporary, glibc returned
             # and refaulted heap pages on every product in one free order
@@ -134,7 +163,7 @@ def _ml_indices(params: rmcode.CodeParams, L: np.ndarray) -> np.ndarray:
     cand_trial, cand_idx = [], []
     for lo in range(0, len(trial), step):
         tr, hd = trial[lo:lo + step], a[lo:lo + step]
-        S = _sign_codebook(params) @ (head[hd] * L[tr]).T
+        S = _sign_codebook(params) @ (head[hd] * X32[tr]).T
         thr = top[tr] - 2 * eps[tr]
         hit = np.stack((S >= thr, S <= -thr), axis=1).reshape(1 << t, -1)
         col, b = np.nonzero(hit.T)

@@ -743,6 +743,51 @@ def test_ml_rescores_near_ties(monkeypatch):
     assert np.array_equal(got, np.array([rmcode.encode(ref_ml(params, row)) for row in L]))
 
 
+def float32_rows(params, style, rng):
+    """Rows outside what a float32 copy holds exactly: every one is on the
+    rounding-bound path, and every style but the scaled AWGN ones is tie-heavy."""
+    c, c2 = (rmcode.encode_rows(params, rng.integers(0, 2, size=(12, params.k))) for _ in range(2))
+    x = 1.0 - 2.0 * c
+    # half the positions where c and c2 differ flipped: both are at equal distance
+    diff = c ^ c2
+    rank = np.where(diff == 1, rng.random(x.shape), 2.0).argsort(axis=1).argsort(axis=1)
+    flipped = np.where(rank < diff.sum(axis=1, keepdims=True) // 2, -x, x)
+    if style == "pm1":  # ties in float32 but not in float64
+        return flipped + 1e-7 * rng.normal(size=x.shape)
+    if style == "int":  # integers summing past 2^24 with exact ties
+        L = flipped * (3 << 22)
+        L[:, 0] += 1
+        return L
+    return (x + rng.normal(size=x.shape)) * float(style)  # beyond float32's range
+
+
+@pytest.mark.parametrize("mr", [(3, 1), (4, 2), (5, 1)])
+@pytest.mark.parametrize("style", ["1e39", "1e300", "1e-45", "1e-300", "int", "pm1"])
+def test_ml_float32_range_and_rounding_bound(mr, style, monkeypatch):
+    params = rmcode.CodeParams(*mr)
+    L = float32_rows(params, style, np.random.default_rng(92))
+    X32, eps = oracle_mod._in_units(L)
+    assert (eps > 0).all()
+    top = np.abs(X32).max(axis=1)  # scaled by powers of two into [0.5, 1)
+    assert ((top >= 0.5) & (top <= 1.0)).all()
+    rescored = []
+    fsum_scores = oracle_mod._fsum_scores
+    monkeypatch.setattr(oracle_mod, "_fsum_scores",
+                        lambda p, idx, row: rescored.append(row.dtype) or fsum_scores(p, idx, row))
+    got = oracle_mod.ml_codewords(params, L)
+    assert np.array_equal(got, np.array([rmcode.encode(ref_ml(params, row)) for row in L]))
+    assert all(dtype == np.float64 for dtype in rescored)  # never the float32 copy
+    if style == "pm1":
+        # the float32 copy ties several words that the float64 row does not
+        signs = codebook_signs(params).astype(np.float32)
+        ties = [(s == s.max()).sum() > 1 for s in signs @ L.astype(np.float32).T]
+        assert sum(ties) >= 3 and all(len(ml_maxima(params, row)) == 1 for row in L)
+    if style in ("int", "pm1"):
+        assert len(rescored) >= 3
+    else:  # AWGN rows seldom come within the bound of a tie
+        assert len(rescored) <= 2
+
+
 def test_ml_kernel_at_k22():
     # RM(6,2), k = 22: up to 7 flips of +-1 LLRs decode back, an all-zero row ties
     # everywhere and gives index 0, and a lone +1 picks the first word with a 0 there
@@ -769,6 +814,9 @@ def test_ml_constant_row_is_the_last_generator_row():
             tail = oracle_mod._sign_codebook(params)
             assert tail.shape == (1 << (oracle_mod._tail_rows(params) - 1), params.n)
             assert tail.flags.c_contiguous
+            head = oracle_mod._head_signs(params)
+            for factor in (tail, head):  # the products run in float32
+                assert factor.dtype == np.float32 and factor.flags.c_contiguous
 
 
 def pair_rows(params, style, rows, rng):
@@ -939,3 +987,19 @@ def test_list_kernel_equals_build_then_prune_recursion(m, r, mu, style, rows, se
     got = dumer_mod.dumer_list_codewords(params, L, mu)
     assert got.dtype == np.uint8
     assert np.array_equal(got, ref_dumer_list(params, L, mu))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               40.0, -40.0, 1e-300, 745.2, -745.2, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
+                            st.floats(-50.0, 50.0)), min_size=1, max_size=40))
+def test_list_leaf_softplus_splits_bit_for_bit(x):
+    # the zero-order leaf scores both bits from one softplus: numpy's
+    # logaddexp(0, x) is max(x, 0) + log1p(exp(-|x|)) in both of its branches
+    x = np.array(x)
+    E = dumer_mod._softplus(-np.abs(x))
+    for s in (x, -x):
+        assert np.array_equal((np.maximum(s, 0.0) + E).view(np.uint64), dumer_mod._softplus(s).view(np.uint64))
