@@ -31,34 +31,41 @@ def _exact_dtype(dtype: np.dtype, n: int):
     return np.int64
 
 
-def fht(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis (length a power of two).
+def fht(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis or along axis 0 (length
+    a power of two).
 
     Integer input is transformed exactly in the narrowest signed type that
     cannot overflow for its dtype and n: int8 signs run in int16 up to
     n = 128 and in int32 from n = 256, and int64 input stays int64.  Other
-    input runs in float64.  The rows are copied into an (n, rows)
-    transpose, so each butterfly stage is two long operations over
-    (n/2h, 2, h * rows) blocks writing a+b / a-b into a second buffer
-    rather than many short ones; every element sees the same additions as
-    the textbook slice-by-slice loop and results are bit-identical to it.
+    input runs in float64.  The butterflies run over an (n, rest) copy
+    whose first axis is the transform axis, so each stage is two long
+    operations over (n/2h, 2, h * rest) blocks writing a+b / a-b into a
+    second buffer rather than many short ones; every element sees the same
+    additions as the textbook slice-by-slice loop and results are
+    bit-identical to it.  Along the last axis the copy is a transpose and
+    so is the result; along axis 0 neither is.
     """
     v = np.asarray(values)
-    n = v.shape[-1]
+    last = axis in (-1, v.ndim - 1)
+    if not (last or axis == 0):
+        raise ValueError("axis must be 0 or the last")
+    n = v.shape[axis]
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a power of two")
-    rows = v.size // n
-    src = v.reshape(rows, n).T.astype(_exact_dtype(v.dtype, n), order="C", copy=True)
+    rest = v.size // n
+    lay = v.reshape(rest, n).T if last else v.reshape(n, rest)
+    src = lay.astype(_exact_dtype(v.dtype, n), order="C", copy=True)
     dst = np.empty_like(src)
     h = 1
     while h < n:
-        shape = (n // (2 * h), 2, h * rows)
+        shape = (n // (2 * h), 2, h * rest)
         s, d = src.reshape(shape), dst.reshape(shape)
         np.add(s[:, 0], s[:, 1], out=d[:, 0])
         np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
         src, dst = dst, src
         h *= 2
-    return np.ascontiguousarray(src.T).reshape(v.shape)
+    return (np.ascontiguousarray(src.T) if last else src).reshape(v.shape)
 
 
 def hard_signs(words) -> np.ndarray:
@@ -97,6 +104,17 @@ def transform_peak(L) -> tuple[np.ndarray, np.ndarray]:
     """
     spec = point_transform(L)
     return spec, np.argmax(np.abs(spec), axis=-1)
+
+
+def column_peaks(values) -> tuple[np.ndarray, np.ndarray]:
+    """transform_peak on the columns of an (n, cols) array whose row z holds
+    the value at point z, so the transform runs along axis 0 with no
+    reversal and no transpose.  Per column: the smallest u of maximal
+    |transform| and whether the transform is negative there (the best
+    first-order word's constant term)."""
+    spec = fht(values, axis=0)
+    u = np.argmax(np.abs(spec), axis=0)
+    return u, spec[u, np.arange(spec.shape[1])] < 0
 
 
 def fht_decode_order1(m: int, L) -> DecodeResult:

@@ -11,15 +11,22 @@ for the LLR variant, whose vector replaces L before the next round.  The
 hard variant stops early at a fixed point; both run at most n_max rounds.
 Final hard decisions map an exact zero to bit 0.
 
-The block kernels rpa_llr_codewords and rpa_bsc_codewords decode a (T, n)
-block at once.  A round gathers the projections of all rows as one
-(T, n-1, n/2) array, decodes them as T * (n-1) rows of the order r-1
-kernel, and aggregates over the n-1 axis.  In the hard variant a row that
-reaches its fixed point is frozen while the others go on.  Rows go
-through in chunks so that each (rows, n-1, n) array holds at most _CELLS
-cells.  chase_codewords decodes every trial's 2^t + 1 Chase candidates as
-rows of the LLR kernel.  The single-word decoders run the block kernels
-on a block of one, so each variant has one kernel.
+The block kernels rpa_llr_codewords and rpa_bsc_codewords decode a (R, n)
+block at once.  The order-2 round, which every recursion ends in, gathers
+the projections of all R rows from the block's (n, R) transpose, so they
+come out as the (n/2, (n-1) * R) columns the transform runs along; each
+column's verdict is read from its transform peak (position and sign), and
+a cached lift table maps it to a row of the 2n affine words of RM(m, 1),
+so the lifted verdicts of all rows are one row gather.  A round at r >= 3
+gathers the projections as one (R, n-1, n/2) array, decodes them as
+R * (n-1) rows of the order r-1 kernel, and gathers the verdicts from the
+decoded words.  Either way the aggregation runs over the n-1 axis of a
+(R, n-1, n) array.  In the hard variant a row that reaches its fixed point
+is frozen while the others go on.  Rows go through in chunks so that each
+(rows, n-1, n) array holds at most _CELLS cells.  chase_codewords decodes
+every trial's 2^t + 1 Chase candidates as rows of the LLR kernel.  The
+single-word decoders run the block kernels on a block of one, so each
+variant has one kernel.
 """
 
 from __future__ import annotations
@@ -31,16 +38,19 @@ import numpy as np
 
 from .. import rmcode
 from ..channel import llr_of_sum
-from .fht import fht_decode_words, hard_signs
+from .fht import _parity_table, column_peaks, fht_decode_words, hard_signs
 from .types import DecodeResult, block_rows, hard_rows, hard_word, llr_word, result_for, soft_metric
 
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 
 # Cells of each float array one chunk of rows may hold: (rows, n-1, n) in
 # an RPA round, (rows, n) for Chase candidates.  At n = 128 a chunk is two
-# rows, at n = 32 thirty-three.  Side by side, 2^14 (one row at n = 128)
-# was slower for rpa RM(7,2) and rpa-chase:3 RM(5,2), and 2^16 no faster
-# for rpa-chase:3 at twice the peak memory.
+# rows, at n = 32 thirty-three.  With the column-layout order-2 round, five
+# harness runs of rpa RM(7,2) awgn:1.3 (T = 100) took 742-754 us/trial at
+# 2^15, 824-924 at 2^14 and 968-1 324 at 2^16, whose round re-faults its
+# heap pages (17-33 k minor faults per 100 trials against under 100); for
+# rpa-chase:3 RM(5,2) bsc:0.032 2^15 and 2^16 were within noise of each
+# other (490-637 against 447-547 us/trial, alternated) at twice the memory.
 _CELLS = 1 << 15
 
 
@@ -70,6 +80,45 @@ def _tables(m: int):
     return mem0, mem1, fcos, xorb
 
 
+@lru_cache(maxsize=None)
+def _order2_tables(m: int):
+    """Tables of the order-2 rounds.
+
+    pair0/pair1 (n/2, n-1): mem0/mem1 transposed with their n/2 axis
+    reversed, so a gather from the (n, R) transpose of a block lays each
+    projection out as a column whose row z' holds the value at projected
+    point z'; lift (n-1, n/2): the row of the affine tables that projection
+    b's first-order verdict with linear part u lifts to, for constant term
+    0 (constant term 1 is that row ^ n); words (2n, n): the 2n affine words
+    of RM(m, 1), row v + n*c = <v, point> + c; signs: their +/-1 images.
+
+    The verdict lifts to the word z -> <u, point of z's coset>, an affine
+    function of z; lift holds its linear part v and constant c, read at
+    the points 0 and e_i (indices n-1 and (n-1) ^ 2^i).
+    """
+    n = 1 << m
+    half = n // 2
+    mem0, mem1, fcos, _ = _tables(m)
+    cos = fcos - half * np.arange(n - 1)[:, None]
+    u = np.arange(half)
+
+    def bit(z: int) -> np.ndarray:
+        return (np.bitwise_count(u & (cos[:, z : z + 1] ^ (half - 1))) & 1).astype(np.intp)
+
+    const = bit(n - 1)
+    lift = const << m
+    for i in range(m):
+        lift |= (bit((n - 1) ^ (1 << i)) ^ const) << i
+    words = np.concatenate([_parity_table(m), _parity_table(m) ^ 1])
+    return (
+        np.ascontiguousarray(mem0[:, ::-1].T),
+        np.ascontiguousarray(mem1[:, ::-1].T),
+        lift,
+        words,
+        1.0 - 2.0 * words,
+    )
+
+
 def _rows(params: rmcode.CodeParams, words, hard: bool = False) -> np.ndarray:
     if params.r < 1:
         raise ValueError("need r >= 1")
@@ -88,6 +137,27 @@ def _decode_projections(params: rmcode.CodeParams, kernel, proj: np.ndarray, n_m
     return kernel(sub, proj.reshape(-1, proj.shape[-1]), n_max).reshape(proj.shape[0], -1)
 
 
+def _order2_verdicts(m: int, x: np.ndarray, hard: bool) -> np.ndarray:
+    """The (R, n-1, n) lifted first-order verdicts of all n-1 projections of
+    a (R, n) block x: 0/1 words for hard input (projections x_z ^ x_z'),
+    +/-1 signs for LLRs (projections llr_of_sum).  The projections come out
+    as the (n/2, (n-1) * R) columns the transform runs along, and each
+    column's verdict is a row of the affine tables read from its peak."""
+    n = 1 << m
+    pair0, pair1, lift, words, signs = _order2_tables(m)
+    xt = np.ascontiguousarray(x.T)
+    a, b = np.take(xt, pair0, axis=0), np.take(xt, pair1, axis=0)
+    # drop the gathers and projections once used: alive until the verdict
+    # gather, they made the heap top shrink and re-fault every round
+    proj = hard_signs(a ^ b) if hard else llr_of_sum(a, b)
+    del a, b
+    u, neg = column_peaks(proj.reshape(n // 2, -1))
+    del proj
+    shape = (n - 1, len(x))
+    rows = lift[np.arange(n - 1)[:, None], u.reshape(shape)] ^ (neg.reshape(shape) << m)
+    return np.take(words if hard else signs, rows.T, axis=0)
+
+
 def rpa_llr_codewords(params: rmcode.CodeParams, Ls, n_max: int = 3) -> np.ndarray:
     """Soft-input RPA of every row of a (T, n) LLR block; each row's hard
     decision after the last round."""
@@ -100,10 +170,13 @@ def rpa_llr_codewords(params: rmcode.CodeParams, Ls, n_max: int = 3) -> np.ndarr
     for rows in _chunks(len(Ls), (n - 1) * n):
         L = Ls[rows]
         for _ in range(n_max):
-            proj = llr_of_sum(np.take(L, mem0, axis=1), np.take(L, mem1, axis=1))
-            tilde = 1.0 - 2.0 * _decode_projections(params, rpa_llr_codewords, proj, n_max)
-            est = np.take(L, xorb, axis=1)
-            est *= np.take(tilde, fcos, axis=1)
+            if params.r == 2:
+                est = _order2_verdicts(params.m, L, hard=False)
+            else:
+                proj = llr_of_sum(np.take(L, mem0, axis=1), np.take(L, mem1, axis=1))
+                tilde = 1.0 - 2.0 * _decode_projections(params, rpa_llr_codewords, proj, n_max)
+                est = np.take(tilde, fcos, axis=1)
+            est *= np.take(L, xorb, axis=1)
             L = est.sum(axis=1) / (n - 1)
         out[rows] = L < 0
     return out
@@ -128,9 +201,13 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
             if not live.size:
                 break
             y = Y[live]
-            proj = np.take(y, mem0, axis=1) ^ np.take(y, mem1, axis=1)
-            dec = _decode_projections(params, rpa_bsc_codewords, proj, n_max)
-            est = np.take(dec, fcos, axis=1) ^ np.take(y, xorb, axis=1)
+            if params.r == 2:
+                est = _order2_verdicts(params.m, y, hard=True)
+            else:
+                proj = np.take(y, mem0, axis=1) ^ np.take(y, mem1, axis=1)
+                dec = _decode_projections(params, rpa_bsc_codewords, proj, n_max)
+                est = np.take(dec, fcos, axis=1)
+            est ^= np.take(y, xorb, axis=1)
             new = (2 * np.count_nonzero(est, axis=1) > n - 1).astype(np.uint8)
             Y[live] = new
             live = live[(new != y).any(axis=1)]

@@ -23,7 +23,7 @@ from rmlab.decoders import oracle as oracle_mod
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import rpa as rpa_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import fht_decode_words, transform_peak
+from rmlab.decoders.fht import fht_decode_words, linear_word, transform_peak
 from rmlab.decoders.types import hard_input_llr, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
@@ -372,7 +372,7 @@ def bsc_llrs(params, rows, p, mag, rng):
     return mag * (1.0 - 2.0 * y)
 
 
-@pytest.mark.parametrize("m,r", [(4, 2), (5, 2), (5, 3), (6, 3)])
+@pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (5, 3), (6, 3)])
 @settings(max_examples=8, deadline=None)
 @given(style=st.sampled_from(STYLES), rows=st.integers(1, 4), n_max=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_rpa_kernels_equal_word_loops(m, r, style, rows, n_max, seed):
@@ -384,6 +384,36 @@ def test_rpa_kernels_equal_word_loops(m, r, style, rows, n_max, seed):
     y = channel.hard_decision(L)
     assert np.array_equal(rpa_mod.rpa_bsc_codewords(params, y, n_max),
                           np.array([ref_rpa_bsc(params, row, n_max) for row in y]))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_order2_tables_equal_brute_force(m):
+    # every first-order verdict (u, c) on projection b, expanded to n
+    # coordinates through the coset map, looked up among the 2n affine words
+    n, half = 1 << m, 1 << (m - 1)
+    pair0, pair1, lift, words, signs = rpa_mod._order2_tables(m)
+    mem0, mem1, cos, _ = ref_tables(m)
+    affine = [linear_word(m, v, c) for c in (0, 1) for v in range(n)]
+    assert np.array_equal(words, np.stack(affine)) and np.array_equal(signs, 1.0 - 2.0 * words)
+    row_of = {w.tobytes(): i for i, w in enumerate(affine)}
+    for b in range(1, n):
+        assert np.array_equal(pair0[:, b - 1], mem0[b - 1, ::-1])
+        assert np.array_equal(pair1[:, b - 1], mem1[b - 1, ::-1])
+        for u in range(half):
+            for c in (0, 1):
+                lifted = linear_word(m - 1, u, c)[cos[b - 1]]
+                assert row_of[lifted.tobytes()] == lift[b - 1, u] ^ (c * n)
+    if m == 7:  # the benchmark's RM(7,2)
+        assert sum(t.nbytes for t in (pair0, pair1, lift, words, signs)) < 1 << 20
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_chase_kernel_equals_word_loop_on_the_benchmark_code(t):
+    params = rmcode.CodeParams(7, 2)
+    rng = np.random.default_rng(70 + t)
+    L = np.concatenate([bsc_llrs(params, 3, 0.05, 2.2, rng), block_llrs(params, "awgn", 2, rng)])
+    want = np.array([ref_chase(lambda x: ref_rpa_llr(params, x), row, t) for row in L])
+    assert np.array_equal(rpa_mod.chase_codewords(params, L, t), want)
 
 
 @pytest.mark.parametrize("m,r,exhausted", [(5, 2, True), (5, 3, False)])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rmlab import rmcode
 from rmlab.decoders.fht import (
+    column_peaks,
     fht,
     fht_decode_order1,
     fht_decode_words,
@@ -152,6 +153,46 @@ def test_sign_path_equals_float_path_on_hard_words(m, rows, p, seed):
     assert np.issubdtype(spec.dtype, np.integer) and spec_f.dtype == np.float64
     assert np.array_equal(spec, spec_f) and np.array_equal(peak, peak_f)
     assert np.array_equal(fht_decode_words(hard_signs(words)), fht_decode_words(1.0 - 2.0 * words))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int8, np.int64])
+def test_axis_zero_is_the_transposed_transform(dtype):
+    rng = np.random.default_rng(23)
+    for m in range(0, 9):
+        v = rng.integers(-128, 128, size=(3, 1 << m)).astype(dtype)
+        if dtype is np.float64:
+            v = v * rng.normal(size=v.shape)
+        got = fht(np.ascontiguousarray(v.T), axis=0)
+        assert got.dtype == fht(v).dtype and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(fht(v).T).tobytes()
+    v = rng.normal(size=(4, 3, 8))
+    assert fht(v, axis=0).tobytes() == np.ascontiguousarray(np.moveaxis(fht(np.moveaxis(v, 0, -1)), -1, 0)).tobytes()
+    assert np.array_equal(fht(v, axis=2), fht(v))
+    with pytest.raises(ValueError):
+        fht(np.zeros((2, 4, 2)), axis=1)
+    with pytest.raises(ValueError):
+        fht(np.zeros((6, 2)), axis=0)
+
+
+@pytest.mark.parametrize("style", ["awgn", "signs"])
+def test_column_peaks_equal_transform_peak(style):
+    # columns in point order are the reversed rows; sign words tie often
+    rng = np.random.default_rng(24)
+    for m in range(0, 8):
+        n = 1 << m
+        if style == "signs":
+            rows = hard_signs((rng.random((40, n)) < 0.5).astype(np.uint8))
+        else:
+            rows = np.round(rng.normal(size=(40, n)), 1)
+        spec, u = transform_peak(rows)
+        got_u, got_neg = column_peaks(np.ascontiguousarray(rows[:, ::-1].T))
+        assert np.array_equal(got_u, u)
+        assert np.array_equal(got_neg, spec[np.arange(40), u] < 0)
+        assert np.array_equal(fht_decode_words(rows), linear_word_rows(m, got_u, got_neg))
+
+
+def linear_word_rows(m, u, neg):
+    return np.stack([linear_word(m, int(a), int(b)) for a, b in zip(u, neg)])
 
 
 def test_matches_naive_on_reals():
