@@ -1,8 +1,53 @@
 """Reference decoders: exhaustive ML and erasure solving.
 
-ml_codewords scores all 2^k codewords (guarded at k <= 24), so it serves
-as the ground truth the structured decoders are compared against.  It
-never holds the 2^k x n codebook.  With t = min(k, 8), the codeword of
+ml_codewords returns the ML codeword of every row (guarded at k <= 24),
+so it serves as the ground truth the structured decoders are compared
+against.  A row whose answer a certificate proves skips the search.
+
+The certificate.  Reed's majority decoder turns the hard decision y of
+a row into a codeword c.  Let D be the positions where c and y differ,
+delta = |D| and lambda = sum_D |L|.  A codeword x scores sum|L| minus
+twice its discrepancy, the sum of |L| where x and y differ.  Every other
+codeword differs from c in at least d = 2^(m-r) positions, at least
+d - delta of them outside D, where it differs from y too, so its
+discrepancy is at least LB, the sum of the d - delta smallest |L|
+outside D (0 when delta >= d).  So c's correlation exceeds every other's
+by at least 2 (LB - lambda), and the row is certified when LB - lambda >
+slack.  Reed's decoder finds the sent word below d/2 errors, so most
+rows of a good channel certify; a BSC row with d/2 errors never does
+(there LB <= lambda).
+
+The slack makes the certified word the one the search returns, ties
+included.  Two correlations tie when their exact sums round to the same
+double f.  Both are integer multiples of 2^-1074, so one below 2^-1022
+in magnitude is a double already and ties only with itself; otherwise
+they lie within ulp(f) <= 2^-52 |f| <= 2^-52 (1 + u) sum|L| of each
+other, u = 2^-53.  Two correlations further apart than that never tie,
+and the larger one stays on top after rounding.  The test runs on the
+row scaled by the power of two that puts its max|L| in [0.5, 1), with A
+= sum|L| after scaling, so A >= 1/2 for any nonzero row:
+
+  - scaling is exact but for entries pushed below 2^-1022, each moved by
+    at most 2^-1075;
+  - lambda, LB and A are float64 sums of at most n nonnegative terms,
+    each within gamma_(n-1) < 1.01 (n-1) u of its exact value (an
+    addition whose result is subnormal is exact), and the difference and
+    the slack add three roundings of u;
+  - so with
+
+      slack = n 2^-50 A = 8 n u A
+
+    a computed LB - lambda above slack leaves the exact one above half
+    the tie spacing, 2^-53 (1 + u) A: the summation errors take at most
+    2.1 (n-1) u A and the tie spacing 1.01 u A, and the scaling's at
+    most n 2^-1074 falls far below the rest since A >= 1/2.
+
+Subnormals need no absolute term: their correlations tie only when
+equal, and scaling lifts a row of them into the normal range.  An
+all-zero row has slack 0 = LB - lambda and is searched.
+
+The search.  Uncertified rows score all 2^k codewords and never hold
+the 2^k x n codebook.  With t = min(k, 8), the codeword of
 message index a << t | b has signs head[a] * tail[b], where head spans
 the first k - t generator rows and tail the last t (the linear rows, the
 last quadratic ones and, last of all, the constant row).  The constant
@@ -58,6 +103,7 @@ import numpy as np
 
 from .. import channel, gf2, rmcode
 from ..rmcode import TooLarge
+from .reed import reed_codewords
 from .types import Ambiguous, DecodeResult, block_rows, llr_word, result_for, soft_metric
 
 _ML_GUARD_K = 24
@@ -193,22 +239,43 @@ def _fsum_scores(params: rmcode.CodeParams, idx: np.ndarray, L: np.ndarray) -> l
     return scores
 
 
+def _certified(params: rmcode.CodeParams, L: np.ndarray):
+    """Reed's codeword of each row's hard decision, and whether the
+    certificate proves it the row's ML answer (see the module docstring)."""
+    y = channel.hard_decision(L)
+    c = reed_codewords(params, y)
+    mag = np.abs(L)
+    a = np.ldexp(mag, -np.frexp(mag.max(axis=1, initial=0.0))[1][:, None])  # max|L| in [0.5, 1)
+    D = c != y
+    lam = np.where(D, a, 0.0).sum(axis=1)
+    # the smallest |L| outside D, ascending; D's positions sort last
+    outside = np.cumsum(np.sort(np.where(D, np.inf, a), axis=1), axis=1)
+    need = params.d - D.sum(axis=1)  # d <= n: never past the n - delta entries outside D
+    LB = np.where(need > 0, outside[np.arange(len(L)), np.maximum(need, 1) - 1], 0.0)
+    slack = params.n * 2.0**-50 * a.sum(axis=1)
+    return c, LB - lam > slack
+
+
 def ml_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
-    """Exhaustive ML decoding of every row of a (T, n) LLR block (see the module
-    docstring for the factored search and its exact tie rule)."""
+    """ML decoding of every row of a (T, n) LLR block: rows the certificate
+    settles keep Reed's word, the others go through the exhaustive search
+    (see the module docstring for both and for the exact tie rule)."""
     if params.k > _ML_GUARD_K:
         raise TooLarge(f"k = {params.k} exceeds the exhaustive guard of {_ML_GUARD_K}")
     Ls = block_rows(params.n, Ls, np.float64)
     if not np.isfinite(Ls).all():
         raise ValueError("LLRs must be finite")
+    words, certified = _certified(params, Ls)
+    rest = Ls[~certified]
     step = max(1, _CELLS // len(_head_signs(params)))  # trials whose (trials, head rows) maxima fit
     idx = [np.empty(0, np.int64)]  # so that an empty block decodes too
-    idx += [_ml_indices(params, Ls[lo:lo + step]) for lo in range(0, len(Ls), step)]
-    return rmcode.encode_rows(params, _index_bits(params.k, np.concatenate(idx)))
+    idx += [_ml_indices(params, rest[lo:lo + step]) for lo in range(0, len(rest), step)]
+    words[~certified] = rmcode.encode_rows(params, _index_bits(params.k, np.concatenate(idx)))
+    return words
 
 
 def ml_decode(params: rmcode.CodeParams, L) -> DecodeResult:
-    """Exhaustive maximum-likelihood decoding.
+    """Maximum-likelihood decoding, by certificate or exhaustive search.
 
     Returns the codeword of maximal correlation with L.  Ties, equal
     correlations after one correct rounding of their exact sums, resolve

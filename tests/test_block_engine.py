@@ -899,6 +899,113 @@ def test_ml_half_product_reads_both_signs(mr, style, rows, seed):
         assert [0, 1] in rescored
 
 
+ML_CODES = [(m, r) for m in range(1, 7) for r in range(m + 1) if rmcode.CodeParams(m, r).k <= 24]
+
+
+def ml_search_only(params, L):
+    """The exhaustive search on every row, with no certificate."""
+    return rmcode.encode_rows(params, oracle_mod._index_bits(params.k, oracle_mod._ml_indices(params, L)))
+
+
+def with_errors(params, weights, mag, rng):
+    """Random codewords sent as +-mag LLRs with exactly weights[i] sign errors in row i."""
+    x = 1.0 - 2.0 * rmcode.encode_rows(params, rng.integers(0, 2, size=(len(weights), params.k)))
+    flips = rng.random(x.shape).argsort(axis=1) < np.asarray(weights)[:, None]
+    return np.where(flips, -x, x) * mag
+
+
+def near_flat_rows(params, rows, rng):
+    """Rows on the edge of a tie between a codeword x, sent with delta < d/2
+    sign errors (the set D), and x + w, w a weight-d monomial word holding D:
+    the d - delta positions of w outside D carry magnitudes that sum to
+    lambda = sum_D |L| up to a few ulps, so x + w scores within rounding of x
+    (with delta = 0 they are tiny).  The certificate's LB is exactly that sum."""
+    m, r, d = params.m, params.r, params.d
+    x = rmcode.encode_rows(params, rng.integers(0, 2, size=(rows, params.k)))
+    mag = rng.uniform(1.0, 3.0, size=x.shape)
+    sign = 1.0 - 2.0 * x
+    for i in range(rows):
+        a = sum(1 << int(v) for v in rng.choice(m, size=r, replace=False))
+        support = np.flatnonzero(rmcode.eval_monomial(a, m))
+        D = rng.choice(support, size=rng.integers(0, (d + 1) // 2), replace=False)
+        rest = np.setdiff1d(support, D)
+        mag[i, D] = rng.uniform(0.2, 1.0, size=len(D))
+        lam = mag[i, D].sum() if len(D) else 1e-20
+        t = rng.dirichlet(np.ones(len(rest))) * lam
+        direction = rng.choice([-np.inf, np.inf])
+        for _ in range(rng.integers(0, 4)):
+            t[-1] = np.nextafter(t[-1], direction)
+        mag[i, rest] = t
+        sign[i, D] *= -1
+    return sign * mag
+
+
+def certificate_rows(params, style, rows, rng):
+    if style == "bsc":  # d/2 - 1, d/2 and d/2 + 1 errors
+        weights = np.clip(params.d // 2 + rng.integers(-1, 2, size=rows), 0, params.n)
+        return with_errors(params, weights, rng.choice([1.0, math.log(0.968 / 0.032), 40.0]), rng)
+    if style == "flat":
+        return near_flat_rows(params, rows, rng)
+    return block_llrs(params, style, rows, rng)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mr=st.sampled_from(ML_CODES), style=st.sampled_from(["bsc", "flat", "awgn", "rounded", "zeros"]),
+       scale=st.sampled_from([1.0, 1e300, 1e-300, 1e-310, 2.0**-1074]),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_ml_certificate_equals_search_only(mr, style, scale, rows, seed):
+    # AWGN rows at several sigma, rounded ones with exact ties and zeros;
+    # scale 1e-310 and 2^-1074 put every entry among the subnormals (the
+    # latter rounds each to an integer multiple of 2^-1074)
+    params = rmcode.CodeParams(*mr)
+    rng = np.random.default_rng(seed)
+    L = certificate_rows(params, style, rows if params.k < 20 else 1, rng) * scale
+    assert np.array_equal(oracle_mod.ml_codewords(params, L), ml_search_only(params, L))
+
+
+@pytest.mark.parametrize("mr", ML_CODES)
+def test_ml_certificate_settles_below_half_distance_only(mr):
+    # a BSC row with fewer than d/2 errors always certifies; one with
+    # exactly d/2 never does, whether Reed's word is the sent one or not.
+    # Also at the top of float64's range, where sum|L| overflows unless
+    # the row is scaled, and at the smallest subnormal
+    params = rmcode.CodeParams(*mr)
+    d = params.d
+    rng = np.random.default_rng(params.n + params.r)
+    for mag in (2.2, 1.7e308, 2.0**-1074):
+        below = with_errors(params, rng.integers(0, (d + 1) // 2, size=20), mag, rng)
+        with np.errstate(all="raise"):
+            assert oracle_mod._certified(params, below)[1].all()
+        if d % 2 == 0:
+            half = with_errors(params, np.full(20, d // 2), mag, rng)
+            assert not oracle_mod._certified(params, half)[1].any()
+
+
+def test_ml_certificate_bound_reads_only_positions_outside_d():
+    # RM(4,2), d = 4: one weak error (|L| = 0.5) next to two erasures.
+    # Outside D the three smallest |L| are 0, 0 and 5 > 0.5, so the row
+    # certifies; counting D's own 0.5 among them would not
+    params = rmcode.CodeParams(4, 2)
+    L = np.full((1, params.n), 5.0)
+    L[0, :3] = [-0.5, 0.0, 0.0]
+    words, certified = oracle_mod._certified(params, L)
+    assert certified[0] and not words.any()
+
+
+def test_ml_certificate_covers_criterion_9_traffic():
+    # RM(5,2) at bsc:0.032, criterion 9's point: the fast path must carry
+    # the traffic, not the search behind it
+    params = rmcode.CodeParams(5, 2)
+    rng = np.random.default_rng(9)
+    x = 1.0 - 2.0 * rmcode.encode_rows(params, rng.integers(0, 2, size=(4000, params.k)))
+    L = np.where(rng.random(x.shape) < 0.032, -x, x) * math.log(0.968 / 0.032)
+    words, certified = oracle_mod._certified(params, L)
+    assert certified.mean() >= 0.95
+    got = oracle_mod.ml_codewords(params, L)
+    assert np.array_equal(got[certified], words[certified])
+    assert np.array_equal(got[~certified], ml_search_only(params, L[~certified]))
+
+
 def test_reed_sakkour_ml_kernels_reject_bad_blocks():
     params = rmcode.CodeParams(4, 2)
     for kernel in (reed_mod.reed_codewords, oracle_mod.ml_codewords,
@@ -911,6 +1018,9 @@ def test_reed_sakkour_ml_kernels_reject_bad_blocks():
         sakkour_mod.sakkour_codewords(1, np.zeros((2, 2)))
     with pytest.raises(rmcode.TooLarge):
         oracle_mod.ml_codewords(rmcode.CodeParams(8, 3), np.zeros((1, 256)))
+    for m, r in [(5, 3), (5, 5), (6, 3), (6, 6)]:  # the guard comes before the finite check
+        with pytest.raises(rmcode.TooLarge):
+            oracle_mod.ml_codewords(rmcode.CodeParams(m, r), np.full((1, 1 << m), np.nan))
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             oracle_mod.ml_codewords(params, np.where(np.arange(16) == 3, bad, 1.0)[None])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rmlab import cli, sim
+from rmlab.decoders import oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +127,27 @@ def test_decode_resource_guard(capsys):
     rc, _, err = run(capsys, "decode", "6", "3", "ml", f"--llr={llrs}")
     assert rc == 4
     assert "resource guard" in err
+
+
+def test_decode_ml_matches_recorded_outputs(capsys, monkeypatch):
+    # exit code, stdout and stderr of `rmlab decode ... ml` on a fixed call
+    # set, recorded when every row went through the exhaustive search:
+    # valid words, AWGN and BSC words around d/2 errors, ties, zeros, r = 0
+    # and r = m codes, magnitudes near 1e+-300 and subnormals, k = 22,
+    # the resource guard (exit 4) and bad input (exit 2)
+    cases = json.loads((DATA / "decode_ml_outputs.json").read_text())
+    certified = []
+    certify = oracle._certified
+
+    def counted(params, L):
+        words, ok = certify(params, L)
+        certified.extend(ok)
+        return words, ok
+
+    monkeypatch.setattr(oracle, "_certified", counted)
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (case["rc"], case["out"], case["err"]), case["argv"]
+    assert 0 < sum(certified) < len(certified)  # both paths ran
 
 
 # ---- analyze ----
