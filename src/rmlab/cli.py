@@ -42,6 +42,10 @@ def _cmd_decode(args) -> int:
             raise ConfigError(f"expected {params.n} LLRs")
         if not np.isfinite(word).all():
             raise ConfigError("LLRs must be finite")
+        # below n * max|L| = 2^1020 no decoder's sum of n magnitudes (a soft
+        # metric, a Chase perturbation, an ML correlation) overflows
+        if np.abs(word).max() >= 2.0**1020 / params.n:
+            raise ConfigError(f"LLR magnitudes too large: {params.n} * max|L| must stay below 2^1020")
         try:
             fn = sim.resolve_decoder(args.decoder, params, "awgn", False)[1]
         except ConfigError:

@@ -24,9 +24,14 @@ decoded words.  Either way the aggregation runs over the n-1 axis of a
 (R, n-1, n) array.  In the hard variant a row that reaches its fixed point
 is frozen while the others go on.  Rows go through in chunks so that each
 (rows, n-1, n) array holds at most _CELLS cells.  chase_codewords decodes
-every trial's 2^t + 1 Chase candidates as rows of the LLR kernel.  The
-single-word decoders run the block kernels on a block of one, so each
-variant has one kernel.
+the Chase candidates as rows of the LLR kernel: first every trial's
+unperturbed L, then the 2^t perturbed copies of only those trials whose
+unperturbed word w0 misses the hard decision L < 0 at some z with
+L_z != 0.  A word that agrees there scores |L_z| (or a signed zero) at
+every z, the most any word can, and rounded addition is monotone, so no
+candidate's metric, summed in the same order, exceeds w0's, and on a tie
+the earlier w0 wins anyway.  The single-word decoders run the block
+kernels on a block of one, so each variant has one kernel.
 """
 
 from __future__ import annotations
@@ -224,19 +229,25 @@ def rpa_decode_llr(params: rmcode.CodeParams, L, n_max: int = 3) -> np.ndarray:
     return rpa_llr_codewords(params, llr_word(params, L)[None], n_max)[0]
 
 
-def _chase_inputs(Ls, pos, lmax, trial, cand) -> np.ndarray:
-    """LLR rows of the Chase candidates (trial[i], cand[i]).
-
-    Candidate 0 is the trial's own L.  Candidate 1 + mask sets position
-    pos[trial, b] to -lmax[trial] if bit b of mask is set, else to
-    +lmax[trial].
-    """
+def _chase_inputs(Ls, pos, lmax, trial, mask) -> np.ndarray:
+    """LLR rows of the perturbed Chase candidates (trial[i], mask[i]): row
+    trial[i] of Ls with position pos[trial, b] set to -lmax[trial] if bit b
+    of the mask is set, else to +lmax[trial]."""
     rows = Ls[trial]
-    hit = np.flatnonzero(cand)
-    bits = ((cand[hit, None] - 1) >> np.arange(pos.shape[1])) & 1
-    mag = lmax[trial[hit]][:, None]
-    rows[hit[:, None], pos[trial[hit]]] = np.where(bits, -mag, mag)
+    bits = (mask[:, None] >> np.arange(pos.shape[1])) & 1
+    mag = lmax[trial][:, None]
+    rows[np.arange(len(trial))[:, None], pos[trial]] = np.where(bits, -mag, mag)
     return rows
+
+
+def _keep_better(best, best_metric, trial, words, Ls) -> None:
+    """Score each candidate words[i] of trial[i] by soft_metric against the
+    trial's row of Ls, one np.dot each, in order; keep strict maxima."""
+    signs = 1.0 - 2.0 * words
+    for i, tr in enumerate(trial.tolist()):
+        metric = 0.5 * float(np.dot(signs[i], Ls[tr]))  # soft_metric(words[i], Ls[tr])
+        if metric > best_metric[tr]:
+            best[tr], best_metric[tr] = words[i], metric
 
 
 def _chase(decode_rows, Ls: np.ndarray, t: int) -> np.ndarray:
@@ -244,25 +255,36 @@ def _chase(decode_rows, Ls: np.ndarray, t: int) -> np.ndarray:
 
     decode_rows maps a block of candidate LLR rows to words.  Per trial the
     candidates run in order (the unperturbed L, then masks 0 .. 2^t - 1),
-    and the first strict maximum of soft_metric against the trial's L wins.
+    and the first strict maximum of soft_metric against the trial's L wins;
+    a trial whose metrics are all NaN keeps its unperturbed word.
+
+    Candidate 0 of every trial is decoded first.  A trial is settled when
+    that word w0 equals the hard decision L < 0 wherever L != 0: each term
+    (1 - 2 w0_z) L_z of its metric is then |L_z| (or a signed zero), no
+    other word's term exceeds it, and rounded addition is monotone, so no
+    candidate's metric, summed by np.dot in the same order, exceeds w0's;
+    ties keep the earlier candidate, so w0 wins.  Only the other trials
+    decode their 2^t perturbed candidates.
     """
     T, n = Ls.shape
     if not (0 <= t <= min(CHASE_MAX_T, n)):
         raise ValueError("t out of range")
-    mag = np.abs(Ls)
+    best = np.empty(Ls.shape, dtype=np.uint8)
+    for rows in _chunks(T, n):
+        best[rows] = decode_rows(Ls[rows].copy())  # decode_rows may write into its rows
+    live = np.flatnonzero(~((best == (Ls < 0)) | (Ls == 0)).all(axis=1))
+    Lo = Ls[live]
+    mag = np.abs(Lo)
     pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
     lmax = 2.0 * mag.max(axis=1)  # perturbation magnitude 2 * max |L|
-    K = (1 << t) + 1
-    best = np.empty(Ls.shape, dtype=np.uint8)
-    best_metric = [-np.inf] * T
-    for rows in _chunks(T * K, n):
-        trial, cand = np.divmod(np.arange(rows.start, rows.stop), K)
-        words = decode_rows(_chase_inputs(Ls, pos, lmax, trial, cand))
-        signs = 1.0 - 2.0 * words
-        for i, tr in enumerate(trial.tolist()):
-            metric = 0.5 * float(np.dot(signs[i], Ls[tr]))  # soft_metric(words[i], Ls[tr])
-            if metric > best_metric[tr]:
-                best[tr], best_metric[tr] = words[i], metric
+    won, won_metric = best[live], [-np.inf] * len(live)
+    _keep_better(won, won_metric, np.arange(len(live)), best[live], Lo)
+    for rows in _chunks(len(live) << t, n):
+        k = np.arange(rows.start, rows.stop)
+        trial = k >> t
+        words = decode_rows(_chase_inputs(Lo, pos, lmax, trial, k & ((1 << t) - 1)))
+        _keep_better(won, won_metric, trial, words, Lo)
+    best[live] = won
     return best
 
 
@@ -280,9 +302,11 @@ def chase_list(
 
     decode_fn maps an LLR vector to a word.  Candidates are the unmodified
     run plus the 2^t perturbed runs (perturbation magnitude 2 * max |L|);
-    the best soft metric against the original L wins, so the result never
-    scores below the bare decoder.  When params is supplied the message is
-    extracted if the winner is a codeword, else left None.
+    the first best soft metric against the original L wins, so the result
+    never scores below the bare decoder.  The perturbed runs are skipped
+    when the unmodified word equals the hard decision wherever L != 0: no
+    word can score above it (see _chase).  When params is supplied the
+    message is extracted if the winner is a codeword, else left None.
     """
     L = np.asarray(L, dtype=np.float64)
 

@@ -489,8 +489,8 @@ def test_rpa_blocks_span_chunks(monkeypatch):
 
     for got, w in zip(run(), want):
         assert np.array_equal(got, w)
-    # chunks of 2 RPA rows and 5 Chase candidates: a trial's 9 candidates
-    # straddle chunks
+    # chunks of 2 RPA rows and 5 Chase candidates: a trial's 8 perturbed
+    # candidates straddle chunks
     monkeypatch.setattr(rpa_mod, "_CELLS", 5 * params.n)
     for got, w in zip(run(), want):
         assert np.array_equal(got, w)
@@ -507,6 +507,110 @@ def test_rpa_kernels_reject_bad_blocks():
             kernel(rmcode.CodeParams(4, 0), np.zeros((2, 16)))
     with pytest.raises(ValueError):
         rpa_mod.chase_codewords(params, np.zeros((2, 16)), 17)
+
+
+# ---- the Chase rule against a copy of the block loop it replaced ----
+# _chase now decodes a trial's perturbed candidates only when its
+# unperturbed word misses the hard decision; the reference decodes and
+# scores all 2^t + 1 candidates of every trial.
+
+
+def ref_chase_inputs(Ls, pos, lmax, trial, cand):
+    rows = Ls[trial]
+    hit = np.flatnonzero(cand)
+    bits = ((cand[hit, None] - 1) >> np.arange(pos.shape[1])) & 1
+    mag = lmax[trial[hit]][:, None]
+    rows[hit[:, None], pos[trial[hit]]] = np.where(bits, -mag, mag)
+    return rows
+
+
+def ref_chase_rows(decode_rows, Ls, t):
+    T, n = Ls.shape
+    mag = np.abs(Ls)
+    pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
+    lmax = 2.0 * mag.max(axis=1)
+    K = (1 << t) + 1
+    best = np.empty(Ls.shape, dtype=np.uint8)
+    best_metric = [-np.inf] * T
+    for rows in rpa_mod._chunks(T * K, n):
+        trial, cand = np.divmod(np.arange(rows.start, rows.stop), K)
+        words = decode_rows(ref_chase_inputs(Ls, pos, lmax, trial, cand))
+        signs = 1.0 - 2.0 * words
+        for i, tr in enumerate(trial.tolist()):
+            metric = 0.5 * float(np.dot(signs[i], Ls[tr]))
+            if metric > best_metric[tr]:
+                best[tr], best_metric[tr] = words[i], metric
+    return best
+
+
+def chase_rows(params, style, rows, rng):
+    if style == "tied":  # two magnitudes: sort ties and metric ties
+        x = 1.0 - 2.0 * rmcode.encode_rows(params, rng.integers(0, 2, size=(rows, params.k)))
+        flips = rng.random(x.shape) < rng.uniform(0.0, 0.2)
+        return np.where(flips, -x, x) * rng.choice([1.0, 2.0], size=x.shape)
+    return block_llrs(params, style, rows, rng)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mr=st.sampled_from([(4, 2), (5, 2), (5, 3), (6, 2)]),
+       style=st.sampled_from(["bsc", "awgn", "rounded", "zeros", "tied"]),
+       t=st.integers(0, 4), decoder=st.sampled_from(["rpa", "dumer"]),
+       chunk=st.sampled_from([1, 3, 5, None]), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_chase_skip_equals_full_candidate_loop(mr, style, t, decoder, chunk, rows, seed):
+    # chunk: candidate rows per _chase chunk (None keeps _CELLS), so a
+    # trial's candidates straddle chunks
+    params = rmcode.CodeParams(*mr)
+    L = chase_rows(params, style, rows, np.random.default_rng(seed))
+    if decoder == "rpa":
+        block, word = rpa_mod.rpa_llr_codewords, rpa_mod.rpa_decode_llr
+    else:
+        block, word = dumer_mod.dumer_codewords, lambda p, x: dumer_mod.dumer_decode(p, x).codeword
+    cells = rpa_mod._CELLS if chunk is None else chunk * params.n
+    with mock.patch.object(rpa_mod, "_CELLS", cells):
+        want = ref_chase_rows(lambda x: block(params, x), L, t)
+        got = rpa_mod._chase(lambda x: block(params, x), L, t)
+        if decoder == "rpa":
+            assert np.array_equal(rpa_mod.chase_codewords(params, L, t), want)
+        for row, w in zip(L, want):
+            res = rpa_mod.chase_list(lambda x: word(params, x), row, t)
+            assert np.array_equal(res.codeword, w) and res.metric == soft_metric(w, row)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def test_chase_settles_criterion_9_traffic():
+    # RM(5,2) at bsc:0.032, criterion 9's point: over 30% of trials keep
+    # their unperturbed word without decoding the 2^3 perturbed ones
+    params = rmcode.CodeParams(5, 2)
+    rng = np.random.default_rng(9)
+    x = 1.0 - 2.0 * rmcode.encode_rows(params, rng.integers(0, 2, size=(4000, params.k)))
+    L = np.where(rng.random(x.shape) < 0.032, -x, x) * math.log(0.968 / 0.032)
+    decoded = []
+
+    def decode(rows):
+        decoded.append(len(rows))
+        return rpa_mod.rpa_llr_codewords(params, rows)
+
+    got = rpa_mod._chase(decode, L, 3)
+    live = (sum(decoded) - len(L)) // 8
+    assert live <= 0.7 * len(L)
+    assert np.array_equal(got, ref_chase_rows(lambda rows: rpa_mod.rpa_llr_codewords(params, rows), L, 3))
+
+
+def test_chase_keeps_the_unperturbed_word_when_every_metric_is_nan():
+    # +-1e308 alternating: 2 max|L| overflows to inf and every candidate
+    # scores NaN; a NaN entry makes every metric NaN too.  Each trial then
+    # keeps its unperturbed word (the full loop left its row unassigned)
+    params = rmcode.CodeParams(5, 2)
+    L = np.tile([-1e308, 1e308], 16)[None]
+    nan = np.ones((1, params.n))
+    nan[0, 5] = np.nan
+    for row in (L, nan, np.concatenate([L, nan, L])):
+        with np.errstate(all="ignore"):
+            got = rpa_mod.chase_codewords(params, row, 3)
+            w0 = rpa_mod.rpa_llr_codewords(params, row)
+            res = rpa_mod.chase_list(lambda x: rpa_mod.rpa_decode_llr(params, x), row[0], 3)
+        assert got.dtype == np.uint8 and np.array_equal(got, w0)
+        assert np.array_equal(res.codeword, w0[0])
 
 
 # ---- reed, sakkour and ml against copies of their per-word paths ----

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,24 @@ def test_decode_rejects_non_finite_llrs(capsys, bad):
     assert rc == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("decoder", ["rpa-chase:3", "dumer-list:4", "ml"])
+def test_decode_rejects_llrs_whose_sums_could_overflow(capsys, decoder):
+    # RM(5,2): n * max|L| must stay below 2^1020; 1e308 made a NaN or an
+    # infinite metric, and 2^1020 / 32 is the first magnitude rejected
+    edge = 2.0**1020 / 32
+    for mag in (1e308, 1.7e308, edge):
+        llrs = ",".join([repr(-mag), repr(mag)] * 16)
+        rc, out, err = run(capsys, "decode", "5", "2", decoder, f"--llr={llrs}")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "2^1020" in err
+    llrs = ",".join([repr(-math.nextafter(edge, 0)), repr(math.nextafter(edge, 0))] * 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "decode", "5", "2", decoder, f"--llr={llrs}")
+    assert (rc, err) == (0, "")
+    assert math.isfinite(json.loads(out)["metric"])
 
 
 def test_python_dash_m_runs_the_cli():
