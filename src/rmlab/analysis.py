@@ -154,6 +154,8 @@ def exit_function_bec(
         )
         return h
     if mode == "mc":
+        if trials < 1:
+            raise ValueError(f"mc mode needs trials >= 1, got {trials}")
         cols = rmcode.generator_columns(params)
         g0 = cols[0]
         others = cols[1:]
@@ -272,6 +274,8 @@ def bitchannel_entropies_bec(
         )
         return EntropyProfile(m, p, entries, "exact")
     if mode == "mc":
+        if trials < 1:
+            raise ValueError(f"mc mode needs trials >= 1, got {trials}")
         rows = rmcode.rm_full_rows(m)
         rng = channel._rng(seed)
         hits = np.zeros(n, dtype=np.int64)

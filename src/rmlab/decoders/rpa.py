@@ -12,15 +12,16 @@ hard variant stops early at a fixed point; both run at most n_max rounds.
 Final hard decisions map an exact zero to bit 0.
 
 The block kernels rpa_llr_codewords and rpa_bsc_codewords decode a (R, n)
-block at once.  The order-2 round, which every recursion ends in, gathers
-the projections of all R rows from the block's (n, R) transpose, so they
-come out as the (n/2, (n-1) * R) columns the transform runs along; each
-column's verdict is read from its transform peak (position and sign), and
-a cached lift table maps it to a row of the 2n affine words of RM(m, 1),
-so the lifted verdicts of all rows are one row gather.  A round at r >= 3
-gathers the projections as one (R, n-1, n/2) array, decodes them as
-R * (n-1) rows of the order r-1 kernel, and gathers the verdicts from the
-decoded words.  Either way the aggregation runs over the n-1 axis of a
+block at once, and every round, at every order, runs one step: it
+gathers the projections of all R rows from the block's (n, R) transpose
+through cached closed-form tables, so they come out as the
+(n/2, (n-1) * R) columns the transform runs along.  At r = 2 each
+column's verdict is read from its transform peak (position and sign),
+and a lift table maps it to a row of the 2n affine words of RM(m, 1), so
+the lifted verdicts of all rows are one row gather.  At r >= 3 the
+columns, put back in coordinate order, are decoded as R * (n-1) rows of
+the order r-1 kernel, and the verdicts are gathered from the decoded
+words.  Either way the aggregation runs over the n-1 axis of a
 (R, n-1, n) array.  In the hard variant a row that reaches its fixed point
 is frozen while the others go on.  Rows go through in chunks so that each
 (rows, n-1, n) array holds at most _CELLS cells.  chase_codewords decodes
@@ -61,72 +62,46 @@ _CELLS = 1 << 15
 
 @lru_cache(maxsize=None)
 def _tables(m: int):
-    """Gather tables over all nonzero directions b, as column indices.
+    """Gather tables over all nonzero directions b, as indices.  With h the
+    top bit of b, ins(x) inserts a 0 at bit h and rem(x) drops bit h.
 
-    mem0/mem1 (n-1, n/2): the two coordinates of each projected coset;
-    fcos (n-1, n): where coordinate z's coset sits among the flattened
-    (n-1) * n/2 projected values; xorb (n-1, n): the coordinate z ^ b.
-    """
-    n = 1 << m
-    half = n // 2
-    mem0 = np.empty((n - 1, half), dtype=np.intp)
-    mem1 = np.empty((n - 1, half), dtype=np.intp)
-    fcos = np.empty((n - 1, n), dtype=np.intp)
-    xorb = np.empty((n - 1, n), dtype=np.intp)
-    jp = np.arange(half)
-    j = np.arange(n)
-    for b in range(1, n):
-        h = b.bit_length() - 1
-        rep = ((jp >> h) << (h + 1)) | (jp & ((1 << h) - 1))
-        mem0[b - 1] = rep
-        mem1[b - 1] = rep ^ b
-        fcos[b - 1] = (b - 1) * half + rmcode.coset_index_map(m, b)
-        xorb[b - 1] = j ^ b
-    return mem0, mem1, fcos, xorb
-
-
-@lru_cache(maxsize=None)
-def _order2_tables(m: int):
-    """Tables of the order-2 rounds.
-
-    pair0/pair1 (n/2, n-1): mem0/mem1 transposed with their n/2 axis
-    reversed, so a gather from the (n, R) transpose of a block lays each
-    projection out as a column whose row z' holds the value at projected
-    point z'; lift (n-1, n/2): the row of the affine tables that projection
-    b's first-order verdict with linear part u lifts to, for constant term
-    0 (constant term 1 is that row ^ n); words (2n, n): the 2n affine words
+    pair0/pair1 (n/2, n-1): the two coordinates ins(n/2-1-q) and that ^ b
+    of the coset at projected point q, so a gather from the (n, R)
+    transpose of a block lays each projection out as a column whose row q
+    holds the value at point q; fcos (n-1, n): where coordinate z's coset
+    rem(z ^ z_h * b) sits among the flattened (n-1) * n/2 projected values
+    in coordinate order; xorb (n-1, n): the coordinate z ^ b; lift
+    (n-1, n/2): the row of the affine tables that projection b's
+    first-order verdict with linear part u lifts to, for constant term 0
+    (constant term 1 is that row ^ n); words (2n, n): the 2n affine words
     of RM(m, 1), row v + n*c = <v, point> + c; signs: their +/-1 images.
 
-    The verdict lifts to the word z -> <u, point of z's coset>, an affine
-    function of z; lift holds its linear part v and constant c, read at
-    the points 0 and e_i (indices n-1 and (n-1) ^ 2^i).
+    The verdict lifts to the word z -> <u, rem(p ^ (1 - p_h) * b)> at the
+    point p of z, which is <ins(u) | c << h, p> + c with c = <u, rem(b)>.
     """
-    n = 1 << m
-    half = n // 2
-    mem0, mem1, fcos, _ = _tables(m)
-    cos = fcos - half * np.arange(n - 1)[:, None]
-    u = np.arange(half)
+    n, half = 1 << m, 1 << (m - 1)
+    b = np.arange(1, n)[:, None]
+    h = np.repeat(np.arange(m), 1 << np.arange(m))[:, None]
+    low = (1 << h) - 1
 
-    def bit(z: int) -> np.ndarray:
-        return (np.bitwise_count(u & (cos[:, z : z + 1] ^ (half - 1))) & 1).astype(np.intp)
+    def ins(x):
+        return ((x >> h) << (h + 1)) | (x & low)
 
-    const = bit(n - 1)
-    lift = const << m
-    for i in range(m):
-        lift |= (bit((n - 1) ^ (1 << i)) ^ const) << i
+    def rem(x):
+        return ((x >> (h + 1)) << h) | (x & low)
+
+    q, z = np.arange(half), np.arange(n)
+    pair0 = np.ascontiguousarray(ins(half - 1 - q).T)
+    c = (np.bitwise_count(q & rem(b)) & 1).astype(np.intp)  # uint8 would wrap c << m from m = 8
+    fcos = (b - 1) * half + rem(z ^ ((z >> h) & 1) * b)
+    lift = ins(q) | c << h | c << m
     words = np.concatenate([_parity_table(m), _parity_table(m) ^ 1])
-    return (
-        np.ascontiguousarray(mem0[:, ::-1].T),
-        np.ascontiguousarray(mem1[:, ::-1].T),
-        lift,
-        words,
-        1.0 - 2.0 * words,
-    )
+    return pair0, pair0 ^ b.T, fcos, z ^ b, lift, words, 1.0 - 2.0 * words
 
 
-def _rows(params: rmcode.CodeParams, words, hard: bool = False) -> np.ndarray:
-    if params.r < 1:
-        raise ValueError("need r >= 1")
+def _rows(params: rmcode.CodeParams, words, hard: bool = False, n_max: int = 0) -> np.ndarray:
+    if params.r < 1 or n_max < 0:
+        raise ValueError("need r >= 1 and n_max >= 0")
     return hard_rows(params.n, words) if hard else block_rows(params.n, words, np.float64)
 
 
@@ -135,28 +110,29 @@ def _chunks(rows: int, cells_per_row: int):
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _decode_projections(params: rmcode.CodeParams, kernel, proj: np.ndarray, n_max: int) -> np.ndarray:
-    """Decode (R, n-1, n/2) projections as R * (n-1) rows of RM(m-1, r-1);
-    returns the words as (R, (n-1) * n/2)."""
-    sub = rmcode.CodeParams(params.m - 1, params.r - 1)
-    return kernel(sub, proj.reshape(-1, proj.shape[-1]), n_max).reshape(proj.shape[0], -1)
-
-
-def _order2_verdicts(m: int, x: np.ndarray, hard: bool) -> np.ndarray:
-    """The (R, n-1, n) lifted first-order verdicts of all n-1 projections of
-    a (R, n) block x: 0/1 words for hard input (projections x_z ^ x_z'),
-    +/-1 signs for LLRs (projections llr_of_sum).  The projections come out
-    as the (n/2, (n-1) * R) columns the transform runs along, and each
-    column's verdict is a row of the affine tables read from its peak."""
-    n = 1 << m
-    pair0, pair1, lift, words, signs = _order2_tables(m)
+def _verdicts(params: rmcode.CodeParams, x: np.ndarray, hard: bool, n_max: int) -> np.ndarray:
+    """The (R, n-1, n) lifted verdicts of all n-1 projections of a (R, n)
+    block x: 0/1 words for hard input (projections x_z ^ x_z'), +/-1 signs
+    for LLRs (projections llr_of_sum).  The projections come out as the
+    (n/2, n-1, R) columns the transform runs along.  At r = 2 each column's
+    verdict is a row of the affine tables read from its peak; at r >= 3 the
+    columns, put back in coordinate order, are decoded as R * (n-1) rows of
+    the order r-1 kernel and lifted through fcos."""
+    m, n = params.m, params.n
+    pair0, pair1, fcos, _, lift, words, signs = _tables(m)
     xt = np.ascontiguousarray(x.T)
     a, b = np.take(xt, pair0, axis=0), np.take(xt, pair1, axis=0)
     # drop the gathers and projections once used: alive until the verdict
     # gather, they made the heap top shrink and re-fault every round
-    proj = hard_signs(a ^ b) if hard else llr_of_sum(a, b)
+    proj = a ^ b if hard else llr_of_sum(a, b)
     del a, b
-    u, neg = column_peaks(proj.reshape(n // 2, -1))
+    if params.r > 2:
+        sub = rmcode.CodeParams(m - 1, params.r - 1)
+        rows = proj[::-1].transpose(2, 1, 0).reshape(-1, n // 2)
+        del proj
+        dec = (rpa_bsc_codewords if hard else rpa_llr_codewords)(sub, rows, n_max).reshape(len(x), -1)
+        return np.take(dec if hard else 1.0 - 2.0 * dec, fcos, axis=1)
+    u, neg = column_peaks((hard_signs(proj) if hard else proj).reshape(n // 2, -1))
     del proj
     shape = (n - 1, len(x))
     rows = lift[np.arange(n - 1)[:, None], u.reshape(shape)] ^ (neg.reshape(shape) << m)
@@ -166,21 +142,16 @@ def _order2_verdicts(m: int, x: np.ndarray, hard: bool) -> np.ndarray:
 def rpa_llr_codewords(params: rmcode.CodeParams, Ls, n_max: int = 3) -> np.ndarray:
     """Soft-input RPA of every row of a (T, n) LLR block; each row's hard
     decision after the last round."""
-    Ls = _rows(params, Ls)
+    Ls = _rows(params, Ls, n_max=n_max)
     if params.r == 1:
         return fht_decode_words(Ls)
     n = params.n
-    mem0, mem1, fcos, xorb = _tables(params.m)
+    xorb = _tables(params.m)[3]
     out = np.empty(Ls.shape, dtype=np.uint8)
     for rows in _chunks(len(Ls), (n - 1) * n):
         L = Ls[rows]
         for _ in range(n_max):
-            if params.r == 2:
-                est = _order2_verdicts(params.m, L, hard=False)
-            else:
-                proj = llr_of_sum(np.take(L, mem0, axis=1), np.take(L, mem1, axis=1))
-                tilde = 1.0 - 2.0 * _decode_projections(params, rpa_llr_codewords, proj, n_max)
-                est = np.take(tilde, fcos, axis=1)
+            est = _verdicts(params, L, False, n_max)
             est *= np.take(L, xorb, axis=1)
             L = est.sum(axis=1) / (n - 1)
         out[rows] = L < 0
@@ -193,11 +164,11 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
     A row stops at its fixed point; a row that reaches none within n_max
     rounds keeps its last word, which need not be a codeword.
     """
-    Ys = _rows(params, Ys, hard=True)
+    Ys = _rows(params, Ys, hard=True, n_max=n_max)
     if params.r == 1:
         return fht_decode_words(hard_signs(Ys))
     n = params.n
-    mem0, mem1, fcos, xorb = _tables(params.m)
+    xorb = _tables(params.m)[3]
     out = Ys.copy()
     for rows in _chunks(len(out), (n - 1) * n):
         Y = out[rows]
@@ -206,12 +177,7 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
             if not live.size:
                 break
             y = Y[live]
-            if params.r == 2:
-                est = _order2_verdicts(params.m, y, hard=True)
-            else:
-                proj = np.take(y, mem0, axis=1) ^ np.take(y, mem1, axis=1)
-                dec = _decode_projections(params, rpa_bsc_codewords, proj, n_max)
-                est = np.take(dec, fcos, axis=1)
+            est = _verdicts(params, y, True, n_max)
             est ^= np.take(y, xorb, axis=1)
             new = (2 * np.count_nonzero(est, axis=1) > n - 1).astype(np.uint8)
             Y[live] = new

@@ -190,6 +190,16 @@ def test_exit_mc_agrees_with_exact():
     assert abs(est - exact) <= 3 * sigma
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_mc_modes_reject_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials >= 1"):
+        exit_function_bec(CodeParams(3, 1), 0.5, mode="mc", trials=trials)
+    with pytest.raises(ValueError, match="trials >= 1"):
+        bitchannel_entropies_bec(2, 0.5, mode="mc", trials=trials)
+    # exact mode ignores trials
+    assert exit_function_bec(CodeParams(3, 1), 0.5, trials=trials) == exit_function_bec(CodeParams(3, 1), 0.5)
+
+
 def test_exit_counts_against_rank_oracle():
     # independent recount of the non-recoverable patterns via rank equality
     params = CodeParams(3, 1)

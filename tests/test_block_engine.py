@@ -23,7 +23,7 @@ from rmlab.decoders import oracle as oracle_mod
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import rpa as rpa_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import fht_decode_words, linear_word, transform_peak
+from rmlab.decoders.fht import _parity_table, fht_decode_words, linear_word, transform_peak
 from rmlab.decoders.types import hard_input_llr, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
@@ -294,6 +294,25 @@ def ref_tables(m):
     return mem0, mem1, cos, xorb
 
 
+def ref_order2_tables(m):
+    """The order-2 tables as built before their closed form: pair0, pair1,
+    lift, words, signs."""
+    n = 1 << m
+    half = n // 2
+    mem0, mem1, cos, _ = ref_tables(m)
+    u = np.arange(half)
+
+    def bit(z: int) -> np.ndarray:
+        return (np.bitwise_count(u & (cos[:, z : z + 1] ^ (half - 1))) & 1).astype(np.intp)
+
+    const = bit(n - 1)
+    lift = const << m
+    for i in range(m):
+        lift |= (bit((n - 1) ^ (1 << i)) ^ const) << i
+    words = np.concatenate([_parity_table(m), _parity_table(m) ^ 1])
+    return mem0[:, ::-1].T, mem1[:, ::-1].T, lift, words, 1.0 - 2.0 * words
+
+
 def ref_rpa_bsc(params, y, n_max=3, rounds=None):
     """The per-word hard loop; appends the rounds it ran to `rounds`."""
     m, r = params.m, params.r
@@ -372,7 +391,7 @@ def bsc_llrs(params, rows, p, mag, rng):
     return mag * (1.0 - 2.0 * y)
 
 
-@pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (5, 3), (6, 3)])
+@pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (3, 3), (4, 3), (5, 3), (6, 3), (4, 4)])
 @settings(max_examples=8, deadline=None)
 @given(style=st.sampled_from(STYLES), rows=st.integers(1, 4), n_max=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_rpa_kernels_equal_word_loops(m, r, style, rows, n_max, seed):
@@ -386,12 +405,38 @@ def test_rpa_kernels_equal_word_loops(m, r, style, rows, n_max, seed):
                           np.array([ref_rpa_bsc(params, row, n_max) for row in y]))
 
 
+def test_rpa_kernels_reject_negative_rounds():
+    params = rmcode.CodeParams(4, 2)
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        rpa_mod.rpa_decode_llr(params, np.ones(16), -1)
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        rpa_mod.rpa_bsc_codewords(params, np.zeros((2, 16), dtype=np.uint8), -5)
+    # zero rounds stay valid: the hard decision, and the input word
+    L = np.linspace(-1.0, 1.0, 16)
+    assert np.array_equal(rpa_mod.rpa_decode_llr(params, L, 0), (L < 0).astype(np.uint8))
+    y = (np.arange(16) % 3 == 0).astype(np.uint8)
+    assert np.array_equal(rpa_mod.rpa_decode_bsc(params, y, 0), y)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_tables_equal_reference_copies(m):
+    # m >= 8 catches a parity left in uint8, where c << m wraps
+    n, half = 1 << m, 1 << (m - 1)
+    _, _, cos, xorb = ref_tables(m)
+    pair0, pair1, lift, words, signs = ref_order2_tables(m)
+    fcos = cos + half * np.arange(n - 1)[:, None]
+    got = rpa_mod._tables.__wrapped__(m)  # uncached: m = 10 holds 48 MB
+    for g, want in zip(got, (pair0, pair1, fcos, xorb, lift, words, signs), strict=True):
+        assert g.dtype == want.dtype and np.array_equal(g, want)
+
+
 @pytest.mark.parametrize("m", range(2, 8))
 def test_order2_tables_equal_brute_force(m):
     # every first-order verdict (u, c) on projection b, expanded to n
     # coordinates through the coset map, looked up among the 2n affine words
     n, half = 1 << m, 1 << (m - 1)
-    pair0, pair1, lift, words, signs = rpa_mod._order2_tables(m)
+    tables = rpa_mod._tables(m)
+    pair0, pair1, _, _, lift, words, signs = tables
     mem0, mem1, cos, _ = ref_tables(m)
     affine = [linear_word(m, v, c) for c in (0, 1) for v in range(n)]
     assert np.array_equal(words, np.stack(affine)) and np.array_equal(signs, 1.0 - 2.0 * words)
@@ -404,7 +449,7 @@ def test_order2_tables_equal_brute_force(m):
                 lifted = linear_word(m - 1, u, c)[cos[b - 1]]
                 assert row_of[lifted.tobytes()] == lift[b - 1, u] ^ (c * n)
     if m == 7:  # the benchmark's RM(7,2)
-        assert sum(t.nbytes for t in (pair0, pair1, lift, words, signs)) < 1 << 20
+        assert sum(t.nbytes for t in tables) < 1 << 20
 
 
 @pytest.mark.parametrize("t", [0, 2])

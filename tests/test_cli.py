@@ -205,6 +205,14 @@ def test_analyze_polarize_mc_mode_skips_checks(capsys):
     assert all(line.split(",")[5] == "mc" for line in out.splitlines())
 
 
+@pytest.mark.parametrize("argv", [("exit", "3", "1", "0.5"), ("polarize", "2", "0.5")])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_analyze_mc_rejects_trials_below_one(capsys, argv, trials):
+    rc, out, err = run(capsys, "analyze", *argv, "--mode", "mc", "--trials", trials)
+    assert (rc, out) == (2, "")
+    assert err == f"error: mc mode needs trials >= 1, got {trials}\n"
+
+
 def test_analyze_twin_output(capsys):
     rc, out, _ = run(capsys, "analyze", "twin", "3", "0.45", "0.4")
     assert rc == 0
