@@ -5,7 +5,8 @@ weights from the greedy binomial representation, and the BEC quantities
 (EXIT function, area theorem, ordered bit-channel entropies with the
 partial-order / interlacing / twin-code checks).  "Exact" BEC results
 enumerate all erasure patterns, so they are restricted to n <= 16;
-everything larger must go through the Monte-Carlo mode.
+everything larger must go through the Monte-Carlo mode (n <= 2^16), which
+packs its draws into the bitmask that the exact loop walks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ class OutOfRange(Exception):
 
 _ENUM_K_MAX = 24
 _EXACT_N_MAX = 16
+_MC_N_MAX = 1 << 16  # the full-order rows alone take n^2/8 bytes: 512 MB here
+
+
+def _check_mc(n: int, trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"mc mode needs trials >= 1, got {trials}")
+    if n > _MC_N_MAX:
+        raise TooLarge(f"mc mode needs n <= 2^16, got n = 2^{n.bit_length() - 1}")
 
 
 def _binomsum(m: int, r: int) -> int:
@@ -108,19 +117,26 @@ def generalized_hamming_weight(m: int, r: int, a: int) -> int:
 
 # ---------------------------------------------------------------- BEC EXIT
 
+def _recovers(g: int, others, pat: int) -> bool:
+    """True iff g lies in the span of the others[j] that pat leaves unerased."""
+    return gf2.in_span([c for j, c in enumerate(others) if not (pat >> j) & 1], g)
+
+
 def _exit_counts_for_coord(params: CodeParams, z: int):
     """counts[e] = erasure patterns of size e on the other n-1 coordinates
     from which coordinate z is NOT recoverable."""
     n = params.n
     cols = rmcode.generator_columns(params)
-    gz = cols[z]
-    others = [cols[j] for j in range(n) if j != z]
-    counts = [0] * n
-    for pat in range(1 << (n - 1)):
-        unerased = [others[j] for j in range(n - 1) if not (pat >> j) & 1]
-        if not gf2.in_span(unerased, gz):
+    others = cols[:z] + cols[z + 1 :]
+    # The linear maps about z's point are automorphisms fixing z that carry
+    # others[0] to every other coordinate: each of the n-1 is erased by equally
+    # many unrecoverable patterns of size e, and each pattern erases e, so the
+    # odd pat (others[0] erased), weighted (n-1)/e, count them all.
+    counts = [int(not _recovers(cols[z], others, 0))] + [0] * (n - 1)
+    for pat in range(1, 1 << (n - 1), 2):
+        if not _recovers(cols[z], others, pat):
             counts[pat.bit_count()] += 1
-    return tuple(counts)
+    return (counts[0],) + tuple(counts[e] * (n - 1) // e for e in range(1, n))
 
 
 @lru_cache(maxsize=None)
@@ -149,23 +165,16 @@ def exit_function_bec(
     n = params.n
     if mode == "exact":
         counts = _exit_counts(params.m, params.r)
-        h = math.fsum(
-            counts[e] * p**e * (1.0 - p) ** (n - 1 - e) for e in range(n)
-        )
-        return h
+        return math.fsum(counts[e] * p**e * (1.0 - p) ** (n - 1 - e) for e in range(n))
     if mode == "mc":
-        if trials < 1:
-            raise ValueError(f"mc mode needs trials >= 1, got {trials}")
+        _check_mc(n, trials)
         cols = rmcode.generator_columns(params)
-        g0 = cols[0]
         others = cols[1:]
         rng = channel._rng(seed)
-        bad = 0
-        for _ in range(trials):
-            erased = rng.random(n - 1) < p
-            unerased = [others[j] for j in range(n - 1) if not erased[j]]
-            if not gf2.in_span(unerased, g0):
-                bad += 1
+        bad = sum(
+            not _recovers(cols[0], others, gf2.pack_bits(rng.random(n - 1) < p))
+            for _ in range(trials)
+        )
         return bad / trials
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -209,22 +218,9 @@ class EntropyProfile:
 
 def _undetermined_rows(rows, S: int):
     """Indices i where row_i restricted to S falls in the span of the later
-    rows restricted to S (bottom-up echelon pass)."""
-    out = []
-    basis: dict = {}
-    for i in range(len(rows) - 1, -1, -1):
-        v = rows[i] & S
-        while v:
-            h = v.bit_length() - 1
-            b = basis.get(h)
-            if b is None:
-                break
-            v ^= b
-        if v:
-            basis[v.bit_length() - 1] = v
-        else:
-            out.append(i)
-    return out
+    rows restricted to S (an echelon pass from the last row up)."""
+    last = len(rows) - 1
+    return [last - i for i in gf2._echelon([row & S for row in reversed(rows)])[1]]
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +230,16 @@ def _bitchannel_counts(m: int):
     if n > _EXACT_N_MAX:
         raise TooLarge(f"exact mode enumerates 2^{n} patterns")
     rows = rmcode.rm_full_rows(m)
-    counts = [[0] * (n + 1) for _ in range(n)]
-    for S in range(1 << n):
+    # Translations S -> S XOR t keep each verdict (a translate of row i is row
+    # i plus rows of proper subsets of A_i, all later) and carry coordinate 0
+    # everywhere, so as above the odd S, weighted n/|S|, count every nonempty
+    # S; the empty S leaves all n rows undetermined.
+    counts = [[0] * n + [1] for _ in range(n)]
+    for S in range(1, 1 << n, 2):
         e = n - S.bit_count()
         for i in _undetermined_rows(rows, S):
             counts[i][e] += 1
-    return tuple(tuple(c) for c in counts)
+    return tuple(tuple(c[e] * n // (n - e) for e in range(n)) + (1,) for c in counts)
 
 
 def bitchannel_entropies_bec(
@@ -258,38 +258,26 @@ def bitchannel_entropies_bec(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     n = 1 << m
-    order = rmcode.monomial_order(m)
     if mode == "exact":
-        counts = _bitchannel_counts(m)
-        entries = tuple(
-            (
-                order[i],
-                math.fsum(
-                    counts[i][e] * p**e * (1.0 - p) ** (n - e)
-                    for e in range(n + 1)
-                ),
-            )
-            for i in range(n)
-        )
-        return EntropyProfile(m, p, entries, "exact")
-    if mode == "mc":
-        if trials < 1:
-            raise ValueError(f"mc mode needs trials >= 1, got {trials}")
+        hs = [
+            math.fsum(c[e] * p**e * (1.0 - p) ** (n - e) for e in range(n + 1))
+            for c in _bitchannel_counts(m)
+        ]
+    elif mode == "mc":
+        _check_mc(n, trials)
         rows = rmcode.rm_full_rows(m)
         rng = channel._rng(seed)
-        hits = np.zeros(n, dtype=np.int64)
+        hits = [0] * n
         for _ in range(trials):
-            erased = rng.random(n) < p
-            S = 0
-            for j in range(n):
-                if not erased[j]:
-                    S |= 1 << j
-            for i in _undetermined_rows(rows, S):
+            for i in _undetermined_rows(rows, gf2.pack_bits(rng.random(n) >= p)):
                 hits[i] += 1
-        entries = tuple((order[i], hits[i] / trials) for i in range(n))
-        return EntropyProfile(m, p, entries, "mc")
-    raise ValueError(f"unknown mode {mode!r}")
+        hs = [h / trials for h in hits]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return EntropyProfile(m, p, tuple(zip(rmcode.monomial_order(m), hs)), mode)
 
 
 def check_partial_order(profile: EntropyProfile, tol: float = 1e-9):
@@ -330,6 +318,8 @@ def check_interlacing(m: int, p: float, tol: float = 1e-9):
 
 def twin_rm_select(profile: EntropyProfile, eps: float):
     """Subsets with H_{A_i} <= eps, kept in MonomialOrder."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     return [mask for mask, h in profile.entries if h <= eps]
 
 

@@ -26,34 +26,22 @@ def bw_decode(m: int, r: int, y) -> DecodeResult:
     if r < 0 or m - 2 * r - 2 < 0:
         raise ValueError("need 0 <= r <= m/2 - 1")
     code_c = rmcode.CodeParams(m, m - 2 * r - 2)
-    n = code_c.n
     y = hard_word(code_c, y)
     ybits = gf2.pack_bits(y)
 
-    checks = rmcode.generator_rows(rmcode.CodeParams(m, r))
-    e_rows = rmcode.generator_rows(rmcode.CodeParams(m, r + 1))
-    k_e = len(e_rows)
-    system = []
-    for g in checks:
-        row = 0
-        for j, e in enumerate(e_rows):
-            if gf2.parity(g & e & ybits):
-                row |= 1 << j
-        system.append(row)
-    sol = gf2.solve_affine(system, k_e, 0)
+    code_e = rmcode.CodeParams(m, r + 1)
+    e_rows = rmcode.generator_rows(code_e)
+    # a y lies in N iff <g, a y> = sum_j alpha_j <e_j, g y> = 0 for every check g
+    system = [gf2.mat_vec(e_rows, g & ybits) for g in rmcode.generator_rows(rmcode.CodeParams(m, r))]
+    sol = gf2.solve_affine(system, len(e_rows), 0)
 
     # Multiplier words; their common zeros cover the error support.
+    e_cols = rmcode.generator_columns(code_e)
     support = 0
     for alpha in sol.nullspace_basis:
-        a = 0
-        for j in range(k_e):
-            if (alpha >> j) & 1:
-                a ^= e_rows[j]
-        support |= a
+        support |= gf2.mat_vec(e_cols, alpha)
     erased = y.copy()
-    for j in range(n):
-        if not (support >> j) & 1:
-            erased[j] = ERASURE
+    erased[gf2.unpack_bits(support, code_c.n) == 0] = ERASURE
 
     try:
         result = erasure_decode(code_c, erased)

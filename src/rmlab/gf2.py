@@ -2,8 +2,9 @@
 
 Binary words are Python ints with bit j holding coordinate j (LSB first).
 A matrix is a sequence of such ints, one per row, with an explicit column
-count where the operation needs it.  Packed ints keep rank / solve /
-span-membership loops fast enough for exhaustive pattern enumeration.
+count where the operation needs it.  One elimination, _echelon, serves
+rank, span membership and affine solves; packed ints keep it fast enough
+for exhaustive pattern enumeration.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ def unpack_bits(word: int, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")[:n].copy()
 
 
-def _echelon(rows: Sequence[int]) -> dict[int, int]:
-    # leading-bit-indexed basis of the row space
+def _echelon(rows: Sequence[int]) -> tuple[dict[int, int], list[int]]:
+    """Leading-bit-indexed basis of the row space, and the indices of the
+    rows that reduced to zero (each lies in the span of the rows before it)."""
     basis: dict[int, int] = {}
-    for row in rows:
-        v = row
+    dependent: list[int] = []
+    for i, v in enumerate(rows):
         while v:
             b = v.bit_length() - 1
             if b in basis:
@@ -51,25 +53,18 @@ def _echelon(rows: Sequence[int]) -> dict[int, int]:
             else:
                 basis[b] = v
                 break
-    return basis
-
-
-def _reduce(v: int, basis: dict[int, int]) -> int:
-    while v:
-        b = v.bit_length() - 1
-        if b not in basis:
-            break
-        v ^= basis[b]
-    return v
+        else:
+            dependent.append(i)
+    return basis, dependent
 
 
 def rank(rows: Sequence[int]) -> int:
-    return len(_echelon(rows))
+    return len(_echelon(rows)[0])
 
 
 def in_span(rows: Sequence[int], v: int) -> bool:
-    """True iff v lies in the row space of rows."""
-    return _reduce(v, _echelon(rows)) == 0
+    """True iff v lies in the row space of rows: v, put last, reduces to 0."""
+    return len(rows) in _echelon([*rows, v])[1]
 
 
 def transpose(rows: Sequence[int], ncols: int) -> list[int]:
@@ -112,38 +107,24 @@ def solve_affine(rows: Sequence[int], ncols: int, b: int) -> AffineSolution:
     indices.  The particular solution sets every free variable to zero.
     Raises InconsistentSystem when no solution exists.
     """
-    aug = [row | (((b >> i) & 1) << ncols) for i, row in enumerate(rows)]
-    pivot_of_col: dict[int, int] = {}  # col -> index into reduced
-    reduced: list[int] = []
-    for row in aug:
-        v = row
-        # eliminate with existing pivots
-        for col, idx in pivot_of_col.items():
-            if (v >> col) & 1:
-                v ^= reduced[idx]
-        if v == 0:
-            continue
-        if v == 1 << ncols:
-            raise InconsistentSystem("no solution")
-        col = (v & ((1 << ncols) - 1)).bit_length() - 1
-        # back-substitute into previous rows
-        for i, prev in enumerate(reduced):
-            if (prev >> col) & 1:
-                reduced[i] = prev ^ v
-        pivot_of_col[col] = len(reduced)
-        reduced.append(v)
+    # column j sits at bit j + 1 and b_i at bit 0, so each pivot is still a
+    # row's highest column, and a basis row equal to 1 reads 0 = 1
+    basis, _ = _echelon([row << 1 | (b >> i) & 1 for i, row in enumerate(rows)])
+    if 0 in basis:
+        raise InconsistentSystem("no solution")
+    # back-substitute in ascending pivot order: each row then has zeros at
+    # every other pivot column (the reduced echelon form)
+    reduced: dict[int, int] = {}
+    for col, v in sorted(basis.items()):
+        for prev, w in reduced.items():
+            if (v >> prev) & 1:
+                v ^= w
+        reduced[col] = v
 
-    particular = 0
-    for col, idx in pivot_of_col.items():
-        if (reduced[idx] >> ncols) & 1:
-            particular |= 1 << col
-    basis = []
-    for free in range(ncols):
-        if free in pivot_of_col:
-            continue
-        vec = 1 << free
-        for col, idx in pivot_of_col.items():
-            if (reduced[idx] >> free) & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return AffineSolution(particular, tuple(basis))
+    particular = sum((v & 1) << (col - 1) for col, v in reduced.items())
+    nullspace = tuple(
+        1 << (free - 1) | sum(1 << (col - 1) for col, v in reduced.items() if (v >> free) & 1)
+        for free in range(1, ncols + 1)
+        if free not in reduced
+    )
+    return AffineSolution(particular, nullspace)

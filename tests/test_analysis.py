@@ -1,8 +1,11 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmlab import analysis, channel, gf2, rmcode
 from rmlab.analysis import (
@@ -201,16 +204,22 @@ def test_mc_modes_reject_trials_below_one(trials):
 
 
 def test_exit_counts_against_rank_oracle():
-    # independent recount of the non-recoverable patterns via rank equality
-    params = CodeParams(3, 1)
-    cols = gf2.transpose(rmcode.generator_rows(params), 8)
-    g0, others = cols[0], cols[1:]
-    counts = [0] * 8
-    for pat in range(128):
-        unerased = [others[j] for j in range(7) if not (pat >> j) & 1]
-        if gf2.rank(unerased + [g0]) != gf2.rank(unerased):
-            counts[pat.bit_count()] += 1
-    assert tuple(counts) == analysis._exit_counts(3, 1)
+    # independent recount over every pattern via rank equality; the exact
+    # counts walk only the patterns erasing the first other coordinate
+    cases = [(3, 1, 0), (3, 1, 5), (1, 0, 0), (1, 1, 1), (2, 1, 3), (4, 2, 9)]
+    for m, r, z in cases + [(4, r, 0) for r in range(5)]:
+        params = CodeParams(m, r)
+        n = params.n
+        cols = gf2.transpose(rmcode.generator_rows(params), n)
+        gz, others = cols[z], cols[:z] + cols[z + 1 :]
+        counts = [0] * n
+        for pat in range(1 << (n - 1)):
+            unerased = [others[j] for j in range(n - 1) if not (pat >> j) & 1]
+            if gf2.rank(unerased + [gz]) != gf2.rank(unerased):
+                counts[pat.bit_count()] += 1
+        assert analysis._exit_counts_for_coord(params, z) == tuple(counts), (m, r, z)
+        if z == 0:
+            assert analysis._exit_counts(m, r) == tuple(counts)
 
 
 def test_exit_guards():
@@ -326,6 +335,86 @@ def test_mc_profile_tracks_exact():
         assert abs(h - exact[mask]) <= 4 * sigma + 1e-3
 
 
+def ref_undetermined_rows(rows, S):
+    """analysis._undetermined_rows with its own echelon loop, as it stood
+    before it ran on gf2._echelon."""
+    out = []
+    basis = {}
+    for i in range(len(rows) - 1, -1, -1):
+        v = rows[i] & S
+        while v:
+            h = v.bit_length() - 1
+            b = basis.get(h)
+            if b is None:
+                break
+            v ^= b
+        if v:
+            basis[v.bit_length() - 1] = v
+        else:
+            out.append(i)
+    return out
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=12), st.integers(0, (1 << 12) - 1))
+def test_undetermined_rows_equal_former_loop(rows, S):
+    assert set(analysis._undetermined_rows(rows, S)) == set(ref_undetermined_rows(rows, S))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_bitchannel_counts_equal_full_enumeration(m):
+    # the exact counts walk only the S holding coordinate 0 and weight them
+    # by translation symmetry; recount over every S with the former loop
+    n = 1 << m
+    rows = rmcode.rm_full_rows(m)
+    counts = [[0] * (n + 1) for _ in range(n)]
+    for S in range(1 << n):
+        for i in ref_undetermined_rows(rows, S):
+            counts[i][n - S.bit_count()] += 1
+    assert analysis._bitchannel_counts(m) == tuple(tuple(c) for c in counts)
+
+
+def test_mc_values_pinned_for_fixed_seeds():
+    # recorded before the mc draws were packed with gf2.pack_bits: the same
+    # draws must give the same hits
+    for (m, r), p, trials, seed, bad in [
+        ((3, 1), 0.35, 500, 1, 110),
+        ((4, 2), 0.4, 300, 7, 234),
+        ((5, 2), 0.45, 200, 0, 72),
+    ]:
+        assert exit_function_bec(CodeParams(m, r), p, mode="mc", trials=trials, seed=seed) == bad / trials
+    for m, p, trials, seed, hits in [
+        (3, 0.4, 500, 3, [494, 375, 317, 251, 59, 33, 23, 0]),
+        (5, 0.3, 200, 0, [200, 200, 198, 195, 189, 188, 153, 138, 112, 95, 77, 52, 62, 39, 24, 19,
+                          4, 1, 0, 0, 1] + [0] * 11),
+    ]:
+        prof = bitchannel_entropies_bec(m, p, mode="mc", trials=trials, seed=seed)
+        assert [mask for mask, _ in prof.entries] == list(rmcode.monomial_order(m))
+        assert [h for _, h in prof.entries] == [k / trials for k in hits]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_bitchannel_rejects_negative_m(mode):
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        bitchannel_entropies_bec(-1, 0.3, mode=mode, trials=1)
+
+
+def test_size_guards_run_before_any_allocation():
+    # past a cap nothing is built: 2^21 monomial keys take seconds to sort,
+    # and 2^30 or 2^40 of them do not fit in memory
+    start = time.perf_counter()
+    for m in (21, 30):
+        with pytest.raises(TooLarge):
+            bitchannel_entropies_bec(m, 0.3)
+    with pytest.raises(TooLarge):
+        bitchannel_entropies_bec(40, 0.3, mode="mc", trials=1)
+    with pytest.raises(TooLarge):
+        exit_function_bec(CodeParams(17, 1), 0.3, mode="mc", trials=1)
+    assert time.perf_counter() - start < 2.0
+    # the mc cap is n <= 2^16; small m still runs
+    assert len(bitchannel_entropies_bec(6, 0.3, mode="mc", trials=1).entries) == 64
+
+
 # ---- twin code selection ----
 
 
@@ -350,6 +439,13 @@ def test_twin_select_extremes():
     prof = bitchannel_entropies_bec(2, 0.5)
     assert twin_rm_select(prof, 1.0) == list(rmcode.monomial_order(2))
     assert twin_rm_select(prof, -0.1) == []
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_twin_select_rejects_non_finite_eps(eps):
+    prof = bitchannel_entropies_bec(2, 0.5)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        twin_rm_select(prof, eps)
 
 
 # ---- cross-module consistency ----

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -228,6 +229,73 @@ def test_analyze_twin_output(capsys):
 def test_analyze_polarize_guard(capsys):
     rc, _, err = run(capsys, "analyze", "polarize", "5", "0.5")
     assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polarize", "21", "0.3"),
+        ("twin", "21", "0.3", "0.1"),
+        ("polarize", "30", "0.3"),
+        ("polarize", "40", "0.3", "--mode", "mc", "--trials", "1"),
+        ("exit", "30", "1", "0.5", "--mode", "mc", "--trials", "1"),
+    ],
+)
+def test_analyze_size_guards_exit_4_at_once(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "analyze", *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (4, "")
+    assert err.startswith("resource guard:") and err.count("\n") == 1
+
+
+def test_analyze_mc_runs_at_m_12(capsys):
+    rc, out, err = run(capsys, "analyze", "polarize", "12", "0.3", "--mode", "mc", "--trials", "1")
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 1 << 12
+    rc, out, err = run(capsys, "analyze", "exit", "12", "2", "0.3", "--mode", "mc", "--trials", "1")
+    assert (rc, err) == (0, "")
+    m, r, p, label, value, mode, trials = out.strip().split(",")
+    assert (m, r, label, mode, trials) == ("12", "2", "h", "mc", "1")
+    assert value in ("0", "1")
+
+
+def test_analyze_polarize_rejects_negative_m(capsys):
+    rc, out, err = run(capsys, "analyze", "polarize", "-1", "0.3")
+    assert (rc, out) == (2, "")
+    assert err == "error: m must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_analyze_twin_rejects_non_finite_eps(capsys, eps):
+    rc, out, err = run(capsys, "analyze", "twin", "2", "0.3", eps)
+    assert (rc, out) == (2, "")
+    assert err == f"error: eps must be finite, got {eps}\n"
+
+
+def test_polarization_report_matches_the_cli(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "polarization_report.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--m", "2", "--p", "0.3,0.7"],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    blocks = done.stdout.split("# m=2 p=")[1:]
+    assert [block.split("\n", 1)[0] for block in blocks] == ["0.3", "0.7"]
+    for p, block in zip(("0.3", "0.7"), blocks):
+        rc, out, _ = run(capsys, "analyze", "polarize", "2", p)
+        assert rc == 0
+        expect = [(line.split(",")[1], float(line.split(",")[4])) for line in out.splitlines()]
+        got = [
+            (line.split("]")[0].split("[")[1].strip(), float(line.split("=")[1]))
+            for line in block.splitlines()
+            if line.strip().startswith("H[")
+        ]
+        assert [name for name, _ in got] == [name for name, _ in expect]
+        for (_, h), (_, ref) in zip(got, expect):
+            assert h == pytest.approx(ref, abs=5e-7)
+        residual = [line for line in block.splitlines() if "balance residual:" in line]
+        assert len(residual) == 1 and float(residual[0].split(":")[1]) < 1e-12
 
 
 # ---- simulate ----

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmlab import gf2, rmcode
@@ -160,3 +160,103 @@ def test_particular_is_lexicographically_smallest(mat, x_raw):
         (x for x in range(1 << ncols) if gf2.mat_vec(rows, x) == b), key=seq
     )
     assert sol.particular == brute
+
+
+# ---- solve_affine against its former pivot loop ----
+
+
+def ref_solve_affine(rows, ncols, b):
+    """solve_affine as it stood with its own pivot loop, before it ran on
+    gf2._echelon; returns (particular, nullspace_basis)."""
+    aug = [row | (((b >> i) & 1) << ncols) for i, row in enumerate(rows)]
+    pivot_of_col = {}
+    reduced = []
+    for row in aug:
+        v = row
+        for col, idx in pivot_of_col.items():
+            if (v >> col) & 1:
+                v ^= reduced[idx]
+        if v == 0:
+            continue
+        if v == 1 << ncols:
+            raise gf2.InconsistentSystem("no solution")
+        col = (v & ((1 << ncols) - 1)).bit_length() - 1
+        for i, prev in enumerate(reduced):
+            if (prev >> col) & 1:
+                reduced[i] = prev ^ v
+        pivot_of_col[col] = len(reduced)
+        reduced.append(v)
+    particular = 0
+    for col, idx in pivot_of_col.items():
+        if (reduced[idx] >> ncols) & 1:
+            particular |= 1 << col
+    basis = []
+    for free in range(ncols):
+        if free in pivot_of_col:
+            continue
+        vec = 1 << free
+        for col, idx in pivot_of_col.items():
+            if (reduced[idx] >> free) & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return particular, tuple(basis)
+
+
+@st.composite
+def _systems(draw, max_dim=10):
+    # rows drawn from zero, a small pool (so rows repeat) or anywhere
+    ncols = draw(st.integers(0, max_dim))
+    word = st.integers(0, (1 << ncols) - 1)
+    pool = draw(st.lists(word, min_size=1, max_size=3))
+    rows = draw(st.lists(st.one_of(st.just(0), st.sampled_from(pool), word), max_size=max_dim))
+    b = draw(st.integers(0, (1 << len(rows)) - 1))
+    return rows, ncols, b
+
+
+def _outcome(solve, rows, ncols, b):
+    try:
+        sol = solve(rows, ncols, b)
+    except gf2.InconsistentSystem as exc:
+        return "inconsistent", str(exc)
+    return sol if isinstance(sol, tuple) else (sol.particular, sol.nullspace_basis)
+
+
+@settings(max_examples=400)
+@given(_systems())
+@example(([0, 0], 3, 0b10))  # b set on a zero row: 0 = 1
+@example(([0b101, 0b101, 0b101], 3, 0b011))  # repeated rows, b off the column span
+@example(([0b11, 0b01, 0b10], 2, 0b111))  # three rows of rank two, b off the span
+@example(([], 4, 0))
+@example(([0, 0b1], 0, 0b1))
+def test_solve_affine_equals_former_pivot_loop(system):
+    rows, ncols, b = system
+    rows = [row & ((1 << ncols) - 1) for row in rows]
+    assert _outcome(gf2.solve_affine, rows, ncols, b) == _outcome(ref_solve_affine, rows, ncols, b)
+
+
+def test_solve_affine_reference_sweep_hits_both_outcomes():
+    # the same comparison on a seeded sweep, which must meet consistent and
+    # inconsistent systems, zero rows and repeated rows
+    rng = np.random.default_rng(20)
+    inconsistent, zero_rows, repeats = set(), False, False
+    for _ in range(3000):
+        ncols = int(rng.integers(0, 11))
+        pool = [0, *rng.integers(0, 1 << ncols, size=2).tolist()]
+        rows = [
+            pool[int(rng.integers(3))] if rng.integers(2) else int(rng.integers(0, 1 << ncols))
+            for _ in range(int(rng.integers(0, 11)))
+        ]
+        b = int(rng.integers(0, 1 << len(rows)))
+        got = _outcome(gf2.solve_affine, rows, ncols, b)
+        assert got == _outcome(ref_solve_affine, rows, ncols, b), (rows, ncols, b)
+        inconsistent.add(got[0] == "inconsistent")
+        zero_rows |= 0 in rows
+        repeats |= len(set(rows)) < len(rows)
+    assert inconsistent == {True, False} and zero_rows and repeats
+
+
+def test_echelon_reports_the_rows_that_reduced_to_zero():
+    # row 1 is zero, row 3 = row 0 ^ row 2, row 4 repeats row 0
+    basis, dependent = gf2._echelon([0b110, 0, 0b011, 0b101, 0b110, 0b001])
+    assert dependent == [1, 3, 4]
+    assert basis == {2: 0b110, 1: 0b011, 0: 0b001}
