@@ -247,7 +247,6 @@ def main(argv=None) -> int:
         OSError,
         rmcode.DegenerateDual,
         rmcode.TooShort,
-        rmcode.InvalidDirection,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

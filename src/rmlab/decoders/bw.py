@@ -36,10 +36,9 @@ def bw_decode(m: int, r: int, y) -> DecodeResult:
     sol = gf2.solve_affine(system, len(e_rows), 0)
 
     # Multiplier words; their common zeros cover the error support.
-    e_cols = rmcode.generator_columns(code_e)
     support = 0
     for alpha in sol.nullspace_basis:
-        support |= gf2.mat_vec(e_cols, alpha)
+        support |= gf2.vec_mat(e_rows, alpha)
     erased = y.copy()
     erased[gf2.unpack_bits(support, code_c.n) == 0] = ERASURE
 

@@ -27,8 +27,8 @@ def _layer(m: int, t: int):
     the float (monomials, n) evaluation rows, and the vote threshold."""
     subsets = [a for a in rmcode.monomial_order(m) if a.bit_count() == t]
     # point p sits at coordinate n - 1 - p
-    gather = (1 << m) - 1 - np.array([rmcode.cosets_of_subspace(a, m) for a in subsets], dtype=np.intp)
-    evals = np.stack([rmcode.eval_monomial(a, m) for a in subsets]).astype(np.float64)
+    gather = (1 << m) - 1 - rmcode.cosets_of_subspace(subsets, m)
+    evals = rmcode.evaluations(m, subsets).astype(np.float64)
     # half the coset count; the single coset at t == m votes alone
     threshold = 1 if t == m else 1 << (m - t - 1)
     return gather, evals, threshold

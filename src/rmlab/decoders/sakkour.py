@@ -48,7 +48,7 @@ def _tables(m: int):
     pairs = list(combinations(range(1, m + 1), 2))
     cols = np.array([j - 1 for _, j in pairs])
     shifts = np.array([m - i for i, _ in pairs])
-    evals = np.stack([rmcode.eval_monomial((1 << (i - 1)) | (1 << (j - 1)), m) for i, j in pairs])
+    evals = rmcode.evaluations(m, [(1 << (i - 1)) | (1 << (j - 1)) for i, j in pairs])
     return J[:, None] ^ J[None, :], cols, shifts, evals.astype(np.float64)
 
 

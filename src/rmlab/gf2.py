@@ -2,9 +2,9 @@
 
 Binary words are Python ints with bit j holding coordinate j (LSB first).
 A matrix is a sequence of such ints, one per row, with an explicit column
-count where the operation needs it.  One elimination, _echelon, serves
-rank, span membership and affine solves; packed ints keep it fast enough
-for exhaustive pattern enumeration.
+count where the operation needs it.  mat_vec is M x and vec_mat x^T M.
+One elimination, _echelon, serves rank, span membership and affine
+solves; packed ints keep it fast enough for pattern enumeration.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 
 class InconsistentSystem(Exception):
     """Affine system M x = b has no solution."""
-
-
-def parity(x: int) -> int:
-    return x.bit_count() & 1
 
 
 def pack_bits(bits: Iterable[int]) -> int:
@@ -67,24 +63,21 @@ def in_span(rows: Sequence[int], v: int) -> bool:
     return len(rows) in _echelon([*rows, v])[1]
 
 
-def transpose(rows: Sequence[int], ncols: int) -> list[int]:
-    out = [0] * ncols
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        r = row
-        while r:
-            j = r.bit_length() - 1
-            out[j] |= bit
-            r ^= 1 << j
-    return out
-
-
 def mat_vec(rows: Sequence[int], x: int) -> int:
     """y with y_i = <row_i, x> over GF(2), packed over row indices."""
     y = 0
     for i, row in enumerate(rows):
         if (row & x).bit_count() & 1:
             y |= 1 << i
+    return y
+
+
+def vec_mat(rows: Sequence[int], x: int) -> int:
+    """x^T M: the XOR of the rows[i] whose bit i of x is set."""
+    y = 0
+    while x:
+        y ^= rows[(x & -x).bit_length() - 1]
+        x &= x - 1
     return y
 
 

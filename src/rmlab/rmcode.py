@@ -12,6 +12,10 @@ the integer p = j XOR (n-1), with z_i = bit (m-i) of p.  All direction /
 point arguments below use that integer encoding.  A handy consequence:
 translating a point by a direction b is coordinate index XOR b.
 
+Every monomial evaluation goes through one array evaluator, evaluations(),
+which raises TooLarge past _EVAL_CELLS cells.  The monomial order is
+enumerated size by size, so RM(m, r) never lists a degree above r.
+
 is_codeword and message_of_codeword read a word's polynomial by one binary
 Moebius transform of the packed word (m shift-and-XOR steps).
 """
@@ -23,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -35,10 +40,6 @@ class DegenerateDual(Exception):
 
 class TooShort(Exception):
     """Word too short to split."""
-
-
-class InvalidDirection(Exception):
-    """Direction must be a nonzero point of F_2^m."""
 
 
 class TooLarge(Exception):
@@ -77,20 +78,21 @@ def dual_params(params: CodeParams) -> CodeParams:
     return CodeParams(params.m, params.m - params.r - 1)
 
 
-def _subset_key(mask: int):
-    elems = tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-    return (-len(elems), elems)
-
-
-@lru_cache(maxsize=None)
-def monomial_order(m: int) -> tuple[int, ...]:
-    """All 2^m subset masks: larger sets first, lexicographic within a size."""
-    return tuple(sorted(range(1 << m), key=_subset_key))
+# Cells (rows x points) one evaluations() call may return: the full-order
+# matrix at m = 14, the largest the mc reports build (256 MB of uint8)
+_EVAL_CELLS = 1 << 28
 
 
 @lru_cache(maxsize=None)
 def _restricted_order(m: int, r: int) -> tuple[int, ...]:
-    return tuple(a for a in monomial_order(m) if a.bit_count() <= r)
+    # combinations of the bits of x_1 ... x_m come in lexicographic order
+    bits = [1 << i for i in range(m)]
+    return tuple(sum(c) for size in range(r, -1, -1) for c in combinations(bits, size))
+
+
+def monomial_order(m: int) -> tuple[int, ...]:
+    """All 2^m subset masks: larger sets first, lexicographic within a size."""
+    return _restricted_order(m, m)
 
 
 def monomials(params: CodeParams) -> tuple[int, ...]:
@@ -98,57 +100,64 @@ def monomials(params: CodeParams) -> tuple[int, ...]:
     return _restricted_order(params.m, params.r)
 
 
-def point_mask(subset: int, m: int) -> int:
-    """Map a variable-subset mask (bit i-1 = x_i) to a point mask (bit m-i = z_i)."""
-    out = 0
-    for i in range(m):
-        if (subset >> i) & 1:
-            out |= 1 << (m - 1 - i)
-    return out
+def point_mask(subset, m: int):
+    """Subset masks (bit i-1 = x_i) to point masks (bit m-i = z_i), elementwise."""
+    i = np.arange(m)
+    return ((np.asarray(subset)[..., None] >> i) & 1) @ (1 << (m - 1 - i))
+
+
+def evaluations(m: int, subsets) -> np.ndarray:
+    """(len(subsets), n) uint8 rows: x_A(p) for A in subsets, p = n-1-j at
+    coordinate j, is 1 iff p lies above point_mask(A).  The high and low
+    halves of p's bits are tested apart and joined by one outer AND."""
+    subsets = np.asarray(subsets, dtype=np.int64)
+    n = 1 << m
+    if len(subsets) * n > _EVAL_CELLS:
+        raise TooLarge(f"{len(subsets)} x 2^{m} evaluations pass 2^{_EVAL_CELLS.bit_length() - 1} cells")
+    if (subsets >> m).any():
+        raise ValueError("subset mask out of range")
+    h = m // 2
+    low = (1 << h) - 1
+    pm = point_mask(subsets, m)[:, None]
+    above_high = (np.arange((n >> h) - 1, -1, -1) & (pm >> h)) == pm >> h
+    above_low = (np.arange(low, -1, -1) & (pm & low)) == pm & low
+    return (above_high[:, :, None] & above_low[:, None, :]).reshape(len(subsets), n).view(np.uint8)
 
 
 @lru_cache(maxsize=None)
 def eval_monomial_packed(subset: int, m: int) -> int:
-    if subset >> m:
-        raise ValueError("subset mask out of range")
-    n = 1 << m
-    pmask = point_mask(subset, m)
-    word = 0
-    for p in range(n):
-        if p & pmask == pmask:
-            word |= 1 << (n - 1 - p)
-    return word
+    return gf2.pack_bits(evaluations(m, [subset])[0])
 
 
 def eval_monomial(subset: int, m: int) -> np.ndarray:
     """Evaluation vector of the monomial x_A, A given as a bitmask."""
-    return gf2.unpack_bits(eval_monomial_packed(subset, m), 1 << m)
+    return evaluations(m, [subset])[0]
 
 
 @lru_cache(maxsize=None)
 def generator_rows(params: CodeParams) -> tuple[int, ...]:
-    return tuple(eval_monomial_packed(a, params.m) for a in monomials(params))
+    return tuple(map(gf2.pack_bits, generator_matrix(params)))
 
 
 @lru_cache(maxsize=None)
 def generator_columns(params: CodeParams) -> tuple[int, ...]:
     """Column j of the generator, packed over monomial indices."""
-    return tuple(gf2.transpose(generator_rows(params), params.n))
+    return tuple(map(gf2.pack_bits, generator_matrix(params).T))
 
 
 def generator_matrix(params: CodeParams) -> np.ndarray:
     """k x n generator of RM(m, r), rows in monomial order."""
-    return np.stack([eval_monomial(a, params.m) for a in monomials(params)])
+    return evaluations(params.m, monomials(params))
 
 
 @lru_cache(maxsize=None)
 def rm_full_rows(m: int) -> tuple[int, ...]:
-    return tuple(eval_monomial_packed(a, m) for a in monomial_order(m))
+    return tuple(map(gf2.pack_bits, rm_full_matrix(m)))
 
 
 def rm_full_matrix(m: int) -> np.ndarray:
     """The invertible n x n matrix whose rows are all monomial evaluations."""
-    return np.stack([eval_monomial(a, m) for a in monomial_order(m)])
+    return evaluations(m, monomial_order(m))
 
 
 @dataclass
@@ -220,7 +229,7 @@ def _moebius_tables(m: int, r: int):
     j = np.arange(1 << m)
     steps = tuple((1 << h, gf2.pack_bits((j >> h) & 1)) for h in range(m))
     high = gf2.pack_bits(np.bitwise_count(j) < m - r)
-    return steps, high, np.array([point_mask(p, m) for p in j[::-1]])
+    return steps, high, point_mask(j[::-1], m)
 
 
 def _coefficient_word(params: CodeParams, y) -> int | None:
@@ -277,54 +286,15 @@ def plotkin_join(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def project_coset(y: np.ndarray, b: int) -> np.ndarray:
-    """Sum y over the cosets of {0, b}, one output coordinate per coset.
-
-    b is a nonzero point (integer encoding above).  The coset containing
-    points {p, p^b} is indexed by its member with the smaller coordinate
-    index; outputs are compacted in increasing order of that index.
-    """
-    y = np.asarray(y)
-    n = y.size
-    if n < 2 or n & (n - 1):
-        raise ValueError("word length must be 2^m")
-    if not (0 < b < n):
-        raise InvalidDirection(f"direction {b!r} not a nonzero point of F_2^m")
-    h = b.bit_length() - 1
-    jp = np.arange(n // 2)
-    rep = ((jp >> h) << (h + 1)) | (jp & ((1 << h) - 1))
-    return (y[rep] ^ y[rep ^ b]).astype(np.uint8)
-
-
-def coset_index_map(m: int, b: int) -> np.ndarray:
-    """For each coordinate j, the projected coordinate of its {0,b}-coset."""
-    n = 1 << m
-    if not (0 < b < n):
-        raise InvalidDirection(f"direction {b!r} not a nonzero point of F_2^m")
-    h = b.bit_length() - 1
-    j = np.arange(n)
-    rep = np.where((j >> h) & 1, j ^ b, j)
-    return ((rep >> (h + 1)) << h) | (rep & ((1 << h) - 1))
-
-
-def _submasks(mask: int) -> list[int]:
-    out = [0]
-    bits = [1 << i for i in range(mask.bit_length()) if (mask >> i) & 1]
-    for bit in bits:
-        out += [s | bit for s in out]
-    return sorted(out)
-
-
-def cosets_of_subspace(subset: int, m: int) -> list[list[int]]:
-    """Partition of F_2^m into cosets of V_A = {z : z_i = 0 for i not in A}.
-
-    subset is a variable mask; returned entries are point integers, cosets
-    ordered by representative, members ascending.
-    """
-    pmask = point_mask(subset, m)
-    free = ((1 << m) - 1) ^ pmask
-    members = _submasks(pmask)
-    return [[rep | v for v in members] for rep in _submasks(free)]
+def cosets_of_subspace(subset, m: int) -> np.ndarray:
+    """The cosets of V_A = {z : z_i = 0 for i not in A} partitioning F_2^m, as a
+    (..., cosets, 2^|A|) array of points: cosets by representative, members
+    ascending.  subset is a variable mask or an array of masks of one size."""
+    pm = point_mask(subset, m)[..., None]
+    points = np.broadcast_to(np.arange(1 << m), pm.shape[:-1] + (1 << m,))
+    reps = points[points & pm == 0].reshape(pm.shape[:-1] + (-1,))
+    members = points[points & ~pm == 0].reshape(pm.shape[:-1] + (-1,))
+    return reps[..., :, None] | members[..., None, :]
 
 
 # --- serialization ---------------------------------------------------------

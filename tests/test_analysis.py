@@ -27,6 +27,8 @@ from rmlab.decoders.oracle import erasure_decode
 from rmlab.decoders.types import Ambiguous
 from rmlab.rmcode import CodeParams, TooLarge
 
+import reference_structure as ref
+
 
 # ---- weight distribution ----
 
@@ -210,7 +212,7 @@ def test_exit_counts_against_rank_oracle():
     for m, r, z in cases + [(4, r, 0) for r in range(5)]:
         params = CodeParams(m, r)
         n = params.n
-        cols = gf2.transpose(rmcode.generator_rows(params), n)
+        cols = ref.transpose(rmcode.generator_rows(params), n)
         gz, others = cols[z], cols[:z] + cols[z + 1 :]
         counts = [0] * n
         for pat in range(1 << (n - 1)):
@@ -408,10 +410,13 @@ def test_size_guards_run_before_any_allocation():
             bitchannel_entropies_bec(m, 0.3)
     with pytest.raises(TooLarge):
         bitchannel_entropies_bec(40, 0.3, mode="mc", trials=1)
+    for m in (15, 17):
+        with pytest.raises(TooLarge):
+            exit_function_bec(CodeParams(m, 1), 0.3, mode="mc", trials=1)
     with pytest.raises(TooLarge):
-        exit_function_bec(CodeParams(17, 1), 0.3, mode="mc", trials=1)
+        bitchannel_entropies_bec(15, 0.3, mode="mc", trials=1)
     assert time.perf_counter() - start < 2.0
-    # the mc cap is n <= 2^16; small m still runs
+    # the mc cap is n <= 2^14; small m still runs
     assert len(bitchannel_entropies_bec(6, 0.3, mode="mc", trials=1).entries) == 64
 
 
@@ -456,7 +461,7 @@ def test_recoverability_matches_erasure_decoder():
     # full rank; spot-check the oracle decoder against the rank criterion
     rng = np.random.default_rng(81)
     params = CodeParams(3, 2)
-    cols = gf2.transpose(rmcode.generator_rows(params), 8)
+    cols = ref.transpose(rmcode.generator_rows(params), 8)
     for _ in range(200):
         erased = rng.random(8) < 0.4
         y = np.zeros(8, dtype=np.uint8)

@@ -27,6 +27,8 @@ from rmlab.decoders.fht import _parity_table, fht_decode_words, linear_word, tra
 from rmlab.decoders.types import hard_input_llr, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
+import reference_structure as ref
+
 # one case per decoder id and shape of recursion; every channel kind an id
 # accepts is tried below
 CASES = [
@@ -289,7 +291,7 @@ def ref_tables(m):
         rep = ((jp >> h) << (h + 1)) | (jp & ((1 << h) - 1))
         mem0[b - 1] = rep
         mem1[b - 1] = rep ^ b
-        cos[b - 1] = rmcode.coset_index_map(m, b)
+        cos[b - 1] = ref.coset_index_map(m, b)
         xorb[b - 1] = j ^ b
     return mem0, mem1, cos, xorb
 

@@ -5,6 +5,8 @@ from rmlab import gf2, rmcode
 from rmlab.decoders.bw import bw_decode
 from rmlab.decoders.types import Undecodable
 
+import reference_structure as ref
+
 
 def random_message(params, rng):
     return rmcode.Message(params, {a: 1 for a in rmcode.monomials(params) if rng.integers(2)})
@@ -14,7 +16,7 @@ def correctable_as_erasures(m, r_n, coords):
     # a pattern is erasure-correctable iff the unerased generator columns
     # still span all k coefficient positions
     params_n = rmcode.CodeParams(m, r_n)
-    cols = gf2.transpose(rmcode.generator_rows(params_n), 1 << m)
+    cols = ref.transpose(rmcode.generator_rows(params_n), 1 << m)
     keep = [cols[j] for j in range(1 << m) if j not in coords]
     return gf2.rank(keep) == params_n.k
 

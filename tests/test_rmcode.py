@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlab import gf2, rmcode
+from rmlab import analysis, gf2, rmcode
+from rmlab.decoders import reed as reed_mod
+from rmlab.decoders import sakkour as sakkour_mod
 from rmlab.decoders.fht import fht_decode_order1, fht_list_decode_order1, linear_word, transform_peak
 from rmlab.rmcode import CodeParams
+
+import reference_structure as ref
 
 
 def word(s: str) -> np.ndarray:
@@ -73,6 +77,75 @@ def test_eval_monomial_weight():
             assert rmcode.eval_monomial(a, m).sum() == 1 << (m - a.bit_count())
 
 
+def test_monomial_order_matches_the_sorted_reference():
+    # the enumeration by size and combinations against sorting all 2^m masks
+    assert rmcode.monomial_order(0) == ref.monomial_order(0) == (0,)
+    for m in range(1, 17):
+        assert rmcode.monomial_order(m) == ref.monomial_order(m), m
+        for r in range(m + 1):
+            assert rmcode.monomials(CodeParams(m, r)) == ref.monomials(m, r), (m, r)
+
+
+def test_builders_match_the_per_point_reference():
+    for m in range(13):
+        n = 1 << m
+        full = ref.rm_full_rows(m)
+        assert rmcode.rm_full_rows(m) == full, m
+        assert np.array_equal(rmcode.rm_full_matrix(m), np.stack([gf2.unpack_bits(w, n) for w in full]))
+        for a, word in zip(ref.monomial_order(m), full):
+            assert rmcode.eval_monomial_packed(a, m) == word, (m, a)
+            got = rmcode.eval_monomial(a, m)
+            assert got.dtype == np.uint8 and np.array_equal(got, gf2.unpack_bits(word, n)), (m, a)
+        full_cols = ref.transpose(full, n)
+        ref_steps, _, ref_monomial_at = ref.moebius_tables(m, m)
+        for r in range(m + 1) if m else ():
+            p = CodeParams(m, r)
+            # RM(m, r)'s rows are the last k of the full order, so its
+            # columns are the full columns' top k bits
+            assert ref.monomials(m, r) == ref.monomial_order(m)[n - p.k :]
+            G = rmcode.generator_matrix(p)
+            assert G.dtype == np.uint8 and np.array_equal(G, ref.generator_matrix(m, r)), (m, r)
+            assert rmcode.generator_rows(p) == full[n - p.k :], (m, r)
+            assert rmcode.generator_columns(p) == tuple(c >> (n - p.k) for c in full_cols), (m, r)
+            steps, high, monomial_at = rmcode._moebius_tables(m, r)
+            assert (steps, high) == (ref_steps, ref.moebius_tables(m, r)[1]), (m, r)
+            assert monomial_at.dtype == ref_monomial_at.dtype
+            assert np.array_equal(monomial_at, ref_monomial_at), (m, r)
+
+
+def test_decoder_tables_match_the_per_point_reference():
+    for m in range(1, 11):
+        for t in range(m + 1):
+            got, want = reed_mod._layer(m, t), ref.reed_layer(m, t)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (m, t)
+            assert got[2] == want[2]
+        if m >= 2:
+            for g, w in zip(sakkour_mod._tables(m), ref.sakkour_tables(m)):
+                assert g.dtype == w.dtype and np.array_equal(g, w), m
+
+
+def test_evaluations_guard_sits_at_its_cell_cap(monkeypatch):
+    # the cap admits the largest build the mc reports make: the full-order
+    # matrix at the largest m their n cap admits
+    m_mc = analysis._MC_N_MAX.bit_length() - 1
+    assert len(rmcode.monomial_order(m_mc)) << m_mc <= rmcode._EVAL_CELLS
+    monkeypatch.setattr(rmcode, "_EVAL_CELLS", 8 * 16)
+    assert rmcode.evaluations(4, range(8)).shape == (8, 16)
+    with pytest.raises(rmcode.TooLarge):
+        rmcode.evaluations(4, range(9))
+    with pytest.raises(rmcode.TooLarge):
+        rmcode.eval_monomial(0, 8)
+
+
+def test_evaluations_reject_masks_out_of_range():
+    for bad in (8, -1):
+        with pytest.raises(ValueError):
+            rmcode.evaluations(3, [0, bad])
+        with pytest.raises(ValueError):
+            rmcode.eval_monomial_packed(bad, 3)
+
+
 def test_params_arithmetic():
     p = CodeParams(4, 2)
     assert (p.n, p.k, p.d) == (16, 11, 4)
@@ -104,7 +177,7 @@ def test_duality_orthogonality():
         for r in range(m):
             G = rmcode.generator_rows(CodeParams(m, r))
             H = rmcode.generator_rows(CodeParams(m, m - r - 1))
-            assert all(gf2.parity(g & h) == 0 for g in G for h in H)
+            assert all(ref.parity(g & h) == 0 for g in G for h in H)
 
 
 def test_generator_rank():
@@ -173,7 +246,7 @@ def ref_is_codeword(params, y):
 def ref_message_of_codeword(params, y):
     """The coefficients by elimination over the transposed generator;
     raises gf2.InconsistentSystem off the code."""
-    cols = gf2.transpose(rmcode.generator_rows(params), params.n)
+    cols = ref.transpose(rmcode.generator_rows(params), params.n)
     sol = gf2.solve_affine(cols, params.k, gf2.pack_bits(y))
     order = rmcode.monomials(params)
     return {order[i]: 1 for i in range(params.k) if (sol.particular >> i) & 1}
@@ -287,19 +360,19 @@ def test_project_coset_trivia():
     zero = np.zeros(8, dtype=np.uint8)
     ones = np.ones(8, dtype=np.uint8)
     for b in range(1, 8):
-        assert not rmcode.project_coset(zero, b).any()
-        assert not rmcode.project_coset(ones, b).any()
+        assert not ref.project_coset(zero, b).any()
+        assert not ref.project_coset(ones, b).any()
 
 
 def test_project_coset_fixture():
     # direction 0b100: the quadratic row 11000000 projects to 1100
     y = rmcode.eval_monomial(0b011, 3)
-    assert np.array_equal(rmcode.project_coset(y, 0b100), word("1100"))
+    assert np.array_equal(ref.project_coset(y, 0b100), word("1100"))
 
 
 def test_project_coset_invalid_direction():
-    with pytest.raises(rmcode.InvalidDirection):
-        rmcode.project_coset(np.zeros(8, dtype=np.uint8), 0)
+    with pytest.raises(ref.InvalidDirection):
+        ref.project_coset(np.zeros(8, dtype=np.uint8), 0)
 
 
 def test_project_coset_membership_all_directions():
@@ -310,7 +383,7 @@ def test_project_coset_membership_all_directions():
         coeffs = {mon: int(rng.integers(2)) for mon in order}
         c = rmcode.encode(rmcode.Message(p, coeffs))
         for b in range(1, p.n):
-            proj = rmcode.project_coset(c, b)
+            proj = ref.project_coset(c, b)
             assert rmcode.is_codeword(CodeParams(m - 1, r - 1), proj)
 
 
@@ -320,15 +393,15 @@ def test_coset_index_map_matches_projection():
         n = 1 << m
         y = rng.integers(0, 2, size=n).astype(np.uint8)
         for b in range(1, n):
-            proj = rmcode.project_coset(y, b)
-            idx = rmcode.coset_index_map(m, b)
+            proj = ref.project_coset(y, b)
+            idx = ref.coset_index_map(m, b)
             for j in range(n):
                 assert proj[idx[j]] == y[j] ^ y[j ^ b]
 
 
 def test_cosets_of_subspace():
     # full subspace: one coset covering everything
-    assert rmcode.cosets_of_subspace((1 << 3) - 1, 3) == [list(range(8))]
+    assert rmcode.cosets_of_subspace((1 << 3) - 1, 3).tolist() == [list(range(8))]
     halves = rmcode.cosets_of_subspace(0b011, 3)
     assert len(halves) == 2 and all(len(c) == 4 for c in halves)
     flat = sorted(pt for c in rmcode.cosets_of_subspace(0b101, 3) for pt in c)
