@@ -77,11 +77,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy implements it: the limb mask and shift, the
 # round multipliers and their 32-bit limbs, the Weyl key increments, as 0-d arrays (a small op
-# is up to 2x slower with an np.uint64 operand).  _CHUNK lanes per pass keep temporaries below
-# the 128 KB from which glibc's malloc hands freed memory back to the system and refaults it.
+# is up to 2x slower with an np.uint64 operand).
 _LO32, _BITS32, *_PHILOX_M, _W0, _W1 = (np.array(x, dtype=np.uint64) for x in (
     0xFFFFFFFF, 32, 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
-_LIMBS, _CHUNK = [(np.array(m & _LO32), np.array(m >> _BITS32)) for m in _PHILOX_M], 1 << 13
+_LIMBS = [(np.array(m & _LO32), np.array(m >> _BITS32)) for m in _PHILOX_M]
 
 
 def _mulhilo(a: int, b):
@@ -124,9 +123,7 @@ def philox_draws(bit_keys, u_keys, k: int, n: int):
     # a lane is one (key, counter) pair, counter-major; numpy's counters start at 1
     k0, k1 = (np.concatenate([b] * nb + [u] * nu) for b, u in zip(bit_keys, u_keys))
     ctr = np.repeat(np.concatenate([np.arange(1, c + 1, dtype=np.uint64) for c in (nb, nu)]), T)
-    words = np.empty((T * (nb + nu), 4), dtype=np.uint64)
-    for part in (slice(lo, lo + _CHUNK) for lo in range(0, len(words), _CHUNK)):
-        words[part] = _philox_lanes(k0[part], k1[part], ctr[part])
+    words = _philox_lanes(k0, k1, ctr)
     # integers(0, 2) is Lemire's: bit 31 of each uint32, low half first
     halves = words[: nb * T].astype("<u8", copy=False).view("<u4").reshape(nb, T, 8) >> np.uint32(31)
     bits = halves.transpose(1, 0, 2).reshape(T, 8 * nb)[:, :k].astype(np.int64)

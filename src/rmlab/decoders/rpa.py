@@ -50,14 +50,13 @@ from .types import DecodeResult, block_rows, hard_rows, hard_word, llr_word, res
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 
 # Cells of each float array one chunk of rows may hold: (rows, n-1, n) in
-# an RPA round, (rows, n) for Chase candidates.  At n = 128 a chunk is two
-# rows, at n = 32 thirty-three.  With the column-layout order-2 round, five
-# harness runs of rpa RM(7,2) awgn:1.3 (T = 100) took 742-754 us/trial at
-# 2^15, 824-924 at 2^14 and 968-1 324 at 2^16, whose round re-faults its
-# heap pages (17-33 k minor faults per 100 trials against under 100); for
-# rpa-chase:3 RM(5,2) bsc:0.032 2^15 and 2^16 were within noise of each
-# other (490-637 against 447-547 us/trial, alternated) at twice the memory.
-_CELLS = 1 << 15
+# an RPA round, (rows, n) for Chase candidates.  At n = 128 a chunk is four
+# rows, at n = 32 sixty-six.  With the harness's steady heap (no minor
+# faults at either size), 2^16 beat 2^15 on rpa RM(7,2) awgn:1.3 (T = 100)
+# in 26 of 32 alternated fresh-process runs, by about a tenth in the
+# median, and 2^17 was no faster; rpa-chase:3 RM(5,2) bsc:0.032 was within
+# noise (7 of 10).  Without that heap, 2^16 re-faulted its pages each round.
+_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=None)

@@ -34,9 +34,9 @@ from .types import DecodeResult, hard_input_llr, hard_rows, hard_word, result_fo
 
 # Cells of each (rows, n, n) array one chunk of rows may hold: 64 rows at
 # n = 32, whose int16 transform and vote arrays take 128 KB each and the
-# intp bincount index 512 KB.  Side by side at RM(5,2), 2^15 was slower
-# for 40-row blocks (two chunks) and a little faster for 2048-row blocks;
-# 2^17 was no faster at twice the peak memory; 2^13 and 2^14 were slower.
+# intp bincount index 512 KB.  With the harness's steady heap, at RM(5,2),
+# 2^15 was slower on the light sweep's 160-row block in 9 of 10 alternated
+# runs, and 2^17 won only 6 of 10 there and 7 of 10 on 2048-row blocks.
 _CELLS = 1 << 16
 
 

@@ -106,14 +106,18 @@ def point_mask(subset, m: int):
     return ((np.asarray(subset)[..., None] >> i) & 1) @ (1 << (m - 1 - i))
 
 
+def _check_cells(rows: int, m: int):
+    if rows << m > _EVAL_CELLS:
+        raise TooLarge(f"{rows} x 2^{m} evaluations pass 2^{_EVAL_CELLS.bit_length() - 1} cells")
+
+
 def evaluations(m: int, subsets) -> np.ndarray:
     """(len(subsets), n) uint8 rows: x_A(p) for A in subsets, p = n-1-j at
     coordinate j, is 1 iff p lies above point_mask(A).  The high and low
     halves of p's bits are tested apart and joined by one outer AND."""
     subsets = np.asarray(subsets, dtype=np.int64)
     n = 1 << m
-    if len(subsets) * n > _EVAL_CELLS:
-        raise TooLarge(f"{len(subsets)} x 2^{m} evaluations pass 2^{_EVAL_CELLS.bit_length() - 1} cells")
+    _check_cells(len(subsets), m)
     if (subsets >> m).any():
         raise ValueError("subset mask out of range")
     h = m // 2
@@ -189,6 +193,7 @@ def encode_packed(msg: Message) -> int:
 
 
 def encode(msg: Message) -> np.ndarray:
+    _check_cells(1, msg.params.m)  # the n-bit word, even where no monomial is evaluated
     return gf2.unpack_bits(encode_packed(msg), msg.params.n)
 
 

@@ -20,7 +20,7 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -399,10 +399,34 @@ def _openblas(name: str):
     return None
 
 
-def _one_blas_thread():
-    """Pool initializer: the worker's BLAS runs on one thread.  The workers
-    already share the cores out, and BLAS threads inside each of them would
-    oversubscribe the machine."""
+# glibc maps each allocation from M_MMAP_THRESHOLD (128 KB at start) afresh
+# and trims the heap's free top past M_TRIM_THRESHOLD, so every run faulted
+# its block arrays in page by page (487 minor faults per light-sweep reed
+# run).  4 MiB lies above the largest per-block array, 2 MiB of float64 at
+# dumer._LIST_CELLS; the heap keeps twice that free.
+_HEAP_BYTES = 4 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+def _mallopt():
+    """The C library's mallopt, or None where it has none."""
+    return getattr(ctypes.CDLL(None), "mallopt", None)
+
+
+@cache
+def _steady_heap():
+    """Once per process: freed block arrays stay in the heap for later blocks."""
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BYTES)
+
+
+def _init_worker():
+    """Pool initializer: a steady heap (a spawned worker lacks the parent's)
+    and one BLAS thread, since the workers already share the cores out and
+    BLAS threads inside each of them would oversubscribe the machine."""
+    _steady_heap()
     set_threads = _openblas("set_num_threads")
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
@@ -410,8 +434,8 @@ def _one_blas_thread():
 
 
 def worker_pool(workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers run single-threaded BLAS."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    """A process pool whose workers keep a steady heap and one BLAS thread."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
 
 
 def run_simulation(config: SimConfig, workers: int = 1):
@@ -429,6 +453,7 @@ def run_simulation(config: SimConfig, workers: int = 1):
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers > MAX_WORKERS:
         raise ConfigError(f"workers must be <= {MAX_WORKERS}, got {workers}")
+    _steady_heap()
     total = config.trials * len(config.channels)
     start = time.perf_counter()
     if workers == 1:

@@ -260,7 +260,7 @@ def test_philox_kernel_equals_numpy_generator(keys, n, k):
         (2, 5, 4), (2, 10, 7), (2, 17, 64), (2, 58, 3),  # ceil(k / 2) not a multiple of 4
         (2, 257, 299),
         (1, 16, 32), (1, 93, 256), (1, 1, 1),  # one-trial blocks
-        (300, 64, 128),  # 12 000 lanes: more than one chunk
+        (300, 64, 128),  # 12 000 lanes
     ],
 )
 def test_philox_draws_where_the_stream_kinds_need_different_counter_counts(T, k, n):
@@ -268,9 +268,7 @@ def test_philox_draws_where_the_stream_kinds_need_different_counter_counts(T, k,
     _assert_draws_equal_generators(keys, [key | 1 for key in keys], k, n)
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 8])
-def test_philox_draws_across_chunk_boundaries(chunk, monkeypatch):
-    monkeypatch.setattr(channel, "_CHUNK", chunk)
+def test_philox_draws_at_key_edges():
     keys = [0, 1, (1 << 128) - 1, 1 << 64, (1 << 64) - 1]
     _assert_draws_equal_generators(keys, keys[::-1], 19, 13)
 

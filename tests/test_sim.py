@@ -1,5 +1,8 @@
 import ctypes
 import dataclasses
+import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -525,3 +528,85 @@ def test_pool_workers_run_one_blas_thread():
     with sim.worker_pool(2) as pool:
         assert list(pool.map(_blas_threads, range(4))) == [1] * 4
     assert _blas_threads() == before  # the serial path keeps its threads
+
+
+# ---- the steady heap ----
+
+@pytest.fixture
+def fresh_heap_policy():
+    """_steady_heap runs again on its next call, here and after the test."""
+    sim._steady_heap.cache_clear()
+    yield
+    sim._steady_heap.cache_clear()
+
+
+def _recording_mallopt(monkeypatch, path):
+    """Replace mallopt by a recorder that appends "pid param value" lines to
+    path, a file, so forked workers record too."""
+
+    def mallopt(param, value):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()} {param} {value}\n")
+        return 1
+
+    monkeypatch.setattr(sim, "_mallopt", lambda: mallopt)
+
+
+def _recorded(path):
+    calls = {}
+    for line in path.read_text().splitlines():
+        pid, param, value = map(int, line.split())
+        calls.setdefault(pid, []).append((param, value))
+    return calls
+
+
+_BOTH_THRESHOLDS = [(sim._M_MMAP_THRESHOLD, sim._HEAP_BYTES), (sim._M_TRIM_THRESHOLD, 2 * sim._HEAP_BYTES)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_simulation_sets_both_heap_thresholds_once_per_process(workers, fresh_heap_policy,
+                                                                   monkeypatch, tmp_path):
+    _recording_mallopt(monkeypatch, tmp_path / "calls")
+    cfg = config_from_dict(base_config(trials=300, channels=["bsc:0.05", "bsc:0.1"]))
+    for _ in range(2):
+        run_simulation(cfg, workers=workers)
+    calls = _recorded(tmp_path / "calls")
+    assert calls[os.getpid()] == _BOTH_THRESHOLDS
+    assert all(pid_calls == _BOTH_THRESHOLDS for pid_calls in calls.values())
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def test_pool_workers_set_both_heap_thresholds(fresh_heap_policy, monkeypatch, tmp_path):
+    """Workers apply the policy themselves, as a spawned worker must."""
+    _recording_mallopt(monkeypatch, tmp_path / "calls")
+    with sim.worker_pool(2) as pool:
+        pids = set(pool.map(_pid, range(8)))
+    calls = _recorded(tmp_path / "calls")
+    assert pids <= set(calls)
+    assert all(pid_calls == _BOTH_THRESHOLDS for pid_calls in calls.values())
+
+
+def test_golden_csv_without_mallopt(fresh_heap_policy, monkeypatch):
+    monkeypatch.setattr(sim, "_mallopt", lambda: None)
+    data = Path(__file__).parent / "data"
+    cfg = config_from_dict(json.loads((data / "golden_sim_config.json").read_text()))
+    assert csv_report(cfg, run_simulation(cfg)) == (data / "golden_sim.csv").read_text()
+
+
+def test_repeated_run_takes_almost_no_minor_faults(fresh_heap_policy):
+    """Freed block arrays stay in the heap: a second identical run of the
+    light-sweep reed config faults in almost no pages (about 487 without
+    the policy, on glibc's default thresholds)."""
+    if platform.libc_ver()[0] != "glibc" or sim._mallopt() is None:
+        pytest.skip("glibc's mallopt is unavailable")
+    import resource
+
+    cfg = config_from_dict({"m": 5, "r": 2, "decoder": "reed", "trials": 400, "seed": 1,
+                            "channels": ["bsc:0.01", "bsc:0.02", "bsc:0.032", "bsc:0.05"]})
+    run_simulation(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_simulation(cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
