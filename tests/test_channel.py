@@ -268,9 +268,18 @@ def test_philox_draws_where_the_stream_kinds_need_different_counter_counts(T, k,
     _assert_draws_equal_generators(keys, [key | 1 for key in keys], k, n)
 
 
-def test_philox_draws_at_key_edges():
-    keys = [0, 1, (1 << 128) - 1, 1 << 64, (1 << 64) - 1]
-    _assert_draws_equal_generators(keys, keys[::-1], 19, 13)
+@pytest.mark.parametrize("chunk", [1, 5, 8])
+def test_philox_draws_across_chunk_boundaries(chunk):
+    """Rows split over several philox_draws calls, `chunk` rows each, draw
+    what one call over all rows draws: a row depends only on its keys."""
+    keys = [0, 1, (1 << 128) - 1, 1 << 64, (1 << 64) - 1] * 2
+    u_keys = keys[::-1]
+    _assert_draws_equal_generators(keys, u_keys, 19, 13)
+    whole = channel.philox_draws(_key_words(keys), _key_words(u_keys), 19, 13)
+    parts = [channel.philox_draws(_key_words(keys[i:i + chunk]), _key_words(u_keys[i:i + chunk]), 19, 13)
+             for i in range(0, len(keys), chunk)]
+    for got, want in zip((np.concatenate(p) for p in zip(*parts)), whole):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
