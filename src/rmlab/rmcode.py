@@ -308,20 +308,17 @@ def cosets_of_subspace(subset, m: int) -> np.ndarray:
 def word_to_hex(y) -> str:
     """Hex string; the most significant digit covers coordinates 0..3."""
     arr = np.asarray(y, dtype=np.uint8)
-    bits = "".join("1" if b else "0" for b in arr)
-    pad = (-len(bits)) % 4
-    bits += "0" * pad
-    return format(int(bits, 2), f"0{len(bits) // 4}X")
+    return np.packbits(arr).tobytes().hex().upper()[: -(-arr.size // 4)]
 
 
 def word_from_hex(s: str, n: int) -> np.ndarray:
     s = s.strip()
     if not re.fullmatch(r"[0-9a-fA-F]+", s or ""):
         raise ValueError(f"not a hex word: {s!r}")
-    bits = format(int(s, 16), f"0{4 * len(s)}b")
-    if len(bits) < n or int(bits[n:] or "0", 2):
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(s + "0" * (len(s) % 2)), dtype=np.uint8))
+    if 4 * len(s) < n or bits[n:].any():
         raise ValueError(f"hex word {s!r} does not fit length {n}")
-    return np.array([int(b) for b in bits[:n]], dtype=np.uint8)
+    return bits[:n]
 
 
 def monomial_name(subset: int) -> str:

@@ -7,9 +7,16 @@ count.  The sweep's trials run as one range of rows, point after point,
 in blocks of T = BLOCK_CELLS // n rows that may span consecutive points of
 one channel kind: each block draws its rows' message bits and uniforms in
 one Philox kernel call, encodes them in one product, applies each point's
-channel to its rows, decodes all rows in one kernel call and counts errors
-with array operations.  Wall-clock seconds are recorded only when timing
-is enabled; the default keeps the CSV byte-reproducible.
+channel to its rows, decodes them in one kernel call and counts errors
+with array operations.  On hard input only the rows whose hard word differs
+from the sent codeword reach the kernel; the others count zero errors, and
+a block with none calls no kernel.  This rests on one contract: every
+hard-input kernel (reed, sakkour, bw, rpa on hard input) returns a codeword
+unchanged.  Soft kernels decode every row: a clean BSC row's LLRs are
++-mag, and near p = 1/2 the recursions' llr_of_sum(mag, mag) ~ mag^2/2 is
+lost to rounding, so Dumer, list and RPA decoding can move a codeword.
+Wall-clock seconds are recorded only when timing is enabled; the default
+keeps the CSV byte-reproducible.
 """
 
 from __future__ import annotations
@@ -328,9 +335,11 @@ def _streams(config: SimConfig, point, trials):
 def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
     """Rows [lo, hi) of the whole sweep, row g being trial g % trials of point
     g // trials, block by block.  A block spans consecutive points of one
-    channel kind.  Returns {point: (bit_err, blk_err, failing trials ascending,
-    at most max_errors_to_log, seconds)} for every point the rows touch, each
-    block's wall time charged to its points in proportion to their rows."""
+    channel kind; on hard input its kernel gets only the rows the channel
+    changed (see the module docstring).  Returns {point: (bit_err, blk_err,
+    failing trials ascending, at most max_errors_to_log, seconds)} for every
+    point the rows touch, each block's wall time charged to its points in
+    proportion to their rows."""
     params, trials, specs = config.params, config.trials, config.channels
     # run_end[p]: the first point after p whose channel kind differs (or the end)
     run_end = [len(specs)] * len(specs)
@@ -358,7 +367,12 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
             else:
                 words.append(channel.llr(out, spec))
             segments.append((p, rows))
-        errs = np.count_nonzero(decode(words[0] if len(words) == 1 else np.concatenate(words)) != c, axis=1)
+        words = words[0] if len(words) == 1 else np.concatenate(words)
+        # a hard-input kernel returns a codeword unchanged: only rows the channel changed reach it
+        live = np.flatnonzero((words != c).any(axis=1)) if kind == "hard" else slice(None)
+        errs = np.zeros(stop - start, dtype=np.intp)
+        if errs[live].size:
+            errs[live] = np.count_nonzero(decode(words[live]) != c[live], axis=1)
         row_seconds = (time.perf_counter() - t0) / (stop - start)
         for p, rows in segments:
             bit_err, blk_err, logged, spent = tally.get(p, (0, 0, [], 0.0))

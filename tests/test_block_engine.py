@@ -6,6 +6,7 @@ noise, LLR) must match their single-word forms; and run_simulation must
 reproduce a per-trial reference loop kept here.
 """
 
+import contextlib
 import math
 from functools import lru_cache
 from unittest import mock
@@ -174,22 +175,28 @@ def test_block_noise_and_llr_equal_transmit_row_by_row(spec):
 # ---- run_simulation against the per-trial loop ----
 
 
-def reference_point(config, point):
-    """The single-trial harness loop: one Message, encode and transmit per trial."""
+def reference_words(config, point):
+    """(codeword, decoder input) of each trial of a point: one Message, encode and transmit per trial."""
     params = config.params
     spec = config.channels[point]
-    kind, fn = resolve_decoder(config.decoder, params, spec.kind, config.hard)
+    kind = resolve_decoder(config.decoder, params, spec.kind, config.hard)[0]
     order = rmcode.monomials(params)
-    bit_err = blk_err = 0
-    failing = []
     for trial in range(config.trials):
         bits = channel._rng(sim._stream_key(config.seed, point, trial, 0)).integers(0, 2, size=params.k)
         c = rmcode.encode(rmcode.Message(params, {order[i]: int(bits[i]) for i in range(params.k)}))
         out = channel.transmit(c, spec, sim._stream_key(config.seed, point, trial, 1))
         if kind == "hard":
-            word = out.data if spec.kind == "bsc" else channel.hard_decision(channel.llr(out, spec))
+            yield c, out.data if spec.kind == "bsc" else channel.hard_decision(channel.llr(out, spec))
         else:
-            word = channel.llr(out, spec)
+            yield c, channel.llr(out, spec)
+
+
+def reference_point(config, point):
+    """The single-trial harness loop: every trial's word through the single-word decoder."""
+    kind, fn = resolve_decoder(config.decoder, config.params, config.channels[point].kind, config.hard)
+    bit_err = blk_err = 0
+    failing = []
+    for trial, (c, word) in enumerate(reference_words(config, point)):
         try:
             decoded = fn(word)
         except Undecodable:
@@ -270,6 +277,97 @@ def test_block_streams_take_per_row_points_across_the_key_mask():
     k, n = config.params.k, config.params.n
     assert np.array_equal(bits, np.stack([channel._rng(key).integers(0, 2, size=k) for key in keys[0]]))
     assert np.array_equal(u, np.stack([channel._rng(key).random(n) for key in keys[1]]))
+
+
+# ---- hard input: only rows the channel changed reach the kernel ----
+# The harness counts zero errors for a hard row equal to its codeword without
+# decoding it, which is exact because every hard-input kernel returns a
+# codeword unchanged.
+
+
+def hard_cases(max_m):
+    """Every (id, m, r) a hard-input kernel accepts on the BSC, m <= max_m."""
+    cases = []
+    for decoder_id in ("reed", "sakkour", "bw", "rpa"):
+        for m in range(1, max_m + 1):
+            for r in range(m + 1):
+                with contextlib.suppress(ConfigError):
+                    resolve_block_decoder(decoder_id, rmcode.CodeParams(m, r), "bsc", False)
+                    cases.append((decoder_id, m, r))
+    return cases
+
+
+@pytest.mark.parametrize("decoder_id,m,r", hard_cases(6))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_hard_kernels_return_codewords_unchanged(decoder_id, m, r, data):
+    params = rmcode.CodeParams(m, r)
+    kind, block_fn = resolve_block_decoder(decoder_id, params, "bsc", False)
+    messages = data.draw(st.lists(st.integers(0, (1 << params.k) - 1), min_size=1, max_size=3))
+    bits = np.array([[(x >> i) & 1 for i in range(params.k)] for x in messages], dtype=np.uint8)
+    codewords = rmcode.encode_rows(params, bits)
+    assert kind == "hard"
+    assert np.array_equal(block_fn(codewords.copy()), codewords)
+
+
+def recording_kernels(monkeypatch, calls):
+    """Patch the harness's kernels to append each block they receive to calls."""
+    resolve = sim.resolve_block_decoder
+
+    def recording(*args):
+        kind, fn = resolve(*args)
+        return kind, lambda words: calls.append(words.copy()) or fn(words)
+
+    monkeypatch.setattr(sim, "resolve_block_decoder", recording)
+
+
+def test_hard_kernel_receives_exactly_the_changed_rows(monkeypatch):
+    config = config_from_dict({"m": 4, "r": 2, "decoder": "reed", "trials": 61, "seed": 4, "hard": True,
+                               "channels": ["bsc:0.03", "bsc:0", "bsc:0.08", "awgn:1.0", "bec:0.2"]})
+    changed = [w for p in range(len(config.channels)) for c, w in reference_words(config, p) if (w != c).any()]
+    assert 0 < len(changed) < config.trials * len(config.channels)
+    calls = []
+    recording_kernels(monkeypatch, calls)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 50 * config.params.n)  # blocks straddle points
+    run_simulation(config)
+    assert np.array_equal(np.concatenate(calls), np.array(changed))
+
+
+@pytest.mark.parametrize("decoder_id", ["reed", "sakkour", "bw", "rpa"])
+def test_noiseless_hard_sweep_calls_no_kernel(decoder_id, monkeypatch):
+    config = config_from_dict({"m": 4, "r": 2, "decoder": decoder_id, "trials": 300, "seed": 2,
+                               "channels": ["bsc:0", "bsc:0"], "max_errors_to_log": 5})
+    calls = []
+    recording_kernels(monkeypatch, calls)
+    points = run_simulation(config)
+    assert calls == []
+    assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == [(0, 0, ())] * 2
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"decoder": "reed", "channels": ["bec:0.3", "awgn:0.9"], "hard": True},
+        {"decoder": "rpa", "channels": ["awgn:1.0", "bec:0.25"], "hard": True},
+        {"decoder": "reed", "channels": ["bsc:0.01", "bsc:0.05", "bsc:0", "bsc:0.12"]},
+        {"decoder": "sakkour", "channels": ["bsc:0.02", "bsc:0.06", "bsc:0.1"]},
+        {"decoder": "bw", "channels": ["bsc:0.02", "bsc:0.08"]},
+        {"decoder": "rpa", "channels": ["bsc:0.03", "bsc:0.1"]},
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hard_sweeps_equal_row_by_row_replay_csv(over, workers, monkeypatch):
+    config = config_from_dict({"m": 4, "r": 2, "trials": 97, "seed": 11, "max_errors_to_log": 8} | over)
+    n, trials = config.params.n, config.trials
+    want = []
+    for p, spec in enumerate(config.channels):
+        b, e, logged = reference_point(config, p)
+        want.append(sim.SimPoint(spec, trials, b, e, b / (trials * n), e / trials,
+                                 *sim.wilson_interval(e, trials), 0.0, logged))
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 40 * n)  # several blocks, some straddling points
+    points = run_simulation(config, workers=workers)
+    assert sim.csv_report(config, points) == sim.csv_report(config, want)
+    assert [pt.error_trials for pt in points] == [pt.error_trials for pt in want]
 
 
 # ---- the RPA family against copies of its per-word loops ----

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -466,6 +467,48 @@ def test_hex_roundtrip_random(m, data):
 def test_word_from_hex_overflow():
     with pytest.raises(ValueError):
         rmcode.word_from_hex("FFF", 8)
+
+
+def old_word_to_hex(y):
+    """word_to_hex as one string per coordinate, before it packed bits."""
+    bits = "".join("1" if b else "0" for b in np.asarray(y, dtype=np.uint8))
+    bits += "0" * ((-len(bits)) % 4)
+    return format(int(bits, 2), f"0{len(bits) // 4}X")
+
+
+def old_word_from_hex(s, n):
+    """word_from_hex through one Python int per coordinate, before it unpacked bits."""
+    s = s.strip()
+    if not re.fullmatch(r"[0-9a-fA-F]+", s or ""):
+        raise ValueError(f"not a hex word: {s!r}")
+    bits = format(int(s, 16), f"0{4 * len(s)}b")
+    if len(bits) < n or int(bits[n:] or "0", 2):
+        raise ValueError(f"hex word {s!r} does not fit length {n}")
+    return np.array([int(b) for b in bits[:n]], dtype=np.uint8)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_hex_equals_the_per_coordinate_joins(m):
+    n = 1 << m
+    rng = np.random.default_rng(m)
+    words = [np.zeros(n, np.uint8), np.ones(n, np.uint8), *rng.integers(0, 2, size=(6, n), dtype=np.uint8)]
+    for y in words:
+        text = rmcode.word_to_hex(y)
+        assert text == old_word_to_hex(y)
+        digits = len(text)
+        cases = [text, text.lower(), f" {text}\n", text + "0", text + "1", text + "00", text[:-1], "",
+                 "0x" + text, text[:1] + "g" + text[2:], "F" * digits, "8" * (digits + 1)]
+        for s in cases:
+            got, want = outcome(rmcode.word_from_hex, s, n), outcome(old_word_from_hex, s, n)
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, str) else np.array_equal(got, want) and got.dtype == np.uint8
 
 
 def test_message_json_roundtrip():
