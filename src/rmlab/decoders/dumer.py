@@ -20,8 +20,13 @@ so all trials of a block branch and prune in lockstep.  A list leaf
 first scores its candidates (bit-major at zero order, path-major and
 cheapest first at full codes), then keeps per trial the mu cheapest by a
 stable sort of that trial's penalties, and only then builds the words
-and parents of the survivors.  The public single-word decoders run the
-same kernels on a block of one, so each family has one kernel.
+and parents of the survivors.  A full-code leaf needs no sort of its own:
+with m1 <= m2 <= m3 the three least reliable magnitudes of a path, its 4
+cheapest flip sets are {}, {1}, {2} and then {1,2} or {3}, picked by one
+comparison of base + (m1 + m2) with base + m3.  Gathers between levels
+take rows along axis 0 or flat offsets, never a 2-D fancy index.  The
+public single-word decoders run the same kernels on a block of one, so
+each family has one kernel.
 """
 
 from __future__ import annotations
@@ -71,7 +76,10 @@ def _prune(pens: np.ndarray, mu: int):
     if Q <= mu:
         return np.broadcast_to(np.arange(Q), (T, Q)), pens
     keep = np.argsort(pens, axis=1, kind="stable")[:, :mu]
-    return keep, pens[np.arange(T)[:, None], keep]
+    return keep, pens.take(keep + Q * np.arange(T)[:, None])
+
+
+_SIGNS = np.array([1.0, -1.0])  # 1 - 2 * bit
 
 
 def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
@@ -85,39 +93,56 @@ def _list_rec(m: int, r: int, Ls: np.ndarray, pens: np.ndarray, mu: int):
     if 0 < r < m:
         L0, L1 = Ls[:, 1::2], Ls[:, 0::2]
         vbits, vpens, vpar = _list_rec(m - 1, r - 1, llr_of_sum(L0, L1), pens, mu)
-        Lt = L0[vpar] + (1.0 - 2.0 * vbits) * L1[vpar]
+        # L0 + (1 - 2 v) * L1 on the parents' halves; rounded addition
+        # commutes, so adding L0 last gives the same doubles
+        Lt = L1.take(vpar, axis=0)
+        Lt *= _SIGNS.take(vbits)
+        Lt += L0.take(vpar, axis=0)
         ubits, upens, upar = _list_rec(m - 1, r, Lt, vpens, mu)
-        return rmcode.plotkin_join(ubits, vbits[upar]), upens, vpar[upar]
+        return rmcode.plotkin_join(ubits, vbits.take(upar, axis=0)), upens, vpar.take(upar)
     T, P = pens.shape
     n = Ls.shape[1]
     trial = P * np.arange(T)[:, None]
     if r == 0:
         # candidate q = bit * P + path; softplus(x) = max(x, 0) + E with
-        # E = softplus(-|x|), bit for bit as numpy's logaddexp computes it
-        E = _softplus(-np.abs(Ls))
-        pen0 = pens + (np.maximum(-Ls, 0.0) + E).sum(axis=1).reshape(T, P)
-        pen1 = pens + (np.maximum(Ls, 0.0) + E).sum(axis=1).reshape(T, P)
-        keep, kept = _prune(np.concatenate([pen0, pen1], axis=1), mu)
+        # E = softplus(-|x|), bit for bit as numpy's logaddexp computes it;
+        # both bits' rows, each contiguous, go through one row sum
+        E = _softplus(-np.abs(Ls)).reshape(T, 1, P, n)
+        both = np.empty((T, 2, P, n))
+        np.maximum(-Ls.reshape(T, P, n), 0.0, out=both[:, 0])
+        np.maximum(Ls.reshape(T, P, n), 0.0, out=both[:, 1])
+        both += E
+        keep, kept = _prune((pens[:, None, :] + both.sum(axis=3)).reshape(T, 2 * P), mu)
         bits = np.repeat((keep // P).astype(np.uint8).reshape(-1, 1), n, axis=1)
         return bits, kept, (trial + keep % P).ravel()
-    # r == m: per path the up-to-4 cheapest words among the hard decision
-    # and its flips of the 3 least reliable positions, cheapest first;
-    # candidate q = path * K + rank
-    prow = np.arange(T * P)[:, None]
+    # r == m: per path the 4 cheapest words among the hard decision and its
+    # flips of the t = min(3, n) least reliable positions, magnitudes
+    # m1 <= m2 <= m3, cheapest first under a stable sort of base + (flip
+    # cost): {}, {1}, {2}, then {1,2} if base + (m1 + m2) <= base + m3, else
+    # {3}.  Rounded addition is monotone, so every other set costs at least
+    # base + m3 and comes later.  Candidate q = path * 4 + rank; combo
+    # numbers the flip sets as bit masks, bit i flipping position i
+    rows = T * P
     mag = np.abs(Ls)
     base = pens.ravel() + _softplus(-mag).sum(axis=1)
     t = min(3, n)
     pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
-    combos = ((np.arange(1 << t)[:, None] >> np.arange(t)[None, :]) & 1).astype(np.float64)
-    cand_pen = base[:, None] + mag[prow, pos] @ combos.T  # (T * P, 2^t)
-    take = np.argsort(cand_pen, axis=1, kind="stable")[:, :4]  # (T * P, K)
-    K = take.shape[1]
-    keep, kept = _prune(cand_pen[prow, take].reshape(T, P * K), mu)
-    parents = (trial + keep // K).ravel()
-    bits = (Ls[parents] < 0).astype(np.uint8)
-    # positions within a path are distinct, so the scatter never collides
-    flips = combos[take[parents, (keep % K).ravel()]].astype(np.uint8)
-    bits[np.arange(len(parents))[:, None], pos[parents]] ^= flips
+    least = mag.take(pos + n * np.arange(rows)[:, None])
+    cost = np.zeros((rows, 4))
+    cost[:, 1:3] = least[:, :2]
+    np.add(least[:, 0], least[:, 1], out=cost[:, 3])
+    third = np.zeros(rows, dtype=bool)
+    if t == 3:
+        third = ~(base + cost[:, 3] <= base + least[:, 2])
+        np.copyto(cost[:, 3], least[:, 2], where=third)
+    keep, kept = _prune((base[:, None] + cost).reshape(T, 4 * P), mu)
+    parents = (trial + keep // 4).ravel()
+    rank = (keep % 4).ravel()
+    combo = rank + (rank == 3) * third.take(parents)
+    bits = (Ls.take(parents, axis=0) < 0).astype(np.uint8)
+    # positions within a path are distinct, so the flat scatter never collides
+    at = pos.take(parents, axis=0) + n * np.arange(len(parents))[:, None]
+    bits.reshape(-1)[at] ^= ((combo[:, None] >> np.arange(t)) & 1).astype(np.uint8)
     return bits, kept, parents
 
 

@@ -59,27 +59,11 @@ CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 _CELLS = 1 << 16
 
 
-@lru_cache(maxsize=None)
-def _tables(m: int):
-    """Gather tables over all nonzero directions b, as indices.  With h the
-    top bit of b, ins(x) inserts a 0 at bit h and rem(x) drops bit h.
-
-    pair0/pair1 (n/2, n-1): the two coordinates ins(n/2-1-q) and that ^ b
-    of the coset at projected point q, so a gather from the (n, R)
-    transpose of a block lays each projection out as a column whose row q
-    holds the value at point q; fcos (n-1, n): where coordinate z's coset
-    rem(z ^ z_h * b) sits among the flattened (n-1) * n/2 projected values
-    in coordinate order; xorb (n-1, n): the coordinate z ^ b; lift
-    (n-1, n/2): the row of the affine tables that projection b's
-    first-order verdict with linear part u lifts to, for constant term 0
-    (constant term 1 is that row ^ n); words (2n, n): the 2n affine words
-    of RM(m, 1), row v + n*c = <v, point> + c; signs: their +/-1 images.
-
-    The verdict lifts to the word z -> <u, rem(p ^ (1 - p_h) * b)> at the
-    point p of z, which is <ins(u) | c << h, p> + c with c = <u, rem(b)>.
-    """
-    n, half = 1 << m, 1 << (m - 1)
-    b = np.arange(1, n)[:, None]
+def _directions(m: int):
+    """The nonzero directions b as an (n-1, 1) column, and ins/rem for
+    each: with h the top bit of b, ins(x) inserts a 0 at bit h and rem(x)
+    drops bit h."""
+    b = np.arange(1, 1 << m)[:, None]
     h = np.repeat(np.arange(m), 1 << np.arange(m))[:, None]
     low = (1 << h) - 1
 
@@ -89,13 +73,50 @@ def _tables(m: int):
     def rem(x):
         return ((x >> (h + 1)) << h) | (x & low)
 
-    q, z = np.arange(half), np.arange(n)
-    pair0 = np.ascontiguousarray(ins(half - 1 - q).T)
+    return b, h, ins, rem
+
+
+# Gather tables over all directions b, as indices, cached per m.  Every
+# level reads _gathers; a level at r >= 3 also reads _fcos, one at r = 2
+# _affine, so neither is built for a level that does not read it.
+
+
+@lru_cache(maxsize=None)
+def _gathers(m: int):
+    """pair0/pair1 (n/2, n-1): the two coordinates ins(n/2-1-q) and that
+    ^ b of the coset at projected point q, so a gather from the (n, R)
+    transpose of a block lays each projection out as a column whose row q
+    holds the value at point q; xorb (n-1, n): the coordinate z ^ b."""
+    half = 1 << (m - 1)
+    b, _, ins, _ = _directions(m)
+    pair0 = np.ascontiguousarray(ins(half - 1 - np.arange(half)).T)
+    return pair0, pair0 ^ b.T, np.arange(1 << m) ^ b
+
+
+@lru_cache(maxsize=None)
+def _fcos(m: int) -> np.ndarray:
+    """(n-1, n): where coordinate z's coset rem(z ^ z_h * b) sits among the
+    flattened (n-1) * n/2 projected values in coordinate order."""
+    b, h, _, rem = _directions(m)
+    z = np.arange(1 << m)
+    return (b - 1) * (1 << (m - 1)) + rem(z ^ ((z >> h) & 1) * b)
+
+
+@lru_cache(maxsize=None)
+def _affine(m: int):
+    """lift (n-1, n/2): the row of the affine tables that projection b's
+    first-order verdict with linear part u lifts to, for constant term 0
+    (constant term 1 is that row ^ n); words (2n, n): the 2n affine words
+    of RM(m, 1), row v + n*c = <v, point> + c; signs: their +/-1 images.
+
+    The verdict lifts to the word z -> <u, rem(p ^ (1 - p_h) * b)> at the
+    point p of z, which is <ins(u) | c << h, p> + c with c = <u, rem(b)>.
+    """
+    b, h, ins, rem = _directions(m)
+    q = np.arange(1 << (m - 1))
     c = (np.bitwise_count(q & rem(b)) & 1).astype(np.intp)  # uint8 would wrap c << m from m = 8
-    fcos = (b - 1) * half + rem(z ^ ((z >> h) & 1) * b)
-    lift = ins(q) | c << h | c << m
     words = np.concatenate([_parity_table(m), _parity_table(m) ^ 1])
-    return pair0, pair0 ^ b.T, fcos, z ^ b, lift, words, 1.0 - 2.0 * words
+    return ins(q) | c << h | c << m, words, 1.0 - 2.0 * words
 
 
 def _rows(params: rmcode.CodeParams, words, hard: bool = False, n_max: int = 0) -> np.ndarray:
@@ -118,7 +139,7 @@ def _verdicts(params: rmcode.CodeParams, x: np.ndarray, hard: bool, n_max: int) 
     columns, put back in coordinate order, are decoded as R * (n-1) rows of
     the order r-1 kernel and lifted through fcos."""
     m, n = params.m, params.n
-    pair0, pair1, fcos, _, lift, words, signs = _tables(m)
+    pair0, pair1, _ = _gathers(m)
     xt = np.ascontiguousarray(x.T)
     a, b = np.take(xt, pair0, axis=0), np.take(xt, pair1, axis=0)
     # drop the gathers and projections once used: alive until the verdict
@@ -130,7 +151,8 @@ def _verdicts(params: rmcode.CodeParams, x: np.ndarray, hard: bool, n_max: int) 
         rows = proj[::-1].transpose(2, 1, 0).reshape(-1, n // 2)
         del proj
         dec = (rpa_bsc_codewords if hard else rpa_llr_codewords)(sub, rows, n_max).reshape(len(x), -1)
-        return np.take(dec if hard else 1.0 - 2.0 * dec, fcos, axis=1)
+        return np.take(dec if hard else 1.0 - 2.0 * dec, _fcos(m), axis=1)
+    lift, words, signs = _affine(m)
     u, neg = column_peaks((hard_signs(proj) if hard else proj).reshape(n // 2, -1))
     del proj
     shape = (n - 1, len(x))
@@ -145,7 +167,7 @@ def rpa_llr_codewords(params: rmcode.CodeParams, Ls, n_max: int = 3) -> np.ndarr
     if params.r == 1:
         return fht_decode_words(Ls)
     n = params.n
-    xorb = _tables(params.m)[3]
+    xorb = _gathers(params.m)[2]
     out = np.empty(Ls.shape, dtype=np.uint8)
     for rows in _chunks(len(Ls), (n - 1) * n):
         L = Ls[rows]
@@ -167,7 +189,7 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
     if params.r == 1:
         return fht_decode_words(hard_signs(Ys))
     n = params.n
-    xorb = _tables(params.m)[3]
+    xorb = _gathers(params.m)[2]
     out = Ys.copy()
     for rows in _chunks(len(out), (n - 1) * n):
         Y = out[rows]

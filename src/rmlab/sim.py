@@ -205,7 +205,7 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
 
     The callables return the decoded word only; where a decoder extracts
     the message, the public *_decode wrappers do it.  Raises ConfigError on
-    unusable combinations; TooLarge guards ml.
+    unusable combinations; TooLarge guards ml and dumer-list.
     """
     kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
     if batched:
@@ -231,6 +231,13 @@ def _each_row(word_fn, words: np.ndarray) -> np.ndarray:
         with contextlib.suppress(Undecodable):
             out[i] = word_fn(word)
     return out
+
+
+# Cap on min(u, 2^k) * n, the LLR cells of one row's list: a dumer-list:u
+# row holds at most min(u, 2^k) paths of n LLRs.  Its tracemalloc peak was
+# about 12.6 bytes per cell for one row at 2^20 and 2^21 cells (RM(8,3),
+# RM(10,3), RM(12,2)), so a row at the cap peaks near 50 MB.
+LIST_MAX_CELLS = 1 << 22
 
 
 def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
@@ -268,6 +275,10 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         mu = _int_arg(arg, decoder_id)
         if mu < 1:
             raise bad("list size must be >= 1")
+        paths = min(mu, 1 << min(params.k, 63))
+        if paths * params.n > LIST_MAX_CELLS:
+            raise rmcode.TooLarge(f"{decoder_id} holds {paths} paths of {params.n} LLRs per row, "
+                                  f"past {LIST_MAX_CELLS} cells")
         return kind, lambda Ls: dumer_list_codewords(params, Ls, mu), True
     if name == "rpa":
         if r < 1:

@@ -525,9 +525,37 @@ def test_tables_equal_reference_copies(m):
     _, _, cos, xorb = ref_tables(m)
     pair0, pair1, lift, words, signs = ref_order2_tables(m)
     fcos = cos + half * np.arange(n - 1)[:, None]
-    got = rpa_mod._tables.__wrapped__(m)  # uncached: m = 10 holds 48 MB
-    for g, want in zip(got, (pair0, pair1, fcos, xorb, lift, words, signs), strict=True):
+    # uncached: m = 10 holds 48 MB
+    got = (*rpa_mod._gathers.__wrapped__(m), rpa_mod._fcos.__wrapped__(m), *rpa_mod._affine.__wrapped__(m))
+    for g, want in zip(got, (pair0, pair1, xorb, fcos, lift, words, signs), strict=True):
         assert g.dtype == want.dtype and np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("m,r", [(5, 2), (10, 2), (6, 3), (5, 4)])
+def test_rpa_builds_only_the_tables_its_levels_read(m, r, monkeypatch):
+    # every level reads the gathers, a level at r >= 3 reads fcos, and the
+    # r = 2 level each recursion ends in reads the affine tables; at m = 10
+    # the unread fcos would be 8 MB
+    built = []
+
+    def recording(name):
+        build = getattr(rpa_mod, name).__wrapped__
+
+        @lru_cache(maxsize=None)
+        def cached(k):
+            built.append((name, k))
+            return build(k)
+
+        return cached
+
+    for name in ("_gathers", "_fcos", "_affine"):
+        monkeypatch.setattr(rpa_mod, name, recording(name))
+    params = rmcode.CodeParams(m, r)
+    rpa_mod.rpa_llr_codewords(params, np.ones((1, params.n)), 1)
+    rpa_mod.rpa_bsc_codewords(params, np.ones((1, params.n), dtype=np.uint8), 1)
+    order2 = m - r + 2  # the r = 2 level's m
+    want = [("_gathers", k) for k in range(order2, m + 1)] + [("_fcos", k) for k in range(order2 + 1, m + 1)]
+    assert sorted(built) == sorted(want + [("_affine", order2)])
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -535,8 +563,8 @@ def test_order2_tables_equal_brute_force(m):
     # every first-order verdict (u, c) on projection b, expanded to n
     # coordinates through the coset map, looked up among the 2n affine words
     n, half = 1 << m, 1 << (m - 1)
-    tables = rpa_mod._tables(m)
-    pair0, pair1, _, _, lift, words, signs = tables
+    tables = rpa_mod._gathers(m) + rpa_mod._affine(m)
+    pair0, pair1, _, lift, words, signs = tables
     mem0, mem1, cos, _ = ref_tables(m)
     affine = [linear_word(m, v, c) for c in (0, 1) for v in range(n)]
     assert np.array_equal(words, np.stack(affine)) and np.array_equal(signs, 1.0 - 2.0 * words)
@@ -1376,6 +1404,21 @@ def test_list_kernel_equals_build_then_prune_recursion(m, r, mu, style, rows, se
     got = dumer_mod.dumer_list_codewords(params, L, mu)
     assert got.dtype == np.uint8
     assert np.array_equal(got, ref_dumer_list(params, L, mu))
+
+
+@pytest.mark.parametrize("m", [0, 3, 5, 7])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(trials=st.integers(1, 5), paths=st.integers(1, 9), mu=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_zero_order_leaf_equals_reference_at_long_rows(m, trials, paths, mu, seed):
+    # the leaf sums both bits' rows in one (T, 2, P, n) buffer; each row's
+    # pairwise sum must match the reference's (T * P, n) sums, also where
+    # numpy's pairwise summation unrolls (n >= 8), as in RM(8,3)'s leaves
+    rng = np.random.default_rng(seed)
+    Ls = rng.normal(scale=3.0, size=(trials * paths, 1 << m))
+    pens = rng.exponential(size=(trials, paths))
+    got, want = dumer_mod._list_rec(m, 0, Ls, pens, mu), ref_list_rec(m, 0, Ls, pens, mu)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,

@@ -131,6 +131,20 @@ def test_decode_resource_guard(capsys):
     assert "resource guard" in err
 
 
+def test_list_size_guard_exits_4_at_once(capsys, tmp_path):
+    # 2^20 paths of 256 LLRs, 1 GiB per array: this config used to pass
+    # config_from_dict and die allocating in its first block
+    cfg = tmp_path / "c.json"
+    data = {"m": 8, "r": 3, "decoder": "dumer-list:1048576", "trials": 2, "channels": ["awgn:0.9"]}
+    cfg.write_text(json.dumps(data))
+    for argv in (("simulate", str(cfg)), ("decode", "8", "3", "dumer-list:1048576", "--llr=" + ",".join(["1"] * 256))):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (4, "")
+        assert err.startswith("resource guard:") and err.count("\n") == 1
+
+
 def test_decode_ml_matches_recorded_outputs(capsys, monkeypatch):
     # exit code, stdout and stderr of `rmlab decode ... ml` on a fixed call
     # set, recorded when every row went through the exhaustive search:

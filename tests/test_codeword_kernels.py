@@ -147,27 +147,40 @@ def test_butterfly_returns_a_fresh_c_order_array(shape):
 # ---- vectorized list leaf and Sakkour votes ----
 
 
-@settings(max_examples=80, deadline=None)
+def leaf_draw(style, trials, paths, n, rng):
+    """(Ls, pens) for the full-code leaf: (trials * paths, n) LLRs and
+    (trials, paths) path penalties."""
+    shape = (trials * paths, n)
+    if style == "tied":  # few distinct magnitudes and equal path penalties: many exact ties
+        return rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=shape), np.full((trials, paths), 0.5)
+    if style == "sum_ties":
+        # base + (m1 + m2) against base + m3: equal sums (1 + 2 = 3), and
+        # near 2^53, where base + 0.7 and base + 0.6 round alike
+        Ls = rng.choice([-0.6, -0.7, -1.0, -2.0, -3.0, 0.3, 0.4, 1.0, 2.0, 3.0], size=shape)
+        pens = rng.choice([0.0, 0.5, 2.0**52, 2.0**53, 3.0 * 2.0**52], size=(trials, paths))
+        return Ls, pens
+    if style == "zeros":  # zero magnitudes, both signs
+        return rng.choice([0.0, -0.0, 0.0, 1.5, -2.5], size=shape), rng.choice([0.0, 1.0], size=(trials, paths))
+    if style == "huge":  # up to the n * max|L| < 2^1020 that rmlab decode --llr enforces
+        Ls = rng.uniform(-1.0, 1.0, size=shape) * 2.0 ** rng.integers(900, 1020, size=shape) / n
+        return Ls, rng.uniform(0.0, 2.0**1019, size=(trials, paths))
+    return rng.normal(scale=3.0, size=shape), rng.exponential(size=(trials, paths))
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     trials=st.integers(2, 4),
     paths=st.integers(1, 6),
     log_n=st.integers(1, 4),
     mu=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
-    tied=st.booleans(),
+    style=st.sampled_from(["normal", "tied", "sum_ties", "zeros", "huge"]),
 )
-def test_full_leaf_matches_loop(trials, paths, log_n, mu, seed, tied):
+def test_full_leaf_matches_loop(trials, paths, log_n, mu, seed, style):
     # the r == m leaf of the list recursion keeps, per trial, the mu
     # cheapest of loop_full_leaf's candidates under a stable sort, or all
     # of them in their own order when there are at most mu
-    rng = np.random.default_rng(seed)
-    shape = (trials * paths, 1 << log_n)
-    if tied:  # few distinct magnitudes and equal path penalties: many exact ties
-        Ls = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=shape)
-        pens = np.full((trials, paths), 0.5)
-    else:
-        Ls = rng.normal(scale=3.0, size=shape)
-        pens = rng.exponential(size=(trials, paths))
+    Ls, pens = leaf_draw(style, trials, paths, 1 << log_n, np.random.default_rng(seed))
     bits, kept, parents = dumer_mod._list_rec(log_n, log_n, Ls, pens, mu)
     K = len(bits) // trials
     assert bits.dtype == np.uint8 and kept.shape == (trials, K)
@@ -176,8 +189,28 @@ def test_full_leaf_matches_loop(trials, paths, log_n, mu, seed, tied):
         keep = np.argsort(want_pens, kind="stable")[:mu] if len(rows) > mu else np.arange(len(rows))
         got = slice(t * K, (t + 1) * K)
         assert np.array_equal(bits[got], rows[keep])
-        assert np.array_equal(kept[t], want_pens[keep])
+        assert np.array_equal(kept[t].view(np.uint64), want_pens[keep].view(np.uint64))
         assert np.array_equal(parents[got], want_par[keep] + t * paths)
+
+
+@pytest.mark.parametrize(
+    "mags,pen,fourth",
+    [
+        ([1.0, 2.0, 3.0, 9.0], 0.0, {0, 1}),  # m1 + m2 == m3: the pair, the earlier candidate
+        ([1.0, 2.5, 3.0, 9.0], 0.0, {2}),
+        ([0.3, 0.4, 0.6, 9.0], 2.0**53, {0, 1}),  # 0.7 > 0.6, yet base + 0.7 == base + 0.6
+        ([0.3, 0.4, 0.6, 9.0], 0.0, {2}),
+        ([0.0, 0.0, 0.0, 0.0], 0.0, {0, 1}),
+    ],
+)
+def test_full_leaf_fourth_word_at_the_tie(mags, pen, fourth):
+    # one path of RM(2,2), all bits 0; the fourth candidate flips the
+    # positions in `fourth`, as loop_full_leaf's stable sort ranks them
+    Ls = np.array([mags])
+    bits, kept, _ = dumer_mod._list_rec(2, 2, Ls, np.array([[pen]]), 4)
+    assert set(np.flatnonzero(bits[3])) == fourth
+    rows, want_pens, _ = loop_full_leaf(Ls, np.array([pen]))
+    assert np.array_equal(bits, rows) and np.array_equal(kept[0], want_pens)
 
 
 @settings(max_examples=80, deadline=None)

@@ -143,6 +143,35 @@ def test_resolve_structural_constraints():
         resolve_decoder("ml", rmcode.CodeParams(6, 3), "awgn", False)
 
 
+def test_list_size_guard_counts_min_of_u_and_codewords():
+    # a dumer-list:u row holds at most min(u, 2^k) paths of n LLRs
+    rm83 = rmcode.CodeParams(8, 3)
+    assert sim.LIST_MAX_CELLS == 1 << 22
+    assert resolve_decoder("dumer-list:16384", rm83, "awgn", False)[0] == "soft"  # at the cap
+    for ident in ("dumer-list:16385", "dumer-list:1048576", f"dumer-list:{10**30}"):
+        with pytest.raises(TooLarge, match="paths of 256 LLRs"):
+            config_from_dict({"m": 8, "r": 3, "decoder": ident, "trials": 1, "channels": ["awgn:1.0"]})
+    # 2^5 codewords of 16 bits: any list size is 2^9 cells
+    assert resolve_decoder(f"dumer-list:{1 << 80}", rmcode.CodeParams(4, 1), "awgn", False)[0] == "soft"
+
+
+@pytest.mark.parametrize("mu", [256, 1024])
+def test_list_rows_peak_below_the_guard_model(mu):
+    # the guard's cap assumes at most 16 bytes per cell of one row's list;
+    # one RM(8,3) row at 2^16 and 2^18 cells peaks near 12.6
+    import tracemalloc
+
+    params = rmcode.CodeParams(8, 3)
+    L = 2.0 + np.random.default_rng(mu).normal(size=(1, params.n))
+    tracemalloc.start()
+    try:
+        sim.resolve_block_decoder(f"dumer-list:{mu}", params, "awgn", False)[1](L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * mu * params.n
+
+
 # ---- the README decoder table ----
 
 # a code meeting each constraint the table states, keyed by its first clause
