@@ -49,9 +49,9 @@ def _cmd_decode(args) -> int:
         try:
             fn = sim.resolve_decoder(args.decoder, params, "awgn", False)[1]
         except ConfigError:
-            # off the BSC only a hard-input decoder fails by itself; a bad id,
-            # argument or code fails on the BSC too and reports that instead
-            sim.resolve_decoder(args.decoder, params, "bsc", False)
+            # off the BSC a hard-input decoder fails by itself; with hard input
+            # allowed, a bad id, argument or code still fails, on awgn
+            sim.resolve_decoder(args.decoder, params, "awgn", True)
             raise ConfigError(f"{args.decoder!r} needs --hex input") from None
         L = word
     try:

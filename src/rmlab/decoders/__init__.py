@@ -1,33 +1,28 @@
 """Decoders for Reed-Muller codes.
 
 Every decoder is a pure function.  Hard-input decoders take uint8 words,
-soft-input decoders take LLR vectors (positive = 0 more likely).  Where a
-decoder returns a DecodeResult, result.metric is the soft score
-(1/2) * sum_z (-1)^{c_z} L_z computed against the decoder's input (hard
-inputs are scored against their +/-1 image), so maximum-likelihood
-decoders can be compared on exact metric equality.  Each family but bw
-has one kernel, a `*_codewords` function that decodes a (T, n) block at
-once and returns the words alone; the simulation harness binds them, and
-the public single-word decoders run them on a block of one.  bw_decode
-is per word only: it raises Undecodable.
+soft-input decoders take LLR vectors (positive = 0 more likely).  Each
+family but bw has one kernel, a `*_codewords` function that decodes a
+(T, n) block at once and returns the words alone; the simulation harness
+binds them, and a single word decodes as a block of one,
+reed_codewords(params, y[None])[0].  types.result_for packages a word as
+a DecodeResult: its message when it is a codeword, and its metric, the
+soft score (1/2) * sum_z (-1)^{c_z} L_z against the decoder's input
+(hard inputs are scored against their +/-1 image), so maximum-likelihood
+decoders can be compared on exact metric equality.  bw_decode is per
+word only: it raises Undecodable.
 """
 
 from ..rmcode import TooLarge
 from .types import Ambiguous, DecodeResult, Undecodable, soft_metric
-from .fht import fht, fht_decode_order1, fht_list_decode_order1
-from .reed import reed_codewords, reed_decode
-from .oracle import erasure_decode, ml_codewords, ml_decode
-from .dumer import (
-    dumer_codewords,
-    dumer_decode,
-    dumer_list_codewords,
-    dumer_list_decode,
-)
-from .sakkour import sakkour_codewords, sakkour_decode_order2
+from .fht import fht, fht_list_decode_order1
+from .reed import reed_codewords
+from .oracle import erasure_decode, ml_codewords
+from .dumer import dumer_codewords, dumer_list_codewords
+from .sakkour import sakkour_codewords
 from .rpa import (
     CHASE_MAX_T,
     chase_codewords,
-    chase_list,
     rpa_bsc_codewords,
     rpa_decode_bsc,
     rpa_decode_llr,
@@ -42,22 +37,15 @@ __all__ = [
     "Undecodable",
     "soft_metric",
     "fht",
-    "fht_decode_order1",
     "fht_list_decode_order1",
     "reed_codewords",
-    "reed_decode",
     "erasure_decode",
     "ml_codewords",
-    "ml_decode",
     "dumer_codewords",
-    "dumer_decode",
     "dumer_list_codewords",
-    "dumer_list_decode",
     "sakkour_codewords",
-    "sakkour_decode_order2",
     "CHASE_MAX_T",
     "chase_codewords",
-    "chase_list",
     "rpa_bsc_codewords",
     "rpa_decode_bsc",
     "rpa_decode_llr",

@@ -24,9 +24,8 @@ and parents of the survivors.  A full-code leaf needs no sort of its own:
 with m1 <= m2 <= m3 the three least reliable magnitudes of a path, its 4
 cheapest flip sets are {}, {1}, {2} and then {1,2} or {3}, picked by one
 comparison of base + (m1 + m2) with base + m3.  Gathers between levels
-take rows along axis 0 or flat offsets, never a 2-D fancy index.  The
-public single-word decoders run the same kernels on a block of one, so
-each family has one kernel.
+take rows along axis 0 or flat offsets, never a 2-D fancy index.  A
+single word decodes as a block of one, so each flavor has one kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 from .. import rmcode
 from ..channel import llr_of_sum
 from .fht import fht_decode_words
-from .types import DecodeResult, block_rows, llr_word, result_for
+from .types import block_rows
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -61,12 +60,6 @@ def _plain_rec(m: int, r: int, L: np.ndarray) -> np.ndarray:
 def dumer_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
     """Plain recursive decoding of every row of a (T, n) LLR block."""
     return _plain_rec(params.m, params.r, block_rows(params.n, Ls, np.float64))
-
-
-def dumer_decode(params: rmcode.CodeParams, L) -> DecodeResult:
-    """Greedy recursive decoding with first-order and full-code leaves."""
-    L = llr_word(params, L)
-    return result_for(params, dumer_codewords(params, L[None])[0], L)
 
 
 def _prune(pens: np.ndarray, mu: int):
@@ -169,9 +162,3 @@ def dumer_list_codewords(params: rmcode.CodeParams, Ls, mu: int) -> np.ndarray:
         # first minimum per trial = deterministic tie-break
         out[lo : lo + step] = bits[np.argmin(pens, axis=1) + pens.shape[1] * np.arange(T)]
     return out
-
-
-def dumer_list_decode(params: rmcode.CodeParams, L, mu: int) -> DecodeResult:
-    """List decoding with zero-order and full-code leaves, list size mu."""
-    L = llr_word(params, L)
-    return result_for(params, dumer_list_codewords(params, L[None], mu)[0], L)

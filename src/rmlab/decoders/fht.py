@@ -117,17 +117,6 @@ def column_peaks(values) -> tuple[np.ndarray, np.ndarray]:
     return u, spec[u, np.arange(spec.shape[1])] < 0
 
 
-def fht_decode_order1(m: int, L) -> DecodeResult:
-    """ML decoding of RM(m, 1) by exhaustive correlation.
-
-    Ties on |transform| pick the smallest index u, and a zero correlation
-    picks constant term 0.
-    """
-    params = rmcode.CodeParams(m, 1)
-    L = llr_word(params, L)
-    return result_for(params, fht_decode_words(L), L)
-
-
 def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
     """The s best first-order candidates by |transform|, best first."""
     params = rmcode.CodeParams(m, 1)
@@ -140,8 +129,12 @@ def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
 
 
 def fht_decode_words(L) -> np.ndarray:
-    """Codeword of fht_decode_order1 for every row of L, a (..., 2^m) array;
-    m is read from the row length, and any leading axes are batch axes.
+    """ML decoding of RM(m, 1) by exhaustive correlation, for every row of
+    L, a (..., 2^m) array; m is read from the row length, and any leading
+    axes are batch axes, so a single word decodes as it is.
+
+    Ties on |transform| pick the smallest u, and a zero correlation picks
+    constant term 0.
     """
     spec, u = transform_peak(L)
     rows = spec.reshape(-1, spec.shape[-1])

@@ -104,7 +104,7 @@ import numpy as np
 from .. import channel, gf2, rmcode
 from ..rmcode import TooLarge
 from .reed import reed_codewords
-from .types import Ambiguous, DecodeResult, block_rows, llr_word, result_for, soft_metric
+from .types import Ambiguous, DecodeResult, block_rows, soft_metric
 
 _ML_GUARD_K = 24
 _TAIL_ROWS = 8
@@ -272,18 +272,6 @@ def ml_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
     idx += [_ml_indices(params, rest[lo:lo + step]) for lo in range(0, len(rest), step)]
     words[~certified] = rmcode.encode_rows(params, _index_bits(params.k, np.concatenate(idx)))
     return words
-
-
-def ml_decode(params: rmcode.CodeParams, L) -> DecodeResult:
-    """Maximum-likelihood decoding, by certificate or exhaustive search.
-
-    Returns the codeword of maximal correlation with L.  Ties, equal
-    correlations after one correct rounding of their exact sums, resolve
-    to the lexicographically smallest coefficient vector in generator row
-    order, whatever the BLAS.  Raises TooLarge for k > 24.
-    """
-    L = llr_word(params, L)
-    return result_for(params, ml_codewords(params, L[None])[0], L)
 
 
 def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguous]:

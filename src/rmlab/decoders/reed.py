@@ -8,7 +8,7 @@ decode to 1.  Guaranteed exact for error weight below 2^{m-r-1}.
 reed_codewords decodes a (T, n) block one degree layer at a time: one
 gather of every coset of every degree-t monomial, one XOR-reduce, one vote
 count, and the layer's evaluation subtracted as one product mod 2.
-reed_decode runs it on a block of one.
+A single word decodes as a block of one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import rmcode
-from .types import DecodeResult, hard_input_llr, hard_rows, hard_word, result_for
+from .types import hard_rows
 
 
 @lru_cache(maxsize=None)
@@ -45,8 +45,3 @@ def reed_codewords(params: rmcode.CodeParams, Ys) -> np.ndarray:
         # exact: each entry counts at most the layer's monomials
         work ^= ((votes @ evals).astype(np.int64) & 1).astype(np.uint8)
     return Ys ^ work
-
-
-def reed_decode(params: rmcode.CodeParams, y) -> DecodeResult:
-    y = hard_word(params, y)
-    return result_for(params, reed_codewords(params, y[None])[0], hard_input_llr(y))

@@ -1,4 +1,4 @@
-"""Recursive projection-aggregation decoding and a Chase-style list wrap.
+"""Recursive projection-aggregation decoding and its Chase-style list.
 
 Each round projects the word onto all n-1 one-dimensional coset
 structures, decodes every projection recursively (first order bottoms out
@@ -31,21 +31,20 @@ unperturbed word w0 misses the hard decision L < 0 at some z with
 L_z != 0.  A word that agrees there scores |L_z| (or a signed zero) at
 every z, the most any word can, and rounded addition is monotone, so no
 candidate's metric, summed in the same order, exceeds w0's, and on a tie
-the earlier w0 wins anyway.  The single-word decoders run the block
-kernels on a block of one, so each variant has one kernel.
+the earlier w0 wins anyway.  A single word decodes as a block of one,
+so each variant has one kernel.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .. import rmcode
 from ..channel import llr_of_sum
 from .fht import _parity_table, column_peaks, fht_decode_words, hard_signs
-from .types import DecodeResult, block_rows, hard_rows, hard_word, llr_word, result_for, soft_metric
+from .types import block_rows, hard_rows, hard_word, llr_word
 
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 
@@ -280,27 +279,3 @@ def chase_codewords(params: rmcode.CodeParams, Ls, t: int) -> np.ndarray:
     candidates are rows of rpa_llr_codewords blocks."""
     Ls = _rows(params, Ls)
     return _chase(lambda rows: rpa_llr_codewords(params, rows), Ls, t)
-
-
-def chase_list(
-    decode_fn, L, t: int, params: Optional[rmcode.CodeParams] = None
-) -> DecodeResult:
-    """Perturb the t least-reliable positions to certainty, both ways.
-
-    decode_fn maps an LLR vector to a word.  Candidates are the unmodified
-    run plus the 2^t perturbed runs (perturbation magnitude 2 * max |L|);
-    the first best soft metric against the original L wins, so the result
-    never scores below the bare decoder.  The perturbed runs are skipped
-    when the unmodified word equals the hard decision wherever L != 0: no
-    word can score above it (see _chase).  When params is supplied the
-    message is extracted if the winner is a codeword, else left None.
-    """
-    L = np.asarray(L, dtype=np.float64)
-
-    def each(rows):
-        return np.array([np.asarray(decode_fn(row), dtype=np.uint8) for row in rows]).reshape(rows.shape)
-
-    best = _chase(each, L[None], t)[0]
-    if params is not None:
-        return result_for(params, best, L)
-    return DecodeResult(None, best, None, soft_metric(best, L))

@@ -16,8 +16,8 @@ n = 128; the majority votes are int16 too.  Only the degree-2 evaluation
 runs in floats, as a product of small integers that is exact.
 
 sakkour_codewords runs every step over a (T, n) block, in chunks of rows
-whose (rows, n, n) derivative arrays hold at most _CELLS cells.
-sakkour_decode_order2 runs it on a block of one.
+whose (rows, n, n) derivative arrays hold at most _CELLS cells.  A
+single word decodes as a block of one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .. import rmcode
 # fht is unused here: bench/replay.py's --trace patches decoders.sakkour.fht
 from .fht import fht, fht_decode_words, hard_signs, transform_peak  # noqa: F401
-from .types import DecodeResult, hard_input_llr, hard_rows, hard_word, result_for
+from .types import hard_rows
 
 # Cells of each (rows, n, n) array one chunk of rows may hold: 64 rows at
 # n = 32, whose int16 transform and vote arrays take 128 KB each and the
@@ -90,9 +90,3 @@ def sakkour_codewords(m: int, Ys) -> np.ndarray:
         deg2 = ((quad @ evals).astype(np.int64) & 1).astype(np.uint8)
         out[lo : lo + step] = deg2 ^ fht_decode_words(hard_signs(y ^ deg2))
     return out
-
-
-def sakkour_decode_order2(m: int, y) -> DecodeResult:
-    params = rmcode.CodeParams(m, 2)
-    y = hard_word(params, y)
-    return result_for(params, sakkour_codewords(m, y[None])[0], hard_input_llr(y))

@@ -24,7 +24,7 @@ class Ambiguous:
 
 @dataclass
 class DecodeResult:
-    params: Optional[rmcode.CodeParams]
+    params: rmcode.CodeParams
     codeword: np.ndarray
     message: Optional[rmcode.Message]
     metric: float

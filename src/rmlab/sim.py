@@ -203,9 +203,10 @@ def _combo_help() -> str:
 def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
     """Map a decoder id to (input kind, word -> codeword callable).
 
-    The callables return the decoded word only; where a decoder extracts
-    the message, the public *_decode wrappers do it.  Raises ConfigError on
-    unusable combinations; TooLarge guards ml and dumer-list.
+    The callables return the decoded word only; a caller that wants the
+    message or the metric packages the word with types.result_for, as
+    `rmlab decode` does.  Raises ConfigError on unusable combinations;
+    TooLarge guards ml and dumer-list.
     """
     kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
     if batched:

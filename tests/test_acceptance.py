@@ -20,11 +20,12 @@ from rmlab import analysis, channel, gf2, rmcode, sim
 from rmlab.cli import main as cli_main
 from rmlab.rmcode import CodeParams
 from rmlab.decoders.bw import bw_decode
-from rmlab.decoders.dumer import dumer_list_decode
-from rmlab.decoders.fht import fht, fht_decode_order1
-from rmlab.decoders.oracle import ml_codewords, ml_decode
+from rmlab.decoders.dumer import dumer_list_codewords
+from rmlab.decoders.fht import fht, fht_decode_words
+from rmlab.decoders.oracle import ml_codewords
 from rmlab.decoders.reed import reed_codewords
 from rmlab.decoders.rpa import _chase, rpa_llr_codewords
+from rmlab.decoders.types import soft_metric
 
 
 def _report(num, detail):
@@ -149,11 +150,12 @@ def test_criterion_04_ml_equivalence():
         params = CodeParams(m, 1)
         for _ in range(1000):
             L = _awgn_llr(_random_codeword(params, rng), 1.0, rng)
-            assert fht_decode_order1(m, L).metric == ml_decode(params, L).metric
+            assert soft_metric(fht_decode_words(L), L) == soft_metric(ml_codewords(params, L[None])[0], L)
     p42 = CodeParams(4, 2)
     for _ in range(200):
         L = _awgn_llr(_random_codeword(p42, rng), 1.0, rng)
-        assert dumer_list_decode(p42, L, 1 << p42.k).metric == ml_decode(p42, L).metric
+        words = dumer_list_codewords(p42, L[None], 1 << p42.k)[0], ml_codewords(p42, L[None])[0]
+        assert soft_metric(words[0], L) == soft_metric(words[1], L)
     elapsed = time.time() - t0
     _report(4, f"fht==ml on 2000 trials, exhaustive-list==ml on 200 trials, zero metric tolerance ({elapsed:.1f}s)")
 

@@ -25,7 +25,7 @@ from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import rpa as rpa_mod
 from rmlab.decoders import sakkour as sakkour_mod
 from rmlab.decoders.fht import _parity_table, fht_decode_words, linear_word, transform_peak
-from rmlab.decoders.types import hard_input_llr, soft_metric
+from rmlab.decoders.types import hard_input_llr, result_for, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
 import reference_structure as ref
@@ -630,9 +630,6 @@ def test_chase_kernel_equals_word_loop_on_tied_bsc_llrs(t, mag):
     if t:
         assert any(ties)  # the first-maximum rule decides some trials
     assert np.array_equal(rpa_mod.chase_codewords(params, L, t), want)
-    for row, w in zip(L, want):
-        res = rpa_mod.chase_list(lambda x: rpa_mod.rpa_decode_llr(params, x), row, t)
-        assert np.array_equal(res.codeword, w) and res.metric == soft_metric(w, row)
 
 
 @pytest.mark.parametrize("t", [1, 3])
@@ -734,19 +731,13 @@ def test_chase_skip_equals_full_candidate_loop(mr, style, t, decoder, chunk, row
     # trial's candidates straddle chunks
     params = rmcode.CodeParams(*mr)
     L = chase_rows(params, style, rows, np.random.default_rng(seed))
-    if decoder == "rpa":
-        block, word = rpa_mod.rpa_llr_codewords, rpa_mod.rpa_decode_llr
-    else:
-        block, word = dumer_mod.dumer_codewords, lambda p, x: dumer_mod.dumer_decode(p, x).codeword
+    block = rpa_mod.rpa_llr_codewords if decoder == "rpa" else dumer_mod.dumer_codewords
     cells = rpa_mod._CELLS if chunk is None else chunk * params.n
     with mock.patch.object(rpa_mod, "_CELLS", cells):
         want = ref_chase_rows(lambda x: block(params, x), L, t)
         got = rpa_mod._chase(lambda x: block(params, x), L, t)
         if decoder == "rpa":
             assert np.array_equal(rpa_mod.chase_codewords(params, L, t), want)
-        for row, w in zip(L, want):
-            res = rpa_mod.chase_list(lambda x: word(params, x), row, t)
-            assert np.array_equal(res.codeword, w) and res.metric == soft_metric(w, row)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
@@ -781,15 +772,13 @@ def test_chase_keeps_the_unperturbed_word_when_every_metric_is_nan():
         with np.errstate(all="ignore"):
             got = rpa_mod.chase_codewords(params, row, 3)
             w0 = rpa_mod.rpa_llr_codewords(params, row)
-            res = rpa_mod.chase_list(lambda x: rpa_mod.rpa_decode_llr(params, x), row[0], 3)
         assert got.dtype == np.uint8 and np.array_equal(got, w0)
-        assert np.array_equal(res.codeword, w0[0])
 
 
 # ---- reed, sakkour and ml against copies of their per-word paths ----
-# The public reed_decode, sakkour_decode_order2 and ml_decode are now
-# blocks of one over the block kernels, so the references are the
-# per-word bodies those decoders ran before.  Each returns the Message.
+# The references are the per-word bodies these decoders ran before their
+# block kernels.  Each returns the Message, which result_for must read
+# back from the kernel's word.
 
 
 def ref_reed(params, y, ties=None):
@@ -901,8 +890,8 @@ def test_reed_kernel_equals_word_loop(m, rows, seed, data):
     assert got.dtype == np.uint8 and got.shape == y.shape
     msgs = [ref_reed(params, row) for row in y]
     assert np.array_equal(got, np.array([rmcode.encode(msg) for msg in msgs]))
-    for row, msg in zip(y, msgs):
-        assert_same_result(reed_mod.reed_decode(params, row), msg, hard_input_llr(row))
+    for row, word, msg in zip(y, got, msgs):
+        assert_same_result(result_for(params, word, hard_input_llr(row)), msg, hard_input_llr(row))
 
 
 @pytest.mark.parametrize("m,r", [(2, 0), (3, 1), (4, 0), (4, 1), (4, 2), (5, 2), (4, 4)])
@@ -934,8 +923,8 @@ def test_sakkour_kernel_equals_word_loop(m, rows, seed, uniform):
     assert got.dtype == np.uint8 and got.shape == y.shape
     msgs = [ref_sakkour(m, row) for row in y]
     assert np.array_equal(got, np.array([rmcode.encode(msg) for msg in msgs]))
-    for row, msg in zip(y, msgs):
-        assert_same_result(sakkour_mod.sakkour_decode_order2(m, row), msg, hard_input_llr(row))
+    for row, word, msg in zip(y, got, msgs):
+        assert_same_result(result_for(params, word, hard_input_llr(row)), msg, hard_input_llr(row))
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -993,8 +982,8 @@ def test_ml_kernel_equals_word_search(m, r, style, rows, seed):
     assert got.dtype == np.uint8 and got.shape == L.shape
     msgs = [ref_ml(params, row) for row in L]
     assert np.array_equal(got, np.array([rmcode.encode(msg) for msg in msgs]))
-    for row, msg in zip(L, msgs):
-        assert_same_result(oracle_mod.ml_decode(params, row), msg, row)
+    for row, word, msg in zip(L, got, msgs):
+        assert_same_result(result_for(params, word, row), msg, row)
 
 
 def test_ml_kernel_over_codebook_blocks(monkeypatch):

@@ -101,6 +101,18 @@ def test_decode_names_the_missing_input_flag(capsys):
     assert run(capsys, "decode", "3", "1", "rpa", "--hex", "F0")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "decoder,why", [("rpa-chase:9", "t must be in [0, 8]"), ("dumer-list:0", "list size must be >= 1"),
+                    ("bogus", "unknown decoder id")]
+)
+def test_decode_llr_errors_name_the_awgn_resolution(capsys, decoder, why):
+    # --llr words decode as on awgn: a bad id or argument reports that
+    # resolution, not a second one on the bsc
+    rc, out, err = run(capsys, "decode", "3", "1", decoder, "--llr=1,2,3,4,5,6,7,8")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {decoder!r} on awgn: {why};")
+
+
 @pytest.mark.parametrize("arg", ["1_6", " 8", "+8", "\u0663"])
 def test_decoder_argument_must_be_plain_digits(capsys, tmp_path, arg):
     rc, out, err = run(capsys, "decode", "3", "1", f"dumer-list:{arg}", "--llr=1,1,1,1,1,1,1,1")

@@ -15,19 +15,19 @@ from rmlab import rmcode
 from rmlab.decoders import (
     Undecodable,
     bw_decode,
-    chase_list,
-    dumer_decode,
-    dumer_list_decode,
+    chase_codewords,
+    dumer_codewords,
+    dumer_list_codewords,
     fht,
-    fht_decode_order1,
-    ml_decode,
-    reed_decode,
-    rpa_decode_bsc,
-    rpa_decode_llr,
-    sakkour_decode_order2,
+    ml_codewords,
+    reed_codewords,
+    rpa_bsc_codewords,
+    rpa_llr_codewords,
+    sakkour_codewords,
 )
 from rmlab.decoders import dumer as dumer_mod
 from rmlab.decoders import sakkour as sakkour_mod
+from rmlab.decoders.fht import fht_decode_words
 from rmlab.sim import ConfigError, resolve_decoder
 
 # ---- loop references: the code the vectorized versions replaced ----
@@ -227,34 +227,36 @@ def test_sakkour_majority_matches_counter(log_n, spread, seed, dtype):
     assert np.array_equal(got, counter_majority(D))
 
 
-# ---- resolve_decoder kernels against the public wrappers ----
+# ---- resolve_decoder's bindings against the family kernels ----
+# No recorded CLI output covers fht, dumer, dumer-list, rpa or rpa-chase,
+# so this is where a wrong binding of params, list size, t or input kind
+# in sim._resolve shows up.
 
 
-def public_codeword(decoder_id, params, kind):
-    """word -> codeword through the public *_decode wrapper of decoder_id."""
+def family_codeword(decoder_id, params, kind):
+    """word -> codeword: decoder_id's family kernel on a block of one."""
     name, _, arg = decoder_id.partition(":")
     m, r = params.m, params.r
     if name == "reed":
-        return lambda y: reed_decode(params, y).codeword
+        return lambda y: reed_codewords(params, y[None])[0]
     if name == "fht":
-        return lambda L: fht_decode_order1(m, L).codeword
+        return fht_decode_words
     if name == "sakkour":
-        return lambda y: sakkour_decode_order2(m, y).codeword
+        return lambda y: sakkour_codewords(m, y[None])[0]
     if name == "dumer":
-        return lambda L: dumer_decode(params, L).codeword
+        return lambda L: dumer_codewords(params, L[None])[0]
     if name == "dumer-list":
-        return lambda L: dumer_list_decode(params, L, int(arg)).codeword
+        return lambda L: dumer_list_codewords(params, L[None], int(arg))[0]
     if name == "rpa":
         if kind == "hard":
-            return lambda y: rpa_decode_bsc(params, y)
-        return lambda L: rpa_decode_llr(params, L)
+            return lambda y: rpa_bsc_codewords(params, y[None])[0]
+        return lambda L: rpa_llr_codewords(params, L[None])[0]
     if name == "rpa-chase":
-        inner = lambda L: rpa_decode_llr(params, L)
-        return lambda L: chase_list(inner, L, int(arg), params).codeword
+        return lambda L: chase_codewords(params, L[None], int(arg))[0]
     if name == "bw":
         return lambda y: bw_decode(m, (m - r - 2) // 2, y).codeword
     if name == "ml":
-        return lambda L: ml_decode(params, L).codeword
+        return lambda L: ml_codewords(params, L[None])[0]
     raise AssertionError(decoder_id)
 
 
@@ -299,6 +301,7 @@ def outcome(fn, word):
 @settings(max_examples=20, deadline=None)
 @given(style=st.sampled_from(["bsc", "bec", "rounded", "awgn"]), seed=st.integers(0, 2**32 - 1))
 def test_harness_kernel_equals_public_wrapper(decoder_id, m, r, style, seed):
+    # resolve_decoder's single-word callable against family_codeword
     params = rmcode.CodeParams(m, r)
     L = channel_llrs(params, style, np.random.default_rng(seed))
     for channel_kind in ("bsc", "awgn"):
@@ -307,4 +310,4 @@ def test_harness_kernel_equals_public_wrapper(decoder_id, m, r, style, seed):
         except ConfigError:  # hard-input decoder off the BSC
             continue
         word = (L < 0).astype(np.uint8) if kind == "hard" else L
-        assert outcome(kernel, word) == outcome(public_codeword(decoder_id, params, kind), word)
+        assert outcome(kernel, word) == outcome(family_codeword(decoder_id, params, kind), word)

@@ -5,11 +5,11 @@ import pytest
 
 from rmlab import rmcode
 from rmlab.decoders.bw import bw_decode
-from rmlab.decoders.oracle import ml_decode
-from rmlab.decoders.reed import reed_decode
+from rmlab.decoders.oracle import ml_codewords
+from rmlab.decoders.reed import reed_codewords
 from rmlab.decoders.rpa import rpa_decode_bsc
-from rmlab.decoders.sakkour import sakkour_decode_order2
-from rmlab.decoders.types import hard_input_llr
+from rmlab.decoders.sakkour import sakkour_codewords
+from rmlab.decoders.types import hard_input_llr, result_for
 
 
 def random_message(params, rng):
@@ -29,7 +29,8 @@ def test_reed_clean_codewords():
         params = rmcode.CodeParams(m, r)
         for _ in range(10):
             msg = random_message(params, rng)
-            res = reed_decode(params, rmcode.encode(msg))
+            c = rmcode.encode(msg)
+            res = result_for(params, reed_codewords(params, c[None])[0], hard_input_llr(c))
             assert res.message.coeffs == msg.coeffs
 
 
@@ -38,7 +39,8 @@ def test_reed_single_flip_rm31():
     c = rmcode.eval_monomial(0b001, 3)  # 11110000
     assert rmcode.word_to_hex(c) == "F0"
     for j in range(8):
-        res = reed_decode(params, flip(c, [j]))
+        y = flip(c, [j])
+        res = result_for(params, reed_codewords(params, y[None])[0], hard_input_llr(y))
         assert res.message.coeffs == {0b001: 1}
         assert np.array_equal(res.codeword, c)
 
@@ -58,15 +60,16 @@ def test_reed_half_distance_guarantee():
         for _ in range(5):
             c = rmcode.encode(random_message(params, rng))
             for pat in patterns:
-                res = reed_decode(params, flip(c, pat))
-                assert np.array_equal(res.codeword, c), (m, r, pat)
+                word = reed_codewords(params, flip(c, pat)[None])[0]
+                assert np.array_equal(word, c), (m, r, pat)
 
 
 def test_reed_majority_tie_decodes_to_one():
     # weight-1 input to RM(2,1): every degree-1 coset vote splits 1-1,
     # the tie rule turns all coefficients on
     params = rmcode.CodeParams(2, 1)
-    res = reed_decode(params, np.array([1, 0, 0, 0], dtype=np.uint8))
+    y = np.array([1, 0, 0, 0], dtype=np.uint8)
+    res = result_for(params, reed_codewords(params, y[None])[0], hard_input_llr(y))
     assert res.message.coeffs == {0b01: 1, 0b10: 1, 0: 1}
     assert res.codeword.tolist() == [1, 0, 0, 1]
 
@@ -74,9 +77,8 @@ def test_reed_majority_tie_decodes_to_one():
 def test_reed_constant_layer_majority():
     # repetition decoding, exact tie goes to 1
     params = rmcode.CodeParams(2, 0)
-    assert reed_decode(params, np.array([1, 1, 0, 0], dtype=np.uint8)).codeword.tolist() == [1] * 4
-    assert reed_decode(params, np.array([1, 0, 0, 0], dtype=np.uint8)).codeword.tolist() == [0] * 4
-    assert reed_decode(params, np.array([1, 1, 1, 0], dtype=np.uint8)).codeword.tolist() == [1] * 4
+    words = reed_codewords(params, np.array([[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=np.uint8))
+    assert words.tolist() == [[1] * 4, [0] * 4, [1] * 4]
 
 
 def test_reed_metric_counts_agreements():
@@ -84,7 +86,7 @@ def test_reed_metric_counts_agreements():
     params = rmcode.CodeParams(4, 2)
     for _ in range(20):
         y = rng.integers(0, 2, size=16).astype(np.uint8)
-        res = reed_decode(params, y)
+        res = result_for(params, reed_codewords(params, y[None])[0], hard_input_llr(y))
         # scored against +/-1 hard-input LLRs: (agreements - disagreements) / 2
         assert res.metric == 8 - int((res.codeword != y).sum())
         assert rmcode.is_codeword(params, res.codeword)
@@ -96,7 +98,8 @@ def test_sakkour_clean_codewords():
         params = rmcode.CodeParams(m, 2)
         for _ in range(10):
             msg = random_message(params, rng)
-            res = sakkour_decode_order2(m, rmcode.encode(msg))
+            c = rmcode.encode(msg)
+            res = result_for(params, sakkour_codewords(m, c[None])[0], hard_input_llr(c))
             assert res.message.coeffs == msg.coeffs
 
 
@@ -108,8 +111,7 @@ def test_sakkour_single_flip_exhaustive():
     for _ in range(3):
         c = rmcode.encode(random_message(params, rng))
         for j in range(32):
-            res = sakkour_decode_order2(5, flip(c, [j]))
-            assert np.array_equal(res.codeword, c)
+            assert np.array_equal(sakkour_codewords(5, flip(c, [j])[None])[0], c)
 
 
 def test_sakkour_three_errors_rm52():
@@ -119,7 +121,7 @@ def test_sakkour_three_errors_rm52():
     for _ in range(200):
         c = rmcode.encode(random_message(params, rng))
         pat = rng.choice(32, size=3, replace=False)
-        if np.array_equal(sakkour_decode_order2(5, flip(c, pat)).codeword, c):
+        if np.array_equal(sakkour_codewords(5, flip(c, pat)[None])[0], c):
             exact += 1
     assert exact >= 198
 
@@ -131,37 +133,40 @@ def test_sakkour_agrees_with_ml_spot_check():
     for _ in range(50):
         c = rmcode.encode(random_message(params, rng))
         y = flip(c, rng.choice(16, size=1, replace=False))
-        res = sakkour_decode_order2(4, y)
-        ml = ml_decode(params, hard_input_llr(y))
-        assert rmcode.is_codeword(params, res.codeword)
-        if np.array_equal(res.codeword, ml.codeword):
+        word = sakkour_codewords(4, y[None])[0]
+        ml = ml_codewords(params, hard_input_llr(y)[None])[0]
+        assert rmcode.is_codeword(params, word)
+        if np.array_equal(word, ml):
             hits += 1
     assert hits >= 45
 
 
-# the four hard-input wrappers on length-8 words: RM(3,1), RM(3,2), RM(3,1), RM(3,1)
-HARD_WRAPPERS = [
-    lambda y: reed_decode(rmcode.CodeParams(3, 1), y),
-    lambda y: sakkour_decode_order2(3, y),
+# the four hard-input decoders on length-8 words, RM(3,1), RM(3,2), RM(3,1)
+# and RM(3,1): the reed and sakkour kernels on a block of one, the hard RPA
+# word and bw_decode, which share the block kernels' check
+HARD_DECODERS = [
+    lambda y: reed_codewords(rmcode.CodeParams(3, 1), np.asarray(y)[None])[0],
+    lambda y: sakkour_codewords(3, np.asarray(y)[None])[0],
     lambda y: rpa_decode_bsc(rmcode.CodeParams(3, 1), y),
     lambda y: bw_decode(3, 0, y),
 ]
 
 
-@pytest.mark.parametrize("decode", HARD_WRAPPERS)
+@pytest.mark.parametrize("decode", HARD_DECODERS)
 @pytest.mark.parametrize("word", [[2, 0, 0, 0, 0, 0, 0, 3], [-1, 0, 0, 0, 0, 0, 0, 0], [0.5] + [0] * 7, [256] + [0] * 7])
 def test_hard_decoders_reject_non_binary_words(decode, word):
     with pytest.raises(ValueError, match="hard word expected"):
         decode(word)
 
 
-@pytest.mark.parametrize("decode", HARD_WRAPPERS)
+@pytest.mark.parametrize("decode", HARD_DECODERS)
 def test_hard_decoders_check_length_and_accept_any_binary_dtype(decode):
-    with pytest.raises(ValueError, match="length-8"):
+    # a word checks as length-8, a block of one as rows of 8 values
+    with pytest.raises(ValueError, match="length-8|rows of 8"):
         decode([0] * 7)
     word = [1, 0, 0, 0, 0, 0, 0, 0]
 
-    def codeword(y):  # rpa_decode_bsc returns the word itself
+    def codeword(y):  # the kernels and rpa_decode_bsc return the word itself
         out = decode(y)
         return getattr(out, "codeword", out)
 

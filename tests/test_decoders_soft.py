@@ -4,11 +4,11 @@ import pytest
 from rmlab import channel, gf2, rmcode
 from rmlab.channel import llr_of_sum
 from rmlab.decoders import dumer as dumer_mod
-from rmlab.decoders.dumer import dumer_decode, dumer_list_decode
-from rmlab.decoders.fht import fht_decode_order1
-from rmlab.decoders.oracle import erasure_decode, ml_decode
-from rmlab.decoders.reed import reed_decode
-from rmlab.decoders.types import Ambiguous, soft_metric
+from rmlab.decoders.dumer import dumer_codewords, dumer_list_codewords
+from rmlab.decoders.fht import fht_decode_words
+from rmlab.decoders.oracle import erasure_decode, ml_codewords
+from rmlab.decoders.reed import reed_codewords
+from rmlab.decoders.types import Ambiguous, result_for, soft_metric
 
 
 def random_message(params, rng):
@@ -19,7 +19,7 @@ def awgn_llr(c, sigma, rng):
     return 2.0 * ((1.0 - 2.0 * c) + sigma * rng.normal(size=c.size)) / sigma**2
 
 
-# ---- ml_decode ----
+# ---- ml_codewords ----
 
 
 def test_ml_clean_input():
@@ -27,8 +27,7 @@ def test_ml_clean_input():
     params = rmcode.CodeParams(3, 2)
     for _ in range(20):
         c = rmcode.encode(random_message(params, rng))
-        res = ml_decode(params, 4.0 * (1.0 - 2.0 * c))
-        assert np.array_equal(res.codeword, c)
+        assert np.array_equal(ml_codewords(params, 4.0 * (1.0 - 2.0 * c)[None])[0], c)
 
 
 def test_ml_achieves_codebook_maximum():
@@ -38,7 +37,7 @@ def test_ml_achieves_codebook_maximum():
     for _ in range(200):
         L = rng.normal(size=8)
         best = max(soft_metric(w, L) for w in words)
-        assert ml_decode(params, L).metric == best
+        assert soft_metric(ml_codewords(params, L[None])[0], L) == best
 
 
 def test_ml_dominates_other_decoders():
@@ -46,25 +45,26 @@ def test_ml_dominates_other_decoders():
     params = rmcode.CodeParams(4, 2)
     for _ in range(100):
         L = rng.normal(size=16)
-        opt = ml_decode(params, L).metric
-        assert opt >= dumer_decode(params, L).metric
-        # reed scores itself against hard-input LLRs; re-score its word on L
-        reed_word = reed_decode(params, (L < 0).astype(np.uint8)).codeword
+        opt = soft_metric(ml_codewords(params, L[None])[0], L)
+        assert opt >= soft_metric(dumer_codewords(params, L[None])[0], L)
+        # reed decodes the hard decision; score its word on L
+        reed_word = reed_codewords(params, (L < 0).astype(np.uint8)[None])[0]
         assert opt >= soft_metric(reed_word, L)
 
 
 def test_ml_tie_breaks_to_lexicographically_smallest_message():
     params = rmcode.CodeParams(3, 1)
-    res = ml_decode(params, np.zeros(8))
+    L = np.zeros(8)
+    res = result_for(params, ml_codewords(params, L[None])[0], L)
     assert res.metric == 0.0
     assert res.message.coeffs == {}
 
 
 def test_ml_guard_and_validation():
     with pytest.raises(rmcode.TooLarge):
-        ml_decode(rmcode.CodeParams(5, 3), np.zeros(32))
+        ml_codewords(rmcode.CodeParams(5, 3), np.zeros((1, 32)))
     with pytest.raises(ValueError):
-        ml_decode(rmcode.CodeParams(3, 1), np.zeros(4))
+        ml_codewords(rmcode.CodeParams(3, 1), np.zeros((1, 4)))
 
 
 # ---- erasure_decode ----
@@ -156,7 +156,7 @@ def test_erasure_all_erased_counts_whole_code():
     assert res.count_exponent == params.k
 
 
-# ---- dumer_decode ----
+# ---- dumer_codewords ----
 
 
 def test_dumer_order1_matches_fht():
@@ -164,18 +164,15 @@ def test_dumer_order1_matches_fht():
     params = rmcode.CodeParams(4, 1)
     for _ in range(500):
         L = rng.normal(size=16)
-        a = dumer_decode(params, L)
-        b = fht_decode_order1(4, L)
-        assert np.array_equal(a.codeword, b.codeword)
-        assert a.metric == b.metric
+        assert np.array_equal(dumer_codewords(params, L[None])[0], fht_decode_words(L))
 
 
 def test_dumer_full_code_sign_rule():
     params = rmcode.CodeParams(3, 3)
-    assert dumer_decode(params, np.full(8, 2.5)).codeword.tolist() == [0] * 8
+    assert dumer_codewords(params, np.full((1, 8), 2.5))[0].tolist() == [0] * 8
     rng = np.random.default_rng(37)
     L = rng.normal(size=8)
-    assert dumer_decode(params, L).codeword.tolist() == (L < 0).astype(int).tolist()
+    assert dumer_codewords(params, L[None])[0].tolist() == (L < 0).astype(int).tolist()
 
 
 def test_dumer_clean_codewords():
@@ -184,9 +181,7 @@ def test_dumer_clean_codewords():
         params = rmcode.CodeParams(m, r)
         for _ in range(5):
             c = rmcode.encode(random_message(params, rng))
-            res = dumer_decode(params, 3.0 * (1.0 - 2.0 * c))
-            assert np.array_equal(res.codeword, c)
-            assert res.message.coeffs is not None
+            assert np.array_equal(dumer_codewords(params, 3.0 * (1.0 - 2.0 * c)[None])[0], c)
 
 
 def test_dumer_recursion_visits_fixed_leaf_sequence(monkeypatch):
@@ -200,7 +195,7 @@ def test_dumer_recursion_visits_fixed_leaf_sequence(monkeypatch):
 
     monkeypatch.setattr(dumer_mod, "_plain_rec", spy)
     rng = np.random.default_rng(39)
-    dumer_decode(rmcode.CodeParams(6, 3), rng.normal(size=64))
+    dumer_codewords(rmcode.CodeParams(6, 3), rng.normal(size=(1, 64)))
     assert seen == [
         (4, 1),
         (3, 1),
@@ -219,11 +214,10 @@ def test_dumer_output_is_codeword():
     rng = np.random.default_rng(40)
     params = rmcode.CodeParams(5, 2)
     for _ in range(50):
-        res = dumer_decode(params, rng.normal(size=32))
-        assert rmcode.is_codeword(params, res.codeword)
+        assert rmcode.is_codeword(params, dumer_codewords(params, rng.normal(size=(1, 32)))[0])
 
 
-# ---- dumer_list_decode ----
+# ---- dumer_list_codewords ----
 
 
 def greedy_zero_order(m, r, L):
@@ -248,8 +242,7 @@ def test_list_mu1_is_greedy():
         params = rmcode.CodeParams(m, r)
         for _ in range(50):
             L = rng.normal(size=params.n)
-            res = dumer_list_decode(params, L, 1)
-            assert np.array_equal(res.codeword, greedy_zero_order(m, r, L))
+            assert np.array_equal(dumer_list_codewords(params, L[None], 1)[0], greedy_zero_order(m, r, L))
 
 
 def test_list_exhaustive_equals_ml():
@@ -260,7 +253,8 @@ def test_list_exhaustive_equals_ml():
         for _ in range(200):
             c = rmcode.encode(random_message(params, rng))
             L = awgn_llr(c, 1.0, rng)
-            assert dumer_list_decode(params, L, mu).metric == ml_decode(params, L).metric
+            words = dumer_list_codewords(params, L[None], mu)[0], ml_codewords(params, L[None])[0]
+            assert soft_metric(words[0], L) == soft_metric(words[1], L)
 
 
 def test_list_metric_monotone_in_mu():
@@ -268,16 +262,16 @@ def test_list_metric_monotone_in_mu():
     params = rmcode.CodeParams(5, 2)
     for _ in range(30):
         L = rng.normal(size=32)
-        metrics = [dumer_list_decode(params, L, mu).metric for mu in (1, 4, 16, 64)]
+        metrics = [soft_metric(dumer_list_codewords(params, L[None], mu)[0], L) for mu in (1, 4, 16, 64)]
         assert all(a <= b + 1e-12 for a, b in zip(metrics, metrics[1:]))
 
 
 def test_list_validation():
     params = rmcode.CodeParams(3, 1)
     with pytest.raises(ValueError):
-        dumer_list_decode(params, np.zeros(8), 0)
+        dumer_list_codewords(params, np.zeros((1, 8)), 0)
     with pytest.raises(ValueError):
-        dumer_list_decode(params, np.zeros(4), 4)
+        dumer_list_codewords(params, np.zeros((1, 4)), 4)
 
 
 def test_list_quality_tracks_ml_under_noise():
@@ -287,9 +281,9 @@ def test_list_quality_tracks_ml_under_noise():
     for _ in range(150):
         c = rmcode.encode(random_message(params, rng))
         L = awgn_llr(c, 0.9, rng)
-        if not np.array_equal(dumer_list_decode(params, L, 16).codeword, c):
+        if not np.array_equal(dumer_list_codewords(params, L[None], 16)[0], c):
             failures_list += 1
-        if not np.array_equal(ml_decode(params, L).codeword, c):
+        if not np.array_equal(ml_codewords(params, L[None])[0], c):
             failures_ml += 1
     assert failures_list <= failures_ml + 5
 
@@ -298,10 +292,11 @@ def test_metric_field_consistency():
     rng = np.random.default_rng(45)
     params = rmcode.CodeParams(4, 2)
     L = rng.normal(size=16)
-    for res in (
-        dumer_decode(params, L),
-        dumer_list_decode(params, L, 8),
-        ml_decode(params, L),
+    for word in (
+        dumer_codewords(params, L[None])[0],
+        dumer_list_codewords(params, L[None], 8)[0],
+        ml_codewords(params, L[None])[0],
     ):
-        assert res.metric == soft_metric(res.codeword, L)
+        res = result_for(params, word, L)
+        assert res.metric == soft_metric(word, L)
         assert np.array_equal(res.codeword, rmcode.encode(res.message))

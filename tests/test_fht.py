@@ -9,7 +9,6 @@ from rmlab import rmcode
 from rmlab.decoders.fht import (
     column_peaks,
     fht,
-    fht_decode_order1,
     fht_decode_words,
     fht_list_decode_order1,
     hard_signs,
@@ -17,8 +16,8 @@ from rmlab.decoders.fht import (
     point_transform,
     transform_peak,
 )
-from rmlab.decoders.oracle import ml_decode
-from rmlab.decoders.types import soft_metric
+from rmlab.decoders.oracle import ml_codewords
+from rmlab.decoders.types import result_for, soft_metric
 
 
 def random_message(params, rng):
@@ -254,13 +253,13 @@ def test_clean_codeword_decodes_with_known_metric():
         msg = random_message(params, rng)
         c = rmcode.encode(msg)
         L = mag * (1.0 - 2.0 * c)
-        res = fht_decode_order1(m, L)
+        res = result_for(params, fht_decode_words(L), L)
         assert np.array_equal(res.codeword, c)
         assert res.metric == pytest.approx((params.n / 2) * mag, rel=1e-12)
 
 
 def test_total_erasure_tie_break():
-    res = fht_decode_order1(3, np.zeros(8))
+    res = result_for(rmcode.CodeParams(3, 1), fht_decode_words(np.zeros(8)), np.zeros(8))
     assert res.metric == 0.0
     assert res.codeword.tolist() == [0] * 8
     assert res.message.coeffs == {}
@@ -273,9 +272,9 @@ def test_metric_equals_ml_metric_on_awgn():
         for _ in range(100):
             c = rmcode.encode(random_message(params, rng))
             L = 2.0 * ((1.0 - 2.0 * c) + 0.9 * rng.normal(size=params.n)) / 0.9**2
-            a = fht_decode_order1(m, L)
-            b = ml_decode(params, L)
-            assert a.metric == b.metric
+            a = result_for(params, fht_decode_words(L), L)
+            b = ml_codewords(params, L[None])[0]
+            assert a.metric == soft_metric(b, L)
             assert soft_metric(a.codeword, L) == a.metric
 
 
@@ -283,13 +282,12 @@ def test_list_head_is_single_decode_and_full_list_hits_ml():
     rng = np.random.default_rng(17)
     for _ in range(25):
         L = rng.normal(size=16)
-        single = fht_decode_order1(4, L)
         full = fht_list_decode_order1(4, L, 16)
-        assert np.array_equal(full[0].codeword, single.codeword)
+        assert np.array_equal(full[0].codeword, fht_decode_words(L))
         words = {bytes(r.codeword.tolist()) for r in full}
         assert len(words) == 16
         best = max(r.metric for r in full)
-        assert best == ml_decode(rmcode.CodeParams(4, 1), L).metric
+        assert best == soft_metric(ml_codewords(rmcode.CodeParams(4, 1), L[None])[0], L)
 
 
 def test_list_size_validation():
@@ -306,11 +304,13 @@ def test_list_decoder_checks_llr_length(shape):
 
 
 def test_batch_decode_matches_scalar_decoder():
+    # each row as a word of its own, and as the head of the length-1 list
     rng = np.random.default_rng(18)
     rows = rng.normal(size=(20, 16))
     batch = fht_decode_words(rows)
     for i in range(20):
-        assert batch[i].tolist() == fht_decode_order1(4, rows[i]).codeword.tolist()
+        assert batch[i].tolist() == fht_decode_words(rows[i]).tolist()
+        assert batch[i].tolist() == fht_list_decode_order1(4, rows[i], 1)[0].codeword.tolist()
 
 
 def test_batch_decode_on_hard_words():
@@ -331,6 +331,6 @@ def test_batch_decode_takes_any_leading_axes():
     assert batch.shape == (2, 3, 8) and batch.dtype == np.uint8
     for i in range(2):
         for j in range(3):
-            word = fht_decode_order1(3, rows[i, j]).codeword
+            word = fht_list_decode_order1(3, rows[i, j], 1)[0].codeword
             assert batch[i, j].tolist() == word.tolist()
             assert fht_decode_words(rows[i, j]).tolist() == word.tolist()

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from rmlab import analysis, gf2, rmcode
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import fht_decode_order1, fht_list_decode_order1, linear_word, transform_peak
+from rmlab.decoders.fht import fht_decode_words, fht_list_decode_order1, linear_word, transform_peak
+from rmlab.decoders.types import result_for
 from rmlab.rmcode import CodeParams
 
 import reference_structure as ref
@@ -308,7 +309,7 @@ def test_first_order_messages_match_linear_coeffs(m, seed, tied):
     L = rng.integers(-2, 3, size=1 << m).astype(float) if tied else rng.normal(size=1 << m)
     spec, peak = transform_peak(L)
     s = min(4, 1 << m)
-    results = [fht_decode_order1(m, L)] + fht_list_decode_order1(m, L, s)
+    results = [result_for(CodeParams(m, 1), fht_decode_words(L), L)] + fht_list_decode_order1(m, L, s)
     for res, u in zip(results, [peak, *np.argsort(-np.abs(spec), kind="stable")[:s]]):
         u0 = 1 if spec[u] < 0 else 0
         assert res.message.coeffs == ref_linear_coeffs(m, int(u), u0)

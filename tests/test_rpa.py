@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rmlab import rmcode
-from rmlab.decoders.dumer import dumer_decode
-from rmlab.decoders.fht import fht_decode_order1
-from rmlab.decoders.oracle import ml_decode
-from rmlab.decoders.rpa import chase_list, rpa_decode_bsc, rpa_decode_llr
-from rmlab.decoders.types import soft_metric
+from rmlab.decoders.fht import fht_decode_words
+from rmlab.decoders.oracle import ml_codewords
+from rmlab.decoders.rpa import chase_codewords, rpa_decode_bsc, rpa_decode_llr
+from rmlab.decoders.types import result_for, soft_metric
 
 
 def random_message(params, rng):
@@ -26,7 +25,7 @@ def test_order1_reduces_to_fht():
     params = rmcode.CodeParams(4, 1)
     for _ in range(100):
         y = rng.integers(0, 2, size=16).astype(np.uint8)
-        assert np.array_equal(rpa_decode_bsc(params, y), fht_decode_order1(4, 1.0 - 2.0 * y).codeword)
+        assert np.array_equal(rpa_decode_bsc(params, y), fht_decode_words(1.0 - 2.0 * y))
 
 
 def test_clean_codeword_is_fixed_point():
@@ -97,35 +96,32 @@ def test_validation():
         rpa_decode_llr(rmcode.CodeParams(4, 2), np.zeros(8))
 
 
-# ---- chase wrapper ----
+# ---- chase ----
 
 
 def test_chase_t0_is_bare_decoder():
     rng = np.random.default_rng(56)
     params = rmcode.CodeParams(4, 2)
-    fn = lambda L: rpa_decode_llr(params, L)
     for _ in range(20):
         L = rng.normal(size=16)
-        res = chase_list(fn, L, 0, params)
-        assert np.array_equal(res.codeword, fn(L))
+        assert np.array_equal(chase_codewords(params, L[None], 0)[0], rpa_decode_llr(params, L))
 
 
 def test_chase_dominance_over_bare_output():
     rng = np.random.default_rng(57)
     params = rmcode.CodeParams(5, 2)
-    for fn in (lambda L: rpa_decode_llr(params, L), lambda L: dumer_decode(params, L).codeword):
-        for t in (1, 2, 3):
-            for _ in range(25):
-                L = rng.normal(size=32)
-                res = chase_list(fn, L, t, params)
-                assert res.metric >= soft_metric(fn(L), L) - 1e-12
+    for t in (1, 2, 3):
+        for _ in range(25):
+            L = rng.normal(size=32)
+            word = chase_codewords(params, L[None], t)[0]
+            assert soft_metric(word, L) >= soft_metric(rpa_decode_llr(params, L), L) - 1e-12
 
 
 def test_chase_metric_scored_on_original_llrs():
     rng = np.random.default_rng(58)
     params = rmcode.CodeParams(4, 2)
     L = rng.normal(size=16)
-    res = chase_list(lambda x: rpa_decode_llr(params, x), L, 3, params)
+    res = result_for(params, chase_codewords(params, L[None], 3)[0], L)
     assert res.metric == soft_metric(res.codeword, L)
     assert res.message is not None
 
@@ -137,23 +133,14 @@ def test_chase_tracks_ml_error_rate():
     # be luckily right on trials every metric maximizer gets wrong)
     rng = np.random.default_rng(61)
     params = rmcode.CodeParams(4, 2)
-    fn = lambda x: rpa_decode_llr(params, x)
     sigma = 0.8
     chase_fail = ml_fail = 0
     for _ in range(400):
         c = rmcode.encode(random_message(params, rng))
         L = 2.0 * ((1.0 - 2.0 * c) + sigma * rng.normal(size=16)) / sigma**2
-        if not np.array_equal(chase_list(fn, L, 3, params).codeword, c):
+        if not np.array_equal(chase_codewords(params, L[None], 3)[0], c):
             chase_fail += 1
-        if not np.array_equal(ml_decode(params, L).codeword, c):
+        if not np.array_equal(ml_codewords(params, L[None])[0], c):
             ml_fail += 1
     assert chase_fail <= 1.2 * ml_fail + 5
 
-
-def test_chase_without_params_returns_word_and_metric():
-    rng = np.random.default_rng(60)
-    params = rmcode.CodeParams(4, 2)
-    L = rng.normal(size=16)
-    res = chase_list(lambda x: rpa_decode_llr(params, x), L, 2)
-    assert res.params is None
-    assert res.metric == soft_metric(res.codeword, L)

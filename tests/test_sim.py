@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab import rmcode, sim
 from rmlab.channel import ChannelSpec
+from rmlab.decoders import Undecodable
 from rmlab.rmcode import TooLarge
 from rmlab.sim import (
     ConfigError,
@@ -172,7 +173,69 @@ def test_list_rows_peak_below_the_guard_model(mu):
     assert peak < 16 * mu * params.n
 
 
-# ---- the README decoder table ----
+# ---- the output contract: which ids always return a codeword ----
+# reed, fht, sakkour, dumer, dumer-list and ml build their words from
+# codewords of sub-codes, so every output is a codeword.  rpa (hard and
+# LLR), rpa-chase and bw can return a non-codeword: one pinned word each
+# below.  Adding an id to either list, or moving one, fails a test here.
+
+
+def _contract_code(name, m, draw):
+    if name in ("fht", "sakkour"):
+        return rmcode.CodeParams(m, 1 if name == "fht" else 2)
+    # ml searches at most 2^16 codewords here
+    top = max(r for r in range(m + 1) if name != "ml" or rmcode.CodeParams(m, r).k <= 16)
+    return rmcode.CodeParams(m, draw(st.integers(0, top)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["reed", "fht", "sakkour", "dumer", "dumer-list", "ml"]), m=st.integers(2, 6),
+       style=st.sampled_from(["uniform", "noisy", "integer", "zeros"]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_codeword_ids_always_return_a_codeword(name, m, style, seed, data):
+    params = _contract_code(name, m, data.draw)
+    decoder_id = f"dumer-list:{data.draw(st.integers(1, 8))}" if name == "dumer-list" else name
+    rng = np.random.default_rng(seed)
+    c = rmcode.encode_rows(params, rng.integers(0, 2, size=(1, params.k)))[0]
+    if style == "uniform":
+        L = rng.normal(size=params.n)
+    elif style == "noisy":
+        L = (1.0 - 2.0 * c) + rng.normal(scale=0.8, size=params.n)
+    elif style == "integer":  # tie-heavy
+        L = rng.integers(-2, 3, size=params.n).astype(np.float64)
+    else:
+        L = np.zeros(params.n)
+    kind, fn = resolve_decoder(decoder_id, params, "bsc" if name in ("reed", "sakkour") else "awgn", False)
+    word = fn((L < 0).astype(np.uint8) if kind == "hard" else L)
+    assert rmcode.is_codeword(params, word)
+
+
+@pytest.mark.parametrize("decoder_id,m,r,channel,given_word,decoded", [
+    ("rpa", 4, 2, "bsc", "17A3", "17A3"),
+    ("rpa", 3, 2, "awgn", [2, -4, -5, -2, 5, -2, -2, 2], "76"),
+    ("rpa-chase:1", 3, 2, "awgn", [-6, -3, 3, -4, -1, -1, -4, -5], "DF"),
+])
+def test_rpa_ids_can_return_a_non_codeword(decoder_id, m, r, channel, given_word, decoded):
+    params = rmcode.CodeParams(m, r)
+    kind, fn = resolve_decoder(decoder_id, params, channel, False)
+    if kind == "hard":
+        word = fn(rmcode.word_from_hex(given_word, params.n))
+    else:
+        word = fn(np.array(given_word, dtype=np.float64))
+    assert rmcode.word_to_hex(word) == decoded
+    assert not rmcode.is_codeword(params, word)
+
+
+def test_bw_block_keeps_an_undecodable_hard_word():
+    params = rmcode.CodeParams(4, 2)
+    y = rmcode.word_from_hex("C000", params.n)
+    with pytest.raises(Undecodable):
+        resolve_decoder("bw", params, "bsc", False)[1](y)
+    got = sim.resolve_block_decoder("bw", params, "bsc", False)[1](y[None])
+    assert np.array_equal(got[0], y) and not rmcode.is_codeword(params, y)
+
+
+# ---- the README decoder table and Library snippet ----
 
 # a code meeting each constraint the table states, keyed by its first clause
 _TABLE_CODES = {
@@ -186,9 +249,12 @@ _TABLE_CODES = {
 }
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _readme_decoder_rows():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("### Decoder ids", 1)[1].split("\n\n", 2)[1]
+    table = _readme().split("### Decoder ids", 1)[1].split("\n\n", 2)[1]
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
     assert rows[0] == ["id", "input", "constraint"]
     return rows[2:]
@@ -210,6 +276,13 @@ def test_readme_decoder_table_matches_resolve():
             assert kind in ("hard", "soft")
             assert resolve_decoder(decoder_id, params, "bsc", False)[0] == kind
         assert (f"{name}:<" if placeholder else f"{name} (") in help_text
+
+
+def test_readme_library_snippet_runs():
+    # the documented single-word path: a kernel on a block of one, packaged
+    # by result_for; the snippet asserts its own answer
+    snippet = _readme().split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, "README.md", "exec"), {})
 
 
 # ---- wilson interval ----
