@@ -46,13 +46,12 @@ def _cmd_decode(args) -> int:
         # metric, a Chase perturbation, an ML correlation) overflows
         if np.abs(word).max() >= 2.0**1020 / params.n:
             raise ConfigError(f"LLR magnitudes too large: {params.n} * max|L| must stay below 2^1020")
-        try:
-            fn = sim.resolve_decoder(args.decoder, params, "awgn", False)[1]
-        except ConfigError:
-            # off the BSC a hard-input decoder fails by itself; with hard input
-            # allowed, a bad id, argument or code still fails, on awgn
-            sim.resolve_decoder(args.decoder, params, "awgn", True)
-            raise ConfigError(f"{args.decoder!r} needs --hex input") from None
+        # a hard-only id resolves with hard input allowed, so that a bad
+        # argument or code reports itself before the missing --hex
+        hard_only = sim.DECODER_RULES.get(args.decoder.partition(":")[0], ("",))[0] == "hard"
+        fn = sim.resolve_decoder(args.decoder, params, "awgn", hard_only)[1]
+        if hard_only:
+            raise ConfigError(f"{args.decoder!r} needs --hex input")
         L = word
     try:
         codeword = fn(word)
@@ -238,16 +237,7 @@ def main(argv=None) -> int:
     except rmcode.TooLarge as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
-    except (
-        ConfigError,
-        analysis.OutOfRange,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-        OSError,
-        rmcode.DegenerateDual,
-        rmcode.TooShort,
-    ) as exc:
+    except (ConfigError, analysis.OutOfRange, json.JSONDecodeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,9 +15,9 @@ word only: it raises Undecodable.
 
 from ..rmcode import TooLarge
 from .types import Ambiguous, DecodeResult, Undecodable, soft_metric
-from .fht import fht, fht_list_decode_order1
+from .fht import fht
 from .reed import reed_codewords
-from .oracle import erasure_decode, ml_codewords
+from .oracle import ML_MAX_K, erasure_decode, ml_codewords
 from .dumer import dumer_codewords, dumer_list_codewords
 from .sakkour import sakkour_codewords
 from .rpa import (
@@ -37,8 +37,8 @@ __all__ = [
     "Undecodable",
     "soft_metric",
     "fht",
-    "fht_list_decode_order1",
     "reed_codewords",
+    "ML_MAX_K",
     "erasure_decode",
     "ml_codewords",
     "dumer_codewords",

@@ -12,9 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .. import rmcode
-from .types import DecodeResult, llr_word, result_for
-
 
 def _exact_dtype(dtype: np.dtype, n: int):
     """Working type of a length-n transform: float64 for non-integer input;
@@ -84,11 +81,6 @@ def _parity_table(m: int) -> np.ndarray:
     )
 
 
-def linear_word(m: int, u: int, u0: int) -> np.ndarray:
-    """Codeword of u0 + sum_i u_i x_i; u in point encoding (bit m-i = u_i)."""
-    return _parity_table(m)[u] ^ np.uint8(u0)
-
-
 def point_transform(L) -> np.ndarray:
     """Transform of L over points: entry u is sum_z (-1)^{<u, z>} L_z.
     Integer L is transformed exactly (see fht), any other L in float64."""
@@ -115,17 +107,6 @@ def column_peaks(values) -> tuple[np.ndarray, np.ndarray]:
     spec = fht(values, axis=0)
     u = np.argmax(np.abs(spec), axis=0)
     return u, spec[u, np.arange(spec.shape[1])] < 0
-
-
-def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
-    """The s best first-order candidates by |transform|, best first."""
-    params = rmcode.CodeParams(m, 1)
-    L = llr_word(params, L)
-    if not (1 <= s <= params.n):
-        raise ValueError("list size out of range")
-    spec = point_transform(L)
-    order = np.argsort(-np.abs(spec), kind="stable")[:s]
-    return [result_for(params, linear_word(m, u, 1 if spec[u] < 0 else 0), L) for u in order.tolist()]
 
 
 def fht_decode_words(L) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Reference decoders: exhaustive ML and erasure solving.
 
-ml_codewords returns the ML codeword of every row (guarded at k <= 24),
-so it serves as the ground truth the structured decoders are compared
-against.  A row whose answer a certificate proves skips the search.
+ml_codewords returns the ML codeword of every row (guarded at
+k <= ML_MAX_K = 24), so it serves as the ground truth the structured
+decoders are compared against.  A row whose answer a certificate proves
+skips the search.
 
 The certificate.  Reed's majority decoder turns the hard decision y of
 a row into a codeword c.  Let D be the positions where c and y differ,
@@ -77,7 +78,7 @@ value, with u = 2^-24 and A = sum|L| after scaling:
     gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the sum of their magnitudes,
     itself at most (1 + u)A + n 2^-150 (an addition whose result is
     subnormal is exact);
-  - k <= 24 keeps n <= 2^23, so (n-1)u < 1/2 and gamma_(n-1) < 2(n-1)u:
+  - k <= ML_MAX_K = 24 keeps n <= 2^23, so (n-1)u < 1/2 and gamma_(n-1) < 2(n-1)u:
     the error is below 2nuA + n 2^-149, and
 
       eps = n 2^-22 A + n 2^-140
@@ -106,7 +107,7 @@ from ..rmcode import TooLarge
 from .reed import reed_codewords
 from .types import Ambiguous, DecodeResult, block_rows, soft_metric
 
-_ML_GUARD_K = 24
+ML_MAX_K = 24  # ml searches at most 2^ML_MAX_K codewords
 _TAIL_ROWS = 8
 # Each product, its operand and the per-(trial, head row) maxima hold at
 # most about _CELLS float32 cells.
@@ -260,8 +261,8 @@ def ml_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
     """ML decoding of every row of a (T, n) LLR block: rows the certificate
     settles keep Reed's word, the others go through the exhaustive search
     (see the module docstring for both and for the exact tie rule)."""
-    if params.k > _ML_GUARD_K:
-        raise TooLarge(f"k = {params.k} exceeds the exhaustive guard of {_ML_GUARD_K}")
+    if params.k > ML_MAX_K:
+        raise TooLarge(f"k = {params.k} exceeds the exhaustive guard of {ML_MAX_K}")
     Ls = block_rows(params.n, Ls, np.float64)
     if not np.isfinite(Ls).all():
         raise ValueError("LLRs must be finite")

@@ -62,11 +62,8 @@ def hard_rows(n: int, words) -> np.ndarray:
 
 
 def hard_word(params: rmcode.CodeParams, y) -> np.ndarray:
-    """y as a uint8 word of length n; raises ValueError unless every entry is 0 or 1."""
-    y = np.asarray(y)
-    if y.shape != (params.n,):
-        raise ValueError(f"expected a length-{params.n} word")
-    return hard_rows(params.n, y[None])[0]
+    """y as a uint8 word of length n, checked as a block of one by hard_rows."""
+    return hard_rows(params.n, np.asarray(y)[None])[0]
 
 
 def hard_input_llr(y) -> np.ndarray:

@@ -133,11 +133,6 @@ def eval_monomial_packed(subset: int, m: int) -> int:
     return gf2.pack_bits(evaluations(m, [subset])[0])
 
 
-def eval_monomial(subset: int, m: int) -> np.ndarray:
-    """Evaluation vector of the monomial x_A, A given as a bitmask."""
-    return evaluations(m, [subset])[0]
-
-
 @lru_cache(maxsize=None)
 def generator_rows(params: CodeParams) -> tuple[int, ...]:
     return tuple(map(gf2.pack_bits, generator_matrix(params)))

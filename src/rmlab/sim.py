@@ -32,24 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channel, rmcode
+from . import channel, decoders, rmcode
 from .channel import ChannelSpec
-from .decoders import (
-    CHASE_MAX_T,
-    Undecodable,
-    bw_decode,
-    chase_codewords,
-    dumer_codewords,
-    dumer_list_codewords,
-    ml_codewords,
-    reed_codewords,
-    rpa_bsc_codewords,
-    rpa_llr_codewords,
-    sakkour_codewords,
-)
 # unused here: bench/replay.py's --trace patches sim.rpa_decode_bsc and sim.rpa_decode_llr
 from .decoders import rpa_decode_bsc, rpa_decode_llr  # noqa: F401
 from .decoders.fht import fht_decode_words
+from .decoders.types import block_rows
 
 # float(scipy.special.ndtri(0.975)), the 95% two-sided normal quantile, as
 # a literal: importing scipy.special takes about 0.2 s, and only AWGN needs it
@@ -189,15 +177,37 @@ def config_from_dict(data: dict) -> SimConfig:
     return cfg
 
 
+# Cap on min(u, 2^k) * n, the LLR cells of one row's list: a dumer-list:u
+# row holds at most min(u, 2^k) paths of n LLRs.  Its tracemalloc peak was
+# about 12.6 bytes per cell for one row at 2^20 and 2^21 cells (RM(8,3),
+# RM(10,3), RM(12,2)), so a row at the cap peaks near 50 MB.
+LIST_MAX_CELLS = 1 << 22
+
+# Every decoder id with its input and its constraint, in the order of
+# README's decoder table, which must equal these rows.  An id written
+# name:x takes an integer :argument x.  Input "both" (rpa) is hard on the
+# BSC or with hard=true, soft otherwise.
+DECODERS = (
+    ("reed", "hard", "any (m, r)"),
+    ("fht", "soft", "r == 1"),
+    ("sakkour", "hard", "r == 2"),
+    ("dumer", "soft", "any (m, r)"),
+    ("dumer-list:u", "soft",
+     f"u >= 1; min(u, 2^k) * n <= 2^{LIST_MAX_CELLS.bit_length() - 1} LLR cells per row"),
+    ("rpa", "both", "r >= 1"),
+    ("rpa-chase:t", "soft", f"r >= 1; 0 <= t <= min({decoders.CHASE_MAX_T}, n)"),
+    ("bw", "hard", "m - r even and >= 2"),
+    ("ml", "soft", f"k <= {decoders.ML_MAX_K}"),
+)
+# decoder name -> (input, whether it takes an :argument)
+DECODER_RULES = {ident.partition(":")[0]: (kind, ":" in ident) for ident, kind, _ in DECODERS}
+
+
 def _combo_help() -> str:
-    return (
-        "valid decoders: reed (hard, any r), fht (soft, r=1), "
-        "sakkour (hard, r=2), dumer (soft), dumer-list:<mu> (soft), "
-        "rpa (r>=1; hard on bsc, soft otherwise), "
-        "rpa-chase:<t> (soft, r>=1, t<=min(16, n)), "
-        "bw (hard, m-r even >= 2), ml (soft, k<=24); hard decoders on "
-        "bec/awgn need hard=true (sign quantization)"
-    )
+    """The `valid decoders:` text of every bad-decoder error, one DECODERS row per id."""
+    rows = ", ".join(f"{ident} ({kind}: {why})" for ident, kind, why in DECODERS)
+    return (f"valid decoders: {rows}; both is hard on bsc or with hard=true, soft otherwise; "
+            "hard decoders on bec/awgn need hard=true (sign quantization)")
 
 
 def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
@@ -205,8 +215,9 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
 
     The callables return the decoded word only; a caller that wants the
     message or the metric packages the word with types.result_for, as
-    `rmlab decode` does.  Raises ConfigError on unusable combinations;
-    TooLarge guards ml and dumer-list.
+    `rmlab decode` does.  Raises ConfigError on the combinations DECODERS
+    rules out; TooLarge guards ml and dumer-list.  A callable given a word
+    that is not n long raises ValueError("expected rows of n values").
     """
     kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
     if batched:
@@ -229,49 +240,43 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
 def _each_row(word_fn, words: np.ndarray) -> np.ndarray:
     out = np.array(words, dtype=np.uint8)
     for i, word in enumerate(words):
-        with contextlib.suppress(Undecodable):
+        with contextlib.suppress(decoders.Undecodable):
             out[i] = word_fn(word)
     return out
 
 
-# Cap on min(u, 2^k) * n, the LLR cells of one row's list: a dumer-list:u
-# row holds at most min(u, 2^k) paths of n LLRs.  Its tracemalloc peak was
-# about 12.6 bytes per cell for one row at 2^20 and 2^21 cells (RM(8,3),
-# RM(10,3), RM(12,2)), so a row at the cap peaks near 50 MB.
-LIST_MAX_CELLS = 1 << 22
-
-
 def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
-    """(input kind, kernel, batched): a batched kernel decodes (T, n) blocks."""
+    """(input kind, kernel, batched): a batched kernel decodes (T, n) blocks.
+    The input kind and the :argument rule come from DECODER_RULES; the
+    branch that binds an id's kernel checks its constraints."""
     name, _, arg = decoder_id.partition(":")
     m, r = params.m, params.r
 
     def bad(why):
         return ConfigError(f"{decoder_id!r} on {channel_kind}: {why}; {_combo_help()}")
 
-    if name in ("reed", "sakkour", "bw") or (name == "rpa" and (channel_kind == "bsc" or hard)):
-        if channel_kind != "bsc" and not hard:
-            raise bad("hard-input decoder needs hard=true off the BSC")
-        kind = "hard"
-    elif name in ("fht", "dumer", "dumer-list", "rpa", "rpa-chase", "ml"):
-        kind = "soft"
-    else:
+    if name not in DECODER_RULES:
         raise bad("unknown decoder id")
-    if arg and name not in ("dumer-list", "rpa-chase"):
+    kind, takes_arg = DECODER_RULES[name]
+    if kind == "both":
+        kind = "hard" if channel_kind == "bsc" or hard else "soft"
+    if kind == "hard" and channel_kind != "bsc" and not hard:
+        raise bad("hard-input decoder needs hard=true off the BSC")
+    if arg and not takes_arg:
         raise bad("this decoder takes no :argument")
 
     if name == "reed":
-        return kind, lambda Ys: reed_codewords(params, Ys), True
+        return kind, lambda Ys: decoders.reed_codewords(params, Ys), True
     if name == "fht":
         if r != 1:
             raise bad("fht decodes first-order codes only")
-        return kind, fht_decode_words, True
+        return kind, lambda Ls: fht_decode_words(block_rows(params.n, Ls, None)), True
     if name == "sakkour":
-        if r != 2 or m < 2:
+        if r != 2:
             raise bad("sakkour decodes second-order codes only")
-        return kind, lambda Ys: sakkour_codewords(m, Ys), True
+        return kind, lambda Ys: decoders.sakkour_codewords(m, Ys), True
     if name == "dumer":
-        return kind, lambda Ls: dumer_codewords(params, Ls), True
+        return kind, lambda Ls: decoders.dumer_codewords(params, Ls), True
     if name == "dumer-list":
         mu = _int_arg(arg, decoder_id)
         if mu < 1:
@@ -280,30 +285,30 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         if paths * params.n > LIST_MAX_CELLS:
             raise rmcode.TooLarge(f"{decoder_id} holds {paths} paths of {params.n} LLRs per row, "
                                   f"past {LIST_MAX_CELLS} cells")
-        return kind, lambda Ls: dumer_list_codewords(params, Ls, mu), True
+        return kind, lambda Ls: decoders.dumer_list_codewords(params, Ls, mu), True
     if name == "rpa":
         if r < 1:
             raise bad("rpa needs r >= 1")
         if kind == "hard":
-            return kind, lambda Ys: rpa_bsc_codewords(params, Ys), True
-        return kind, lambda Ls: rpa_llr_codewords(params, Ls), True
+            return kind, lambda Ys: decoders.rpa_bsc_codewords(params, Ys), True
+        return kind, lambda Ls: decoders.rpa_llr_codewords(params, Ls), True
     if name == "rpa-chase":
         if r < 1:
             raise bad("rpa needs r >= 1")
         t = _int_arg(arg, decoder_id)
-        if not 0 <= t <= min(CHASE_MAX_T, params.n):
-            raise bad(f"t must be in [0, {min(CHASE_MAX_T, params.n)}]")
-        return kind, lambda Ls: chase_codewords(params, Ls, t), True
+        if not 0 <= t <= min(decoders.CHASE_MAX_T, params.n):
+            raise bad(f"t must be in [0, {min(decoders.CHASE_MAX_T, params.n)}]")
+        return kind, lambda Ls: decoders.chase_codewords(params, Ls, t), True
     if name == "bw":
         gap = m - r - 2
         if gap < 0 or gap % 2:
             raise bad("bw needs m - r even and >= 2")
         r_bw = gap // 2
-        return kind, lambda y: bw_decode(m, r_bw, y).codeword, False
+        return kind, lambda y: decoders.bw_decode(m, r_bw, y).codeword, False
     if name == "ml":
-        if params.k > 24:
+        if params.k > decoders.ML_MAX_K:
             raise rmcode.TooLarge(f"ml over 2^{params.k} codewords")
-        return kind, lambda Ls: ml_codewords(params, Ls), True
+        return kind, lambda Ls: decoders.ml_codewords(params, Ls), True
     raise bad("unknown decoder id")  # pragma: no cover
 
 

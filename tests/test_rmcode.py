@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rmlab import analysis, gf2, rmcode
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import fht_decode_words, fht_list_decode_order1, linear_word, transform_peak
+from rmlab.decoders.fht import fht_decode_words, transform_peak
 from rmlab.decoders.types import result_for
 from rmlab.rmcode import CodeParams
 
@@ -68,15 +68,14 @@ def test_monomial_order_is_permutation():
 
 
 def test_eval_monomial_fixtures():
-    assert np.array_equal(rmcode.eval_monomial(0, 3), word("11111111"))
-    assert np.array_equal(rmcode.eval_monomial(0b100, 3), word("10101010"))
-    assert np.array_equal(rmcode.eval_monomial(0b011, 3), word("11000000"))
+    assert np.array_equal(rmcode.evaluations(3, [0, 0b100, 0b011]),
+                          [word("11111111"), word("10101010"), word("11000000")])
 
 
 def test_eval_monomial_weight():
     for m in range(1, 6):
         for a in range(1 << m):
-            assert rmcode.eval_monomial(a, m).sum() == 1 << (m - a.bit_count())
+            assert rmcode.evaluations(m, [a])[0].sum() == 1 << (m - a.bit_count())
 
 
 def test_monomial_order_matches_the_sorted_reference():
@@ -96,7 +95,7 @@ def test_builders_match_the_per_point_reference():
         assert np.array_equal(rmcode.rm_full_matrix(m), np.stack([gf2.unpack_bits(w, n) for w in full]))
         for a, word in zip(ref.monomial_order(m), full):
             assert rmcode.eval_monomial_packed(a, m) == word, (m, a)
-            got = rmcode.eval_monomial(a, m)
+            got = rmcode.evaluations(m, [a])[0]
             assert got.dtype == np.uint8 and np.array_equal(got, gf2.unpack_bits(word, n)), (m, a)
         full_cols = ref.transpose(full, n)
         ref_steps, _, ref_monomial_at = ref.moebius_tables(m, m)
@@ -137,7 +136,7 @@ def test_evaluations_guard_sits_at_its_cell_cap(monkeypatch):
     with pytest.raises(rmcode.TooLarge):
         rmcode.evaluations(4, range(9))
     with pytest.raises(rmcode.TooLarge):
-        rmcode.eval_monomial(0, 8)
+        rmcode.evaluations(8, [0])
 
 
 def test_evaluations_reject_masks_out_of_range():
@@ -309,15 +308,15 @@ def test_first_order_messages_match_linear_coeffs(m, seed, tied):
     L = rng.integers(-2, 3, size=1 << m).astype(float) if tied else rng.normal(size=1 << m)
     spec, peak = transform_peak(L)
     s = min(4, 1 << m)
-    results = [result_for(CodeParams(m, 1), fht_decode_words(L), L)] + fht_list_decode_order1(m, L, s)
+    results = [result_for(CodeParams(m, 1), fht_decode_words(L), L)] + ref.fht_list_decode_order1(m, L, s)
     for res, u in zip(results, [peak, *np.argsort(-np.abs(spec), kind="stable")[:s]]):
         u0 = 1 if spec[u] < 0 else 0
         assert res.message.coeffs == ref_linear_coeffs(m, int(u), u0)
-        assert np.array_equal(res.codeword, linear_word(m, int(u), u0))
+        assert np.array_equal(res.codeword, ref.linear_word(m, int(u), u0))
 
 
 def test_plotkin_fixture():
-    u, v = rmcode.plotkin_split(rmcode.eval_monomial(0b100, 3))
+    u, v = rmcode.plotkin_split(ref.eval_monomial(0b100, 3))
     assert rmcode.is_codeword(CodeParams(2, 1), u)
     assert rmcode.is_codeword(CodeParams(2, 0), v)
     assert np.array_equal(u, word("0000"))
@@ -368,7 +367,7 @@ def test_project_coset_trivia():
 
 def test_project_coset_fixture():
     # direction 0b100: the quadratic row 11000000 projects to 1100
-    y = rmcode.eval_monomial(0b011, 3)
+    y = ref.eval_monomial(0b011, 3)
     assert np.array_equal(ref.project_coset(y, 0b100), word("1100"))
 
 
@@ -416,14 +415,14 @@ def test_coset_sum_identities():
     m = 4
     for a_mask in (0b0011, 0b0101, 0b1000, 0b1111):
         cosets = rmcode.cosets_of_subspace(a_mask, m)
-        ev_a = rmcode.eval_monomial(a_mask, m)
+        ev_a = ref.eval_monomial(a_mask, m)
         n1 = (1 << m) - 1
         for coset in cosets:
             coords = [p ^ n1 for p in coset]
             assert ev_a[coords].sum() % 2 == 1
             for b_mask in range(1 << m):
                 if a_mask & b_mask != a_mask:
-                    ev_b = rmcode.eval_monomial(b_mask, m)
+                    ev_b = ref.eval_monomial(b_mask, m)
                     assert ev_b[coords].sum() % 2 == 0
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlab import rmcode, sim
+from rmlab import decoders, rmcode, sim
 from rmlab.channel import ChannelSpec
 from rmlab.decoders import Undecodable
 from rmlab.rmcode import TooLarge
@@ -237,16 +237,18 @@ def test_bw_block_keeps_an_undecodable_hard_word():
 
 # ---- the README decoder table and Library snippet ----
 
-# a code meeting each constraint the table states, keyed by its first clause
-_TABLE_CODES = {
-    "any (m, r)": (4, 2),
-    "r == 1": (4, 1),
-    "r == 2": (4, 2),
-    "r >= 1": (4, 2),
-    "list size u >= 1": (4, 2),
-    "m - r even and >= 2": (6, 2),
-    "k <= 24 (exhaustive enumeration)": (4, 2),
-}
+# a code meeting each decoder's constraint: RM(4, 2) but for these
+_ROW_CODES = {"fht": (4, 1), "bw": (6, 2)}
+
+
+def _row_code(ident):
+    return rmcode.CodeParams(*_ROW_CODES.get(ident.partition(":")[0], (4, 2)))
+
+
+def _row_id(ident):
+    """A resolvable id for a DECODERS row: its :argument placeholder set to 2."""
+    name, colon, _ = ident.partition(":")
+    return f"{name}{colon}2" if colon else name
 
 
 def _readme():
@@ -261,21 +263,46 @@ def _readme_decoder_rows():
 
 
 def test_readme_decoder_table_matches_resolve():
-    rows = _readme_decoder_rows()
-    assert len(rows) == 9
+    # README's table is sim.DECODERS row for row, the `valid decoders:` help
+    # states every row, and each id resolves to the input its row names
+    assert _readme_decoder_rows() == [[f"`{ident}`", kind, why] for ident, kind, why in sim.DECODERS]
+    assert len(sim.DECODERS) == 9
     help_text = sim._combo_help()
-    for ident, kind, constraint in rows:
-        name, _, placeholder = ident.strip("`").partition(":")
-        decoder_id = f"{name}:2" if placeholder else name
-        m, r = _TABLE_CODES[constraint.split(";")[0]]
-        params = rmcode.CodeParams(m, r)
+    for ident, kind, why in sim.DECODERS:
+        assert f"{ident} ({kind}: {why})" in help_text
+        params, decoder_id = _row_code(ident), _row_id(ident)
         if kind == "both":
             assert resolve_decoder(decoder_id, params, "bsc", False)[0] == "hard"
             assert resolve_decoder(decoder_id, params, "awgn", False)[0] == "soft"
         else:
             assert kind in ("hard", "soft")
             assert resolve_decoder(decoder_id, params, "bsc", False)[0] == kind
-        assert (f"{name}:<" if placeholder else f"{name} (") in help_text
+
+
+def test_decoder_rows_state_the_caps_the_resolution_checks():
+    # each cap in the help text (and so in README's table) is formatted from
+    # the constant that the resolution checks
+    help_text = sim._combo_help()
+    assert f"0 <= t <= min({decoders.CHASE_MAX_T}, n)" in help_text
+    assert f"ml (soft: k <= {decoders.ML_MAX_K})" in help_text
+    cells = sim.LIST_MAX_CELLS.bit_length() - 1
+    assert sim.LIST_MAX_CELLS == 1 << cells and f"n <= 2^{cells} LLR cells" in help_text
+
+
+@pytest.mark.parametrize("ident", [_row_id(row[0]) for row in sim.DECODERS])
+def test_every_id_rejects_a_wrong_row_length(ident):
+    # half-length rows, as a block and as one word, fail with one message;
+    # fht's kernel alone would read m from the row length and decode them
+    # as RM(m-1, 1)
+    params = _row_code(ident)
+    both = sim.DECODER_RULES[ident.partition(":")[0]][0] == "both"
+    for channel_kind in ("bsc", "awgn") if both else ("bsc",):
+        kind, block = sim.resolve_block_decoder(ident, params, channel_kind, False)
+        word_fn = resolve_decoder(ident, params, channel_kind, False)[1]
+        half = np.zeros((2, params.n // 2), dtype=np.uint8 if kind == "hard" else np.float64)
+        for fn, arg in ((block, half), (word_fn, half[0])):
+            with pytest.raises(ValueError, match=f"^expected rows of {params.n} values$"):
+                fn(arg)
 
 
 def test_readme_library_snippet_runs():
