@@ -3,10 +3,11 @@
 A length-2^m LLR vector splits into the z_m = 0 half L0 (odd coordinates)
 and z_m = 1 half L1 (even coordinates).  The derivative part v sees the
 LLR-of-sum of the halves; once v is decided the two halves combine
-coherently for u.  The plain recursion stops at first-order leaves (FHT)
-and full codes (per-coordinate signs).  The list variant stops at
-zero-order and full leaves, branching 2 resp. 4 ways per path, pruning to
-list size mu by the cumulative penalty
+coherently for u.  The plain recursion stops at first-order leaves
+(fht_decode_words, through fht.column_peaks) and full codes
+(per-coordinate signs).  The list variant stops at zero-order and full
+leaves, branching 2 resp. 4 ways per path, pruning to list size mu by the
+cumulative penalty
 
     sum over decided bits of ln(1 + exp(-(1 - 2 bit) * llr)),
 

@@ -1,9 +1,10 @@
 """Fast Hadamard transform and first-order ML decoding.
 
-fht() transforms over array indices with the pairing (-1)^{popcount(s & t)}.
-The decoder wants the transform over evaluation points; with the coordinate
-convention (point = index XOR (n-1)) that is just the reversed array, since
-index reversal IS complementation here.
+fht() transforms along axis 0 over array indices with the pairing
+(-1)^{popcount(s & t)}.  Under the coordinate convention (point = index XOR
+(n-1)) index reversal IS complementation, so a reversed word is the word in
+point order.  Every first-order decision reads column_peaks, whose columns
+hold words in point order.
 """
 
 from __future__ import annotations
@@ -13,46 +14,40 @@ from functools import lru_cache
 import numpy as np
 
 
-def _exact_dtype(dtype: np.dtype, n: int):
-    """Working type of a length-n transform: float64 for non-integer input;
-    for integer input the narrowest of int16, int32 and int64 that holds n
-    times the largest magnitude of the input type, which bounds every
-    butterfly output.  int64 and unsigned 64-bit input work in int64."""
-    if not np.issubdtype(dtype, np.integer):
+def _exact_dtype(v: np.ndarray, n: int):
+    """Working type of a length-n transform of v: float64 for non-integer
+    input; for integer input the narrowest of int16, int32 and int64 that
+    holds n times the largest magnitude of the input type, which bounds
+    every butterfly output, or else int64 while n max|v| fits it.  Input
+    past that (64-bit values only) raises ValueError rather than wrap."""
+    if not np.issubdtype(v.dtype, np.integer):
         return np.float64
-    info = np.iinfo(dtype)
+    info = np.iinfo(v.dtype)
     bound = n * max(-int(info.min), int(info.max))
-    for t in (np.int16, np.int32):
+    for t in (np.int16, np.int32, np.int64):
         if bound <= np.iinfo(t).max:
             return t
+    if v.size and n * max(-int(v.min()), int(v.max())) > np.iinfo(np.int64).max:
+        raise ValueError("integer input too large for an exact int64 transform")
     return np.int64
 
 
-def fht(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis or along axis 0 (length
-    a power of two).
+def fht(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along axis 0 (length a power of two).
 
-    Integer input is transformed exactly in the narrowest signed type that
-    cannot overflow for its dtype and n: int8 signs run in int16 up to
-    n = 128 and in int32 from n = 256, and int64 input stays int64.  Other
-    input runs in float64.  The butterflies run over an (n, rest) copy
-    whose first axis is the transform axis, so each stage is two long
-    operations over (n/2h, 2, h * rest) blocks writing a+b / a-b into a
-    second buffer rather than many short ones; every element sees the same
-    additions as the textbook slice-by-slice loop and results are
-    bit-identical to it.  Along the last axis the copy is a transpose and
-    so is the result; along axis 0 neither is.
+    Integer input runs exactly in the type _exact_dtype picks (int8 signs
+    in int16 up to n = 128, int32 beyond), other input in float64.  Each
+    butterfly stage is two long operations over (n/2h, 2, h * rest) blocks
+    of an (n, rest) copy, writing a+b / a-b into a second buffer; every
+    element sees the same additions as the textbook slice-by-slice loop,
+    and results are bit-identical to it.
     """
     v = np.asarray(values)
-    last = axis in (-1, v.ndim - 1)
-    if not (last or axis == 0):
-        raise ValueError("axis must be 0 or the last")
-    n = v.shape[axis]
+    n = v.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a power of two")
     rest = v.size // n
-    lay = v.reshape(rest, n).T if last else v.reshape(n, rest)
-    src = lay.astype(_exact_dtype(v.dtype, n), order="C", copy=True)
+    src = v.reshape(n, rest).astype(_exact_dtype(v, n), order="C", copy=True)
     dst = np.empty_like(src)
     h = 1
     while h < n:
@@ -62,7 +57,7 @@ def fht(values: np.ndarray, axis: int = -1) -> np.ndarray:
         np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
         src, dst = dst, src
         h *= 2
-    return (np.ascontiguousarray(src.T) if last else src).reshape(v.shape)
+    return src.reshape(v.shape)
 
 
 def hard_signs(words) -> np.ndarray:
@@ -81,30 +76,13 @@ def _parity_table(m: int) -> np.ndarray:
     )
 
 
-def point_transform(L) -> np.ndarray:
-    """Transform of L over points: entry u is sum_z (-1)^{<u, z>} L_z.
-    Integer L is transformed exactly (see fht), any other L in float64."""
-    return fht(np.asarray(L)[..., ::-1])
-
-
-def transform_peak(L) -> tuple[np.ndarray, np.ndarray]:
-    """Point transform of every row of L, a (..., 2^m) array, and per row the
-    smallest u of maximal |transform|, the best first-order linear part.  Its
-    constant term is 1 exactly when the entry at u is negative.  Integer
-    (hard_signs) and float images of the same +/-1 words give equal spectra
-    and peaks: every sum of +/-1 terms is exact in both.
-    """
-    spec = point_transform(L)
-    return spec, np.argmax(np.abs(spec), axis=-1)
-
-
 def column_peaks(values) -> tuple[np.ndarray, np.ndarray]:
-    """transform_peak on the columns of an (n, cols) array whose row z holds
-    the value at point z, so the transform runs along axis 0 with no
-    reversal and no transpose.  Per column: the smallest u of maximal
-    |transform| and whether the transform is negative there (the best
-    first-order word's constant term)."""
-    spec = fht(values, axis=0)
+    """Per column of an (n, cols) array whose row z holds the value at point
+    z: the smallest u of maximal |sum_z (-1)^{<u, z>} value_z|, the best
+    first-order linear part, and whether that sum is negative (its constant
+    term).  Integer (hard_signs) and float images of the same +/-1 words
+    give equal peaks: every sum of +/-1 terms is exact in both."""
+    spec = fht(values)
     u = np.argmax(np.abs(spec), axis=0)
     return u, spec[u, np.arange(spec.shape[1])] < 0
 
@@ -117,8 +95,7 @@ def fht_decode_words(L) -> np.ndarray:
     Ties on |transform| pick the smallest u, and a zero correlation picks
     constant term 0.
     """
-    spec, u = transform_peak(L)
-    rows = spec.reshape(-1, spec.shape[-1])
-    u0 = rows[np.arange(rows.shape[0]), u.ravel()] < 0
-    table = _parity_table(spec.shape[-1].bit_length() - 1)
-    return table[u] ^ u0.reshape(np.shape(u) + (1,)).astype(np.uint8)
+    L = np.asarray(L)
+    n = L.shape[-1]
+    u, neg = column_peaks(L.reshape(-1, n)[:, ::-1].T)
+    return (_parity_table(n.bit_length() - 1)[u] ^ neg[:, None]).reshape(L.shape)

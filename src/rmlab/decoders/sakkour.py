@@ -7,8 +7,9 @@ are cleaned by a coordinatewise majority over the difference identities
 D_{b+b'} + D_{b'}, and per-column FHT decoding recovers U.  Subtracting
 the degree-2 evaluation leaves a first-order word for a final FHT pass.
 
-Under the coordinate convention translating points by b is plain index
-XOR, so derivative words never need explicit reindexing.
+Words are gathered as columns of the block's point-order transpose
+pt = y[:, ::-1].T, the layout fht.column_peaks reads; translating points
+by b is then a row XOR, one np.take along axis 0.
 
 Every transform input is a 0/1 word, so all three passes feed int8 +/-1
 signs (fht.hard_signs) and the transforms run exactly in int16 up to
@@ -16,7 +17,7 @@ n = 128; the majority votes are int16 too.  Only the degree-2 evaluation
 runs in floats, as a product of small integers that is exact.
 
 sakkour_codewords runs every step over a (T, n) block, in chunks of rows
-whose (rows, n, n) derivative arrays hold at most _CELLS cells.  A
+whose (n, n, rows) derivative arrays hold at most _CELLS cells.  A
 single word decodes as a block of one.
 """
 
@@ -29,10 +30,10 @@ import numpy as np
 
 from .. import rmcode
 # fht is unused here: bench/replay.py's --trace patches decoders.sakkour.fht
-from .fht import fht, fht_decode_words, hard_signs, transform_peak  # noqa: F401
+from .fht import column_peaks, fht, fht_decode_words, hard_signs  # noqa: F401
 from .types import hard_rows
 
-# Cells of each (rows, n, n) array one chunk of rows may hold: 64 rows at
+# Cells of each (n, n, rows) array one chunk of rows may hold: 64 rows at
 # n = 32, whose int16 transform and vote arrays take 128 KB each and the
 # intp bincount index 512 KB.  With the harness's steady heap, at RM(5,2),
 # 2^15 was slower on the light sweep's 160-row block in 9 of 10 alternated
@@ -54,19 +55,19 @@ def _tables(m: int):
 
 def _majority(D: np.ndarray, xor: np.ndarray) -> np.ndarray:
     """Coordinatewise majority of D_{b+b'} + D_{b'} over all b', per b and
-    per row of D, a (..., n) array.
+    per column of D, an (n, ...) array whose row b holds D_b.
 
     Row b of xor holds J ^ b.  Ties pick the lexicographically smallest
     vector (= smallest packed int): argmax returns the first maximal count.
     D may have any integer type; the votes, values in [0, n), are int16.
     """
-    n = D.shape[-1]
+    n = len(D)
     D = D.astype(np.int16, copy=False)
-    votes = D[..., xor]  # (..., b, b')
-    votes ^= D[..., None, :]
-    offsets = n * np.arange(votes.size // n).reshape(votes.shape[:-1] + (1,))
+    votes = np.take(D, xor, axis=0)  # (b, b', ...)
+    votes ^= D
+    offsets = n * np.arange(D.size).reshape((n, 1) + D.shape[1:])
     counts = np.bincount((votes + offsets).ravel(), minlength=votes.size)
-    return np.argmax(counts.reshape(votes.shape), axis=-1)
+    return np.argmax(counts.reshape(D.shape + (n,)), axis=-1)
 
 
 def sakkour_codewords(m: int, Ys) -> np.ndarray:
@@ -80,13 +81,15 @@ def sakkour_codewords(m: int, Ys) -> np.ndarray:
     step = max(1, _CELLS // (n * n))
     for lo in range(0, len(Ys), step):
         y = Ys[lo : lo + step]
-        # derivative words, one per direction; b = 0 decodes to zero harmlessly
-        Dstar = _majority(transform_peak(hard_signs(y[:, None, :] ^ y[:, xor]))[1], xor)
+        pt = y[:, ::-1].T
+        # derivative columns: entry (z, b, row) is y(z + b) + y(z); b = 0 is harmless
+        D = column_peaks(hard_signs(np.take(pt, xor, axis=0) ^ pt[:, None]).reshape(n, -1))[0]
+        Dstar = _majority(D.reshape(pt.shape), xor)
         # column i of U from the word of i-th coordinates of D*_b over b
-        col_bits = (Dstar[:, None, ::-1] >> np.arange(m - 1, -1, -1)[:, None]) & 1
-        col_u = transform_peak(hard_signs(col_bits))[1]
+        col_bits = (Dstar[:, None] >> np.arange(m - 1, -1, -1)[:, None]) & 1
+        col_u = column_peaks(hard_signs(col_bits).reshape(n, -1))[0].reshape(m, -1)
         # exact: each entry counts at most m(m-1)/2 pairs
-        quad = (col_u[:, cols] >> shifts) & 1
-        deg2 = ((quad @ evals).astype(np.int64) & 1).astype(np.uint8)
+        quad = (col_u[cols] >> shifts[:, None]) & 1
+        deg2 = ((quad.T @ evals).astype(np.int64) & 1).astype(np.uint8)
         out[lo : lo + step] = deg2 ^ fht_decode_words(hard_signs(y ^ deg2))
     return out

@@ -270,7 +270,7 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
     if name == "fht":
         if r != 1:
             raise bad("fht decodes first-order codes only")
-        return kind, lambda Ls: fht_decode_words(block_rows(params.n, Ls, None)), True
+        return kind, lambda Ls: fht_decode_words(block_rows(params.n, Ls, np.float64)), True
     if name == "sakkour":
         if r != 2:
             raise bad("sakkour decodes second-order codes only")

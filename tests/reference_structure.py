@@ -6,7 +6,10 @@ itertools.combinations.  This module keeps the per-point loops and the
 sort they replaced, as they were, so the tests can check the array forms
 against them, the GF(2) and coset helpers that only tests call, and the
 first-order codeword of a linear part and the first-order list decoder,
-which the tests use to check fht_decode_words.
+which the tests use to check fht_decode_words.  It also keeps the
+row-layout point transform and peak reader that the first-order decoders
+used before they all read fht.column_peaks, so the tests can check the
+column layout against them.
 """
 
 from functools import lru_cache
@@ -15,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from rmlab import gf2, rmcode
-from rmlab.decoders.fht import _parity_table, point_transform
+from rmlab.decoders.fht import _parity_table, fht
 from rmlab.decoders.types import DecodeResult, llr_word, result_for
 
 
@@ -155,6 +158,23 @@ def sakkour_tables(m: int):
     shifts = np.array([m - i for i, _ in pairs])
     evals = np.stack([eval_monomial((1 << (i - 1)) | (1 << (j - 1)), m) for i, j in pairs])
     return J[:, None] ^ J[None, :], cols, shifts, evals.astype(np.float64)
+
+
+def point_transform(L) -> np.ndarray:
+    """Transform of every row of L, a (..., 2^m) array, over points: entry
+    u is sum_z (-1)^{<u, z>} L_z.  Integer L is transformed exactly (see
+    fht), any other L in float64.  fht runs along axis 0, so the reversed
+    rows move there and back."""
+    return np.moveaxis(fht(np.moveaxis(np.asarray(L)[..., ::-1], -1, 0)), 0, -1)
+
+
+def transform_peak(L) -> tuple[np.ndarray, np.ndarray]:
+    """Point transform of every row of L, a (..., 2^m) array, and per row the
+    smallest u of maximal |transform|, the best first-order linear part.  Its
+    constant term is 1 exactly when the entry at u is negative.
+    """
+    spec = point_transform(L)
+    return spec, np.argmax(np.abs(spec), axis=-1)
 
 
 def linear_word(m: int, u: int, u0: int) -> np.ndarray:

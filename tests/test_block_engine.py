@@ -24,7 +24,7 @@ from rmlab.decoders import oracle as oracle_mod
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import rpa as rpa_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import _parity_table, fht_decode_words, transform_peak
+from rmlab.decoders.fht import _parity_table, fht_decode_words
 from rmlab.decoders.types import hard_input_llr, result_for, soft_metric
 from rmlab.sim import ConfigError, config_from_dict, resolve_block_decoder, resolve_decoder, run_simulation
 
@@ -819,7 +819,7 @@ def ref_sakkour(m, y, ties=None):
     y = np.asarray(y, dtype=np.uint8)
     J = np.arange(n)
     xor = J[:, None] ^ J[None, :]
-    D = transform_peak(1.0 - 2.0 * (y[None, :] ^ y[xor]))[1]
+    D = ref.transform_peak(1.0 - 2.0 * (y[None, :] ^ y[xor]))[1]
     votes = D[xor] ^ D[None, :]
     counts = np.bincount((votes + n * np.arange(n)[:, None]).ravel(), minlength=n * n).reshape(n, n)
     if ties is not None:
@@ -828,7 +828,7 @@ def ref_sakkour(m, y, ties=None):
     col_words = np.empty((m, n), dtype=np.float64)
     for i in range(1, m + 1):
         col_words[i - 1] = 1.0 - 2.0 * ((Dstar[J ^ (n - 1)] >> (m - i)) & 1)
-    col_u = transform_peak(col_words)[1]
+    col_u = ref.transform_peak(col_words)[1]
     quad = {}
     for i in range(1, m + 1):
         u = int(col_u[i - 1])
@@ -836,7 +836,7 @@ def ref_sakkour(m, y, ties=None):
             if j != i:
                 quad[(1 << (i - 1)) | (1 << (j - 1))] = (u >> (m - j)) & 1
     deg2 = rmcode.Message(params, {a: v for a, v in quad.items() if v})
-    lin_spec, u = transform_peak(1.0 - 2.0 * (y ^ rmcode.encode(deg2)))
+    lin_spec, u = ref.transform_peak(1.0 - 2.0 * (y ^ rmcode.encode(deg2)))
     u = int(u)
     return rmcode.Message(params, deg2.coeffs | linear_coeffs(m, u, 1 if lin_spec[u] < 0 else 0))
 
@@ -925,6 +925,25 @@ def test_sakkour_kernel_equals_word_loop(m, rows, seed, uniform):
     assert np.array_equal(got, np.array([rmcode.encode(msg) for msg in msgs]))
     for row, word, msg in zip(y, got, msgs):
         assert_same_result(result_for(params, word, hard_input_llr(row)), msg, hard_input_llr(row))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m=st.integers(2, 8), rows=st.integers(0, 4), style=st.sampled_from(["noisy", "uniform", "zeros"]),
+       dtype=st.sampled_from([np.uint8, np.int8, np.int64, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_sakkour_column_layout_equals_the_row_layout_reference(m, rows, style, dtype, seed):
+    # ref_sakkour decodes in the row layout through reference_structure's
+    # transform_peak; the kernel gathers its words as point-order columns
+    params = rmcode.CodeParams(m, 2)
+    rng = np.random.default_rng(seed)
+    if style == "uniform":  # majority and peak ties are common
+        y = rng.integers(0, 2, size=(rows, params.n)).astype(np.uint8)
+    else:
+        y = noisy_words(params, rows, rng)
+        if style == "zeros":
+            y[rng.random(rows) < 0.5] = 0
+    want = np.array([rmcode.encode(ref_sakkour(m, row)) for row in y], dtype=np.uint8).reshape(y.shape)
+    got = sakkour_mod.sakkour_codewords(m, y.astype(dtype))
+    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [4, 5])

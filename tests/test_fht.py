@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab import rmcode
-from rmlab.decoders.fht import (
-    column_peaks,
-    fht,
-    fht_decode_words,
-    hard_signs,
-    point_transform,
-    transform_peak,
-)
+from rmlab.decoders.fht import _parity_table, column_peaks, fht, fht_decode_words, hard_signs
 from rmlab.decoders.oracle import ml_codewords
 from rmlab.decoders.types import result_for, soft_metric
 
-from reference_structure import eval_monomial, fht_list_decode_order1, linear_word
+from reference_structure import (
+    eval_monomial,
+    fht_list_decode_order1,
+    linear_word,
+    point_transform,
+    transform_peak,
+)
 
 
 def random_message(params, rng):
@@ -96,8 +95,23 @@ def textbook_fht(values):
     ],
 )
 def test_integer_input_runs_in_the_narrowest_exact_type(dtype, n, want):
-    got = fht(np.zeros((3, n), dtype=dtype))
-    assert got.dtype == want and got.shape == (3, n)
+    got = fht(np.zeros((n, 3), dtype=dtype))
+    assert got.dtype == want and got.shape == (n, 3)
+
+
+def test_64_bit_input_raises_rather_than_wraps():
+    # n max|x| must stay below 2^63, read from the values
+    for v in ([2**62, 2**62], [-(2**62), -(2**62)], [2**63 - 1, 0]):
+        with pytest.raises(ValueError, match="too large"):
+            fht(np.array(v, dtype=np.int64))
+    with pytest.raises(ValueError, match="too large"):
+        fht(np.array([2**62, 0], dtype=np.uint64))
+    with pytest.raises(ValueError, match="too large"):
+        fht_decode_words(np.array([2**62, 2**62, 2**62, -(2**62)]))
+    big = 2**62 - 1
+    assert fht(np.array([big, big])).tolist() == [2 * big, 0]
+    assert fht(np.array([[big, 1], [-big, 1]])).tolist() == [[0, 2], [2 * big, 0]]
+    assert fht(np.array([big, 0], dtype=np.uint64)).tolist() == [big, big]
 
 
 def test_extreme_int8_input_does_not_wrap():
@@ -106,6 +120,8 @@ def test_extreme_int8_input_does_not_wrap():
         spec, u = transform_peak(np.full(n, -128, dtype=np.int8))
         assert spec[0] == -128 * n and u == 0
         assert np.abs(spec).max() == 128 * n
+        u, neg = column_peaks(np.full((n, 1), -128, dtype=np.int8))
+        assert u.tolist() == [0] and neg.tolist() == [True]
 
 
 def test_hard_signs():
@@ -130,10 +146,10 @@ def test_non_integer_input_is_unchanged_float64(dtype):
     for m in range(0, 9):
         v = rng.normal(scale=40.0, size=(3, 1 << m))
         v = v > 0 if dtype is np.bool_ else v.astype(dtype)
-        got = fht(v)
+        got = fht(v.T)
         assert got.dtype == np.float64
-        assert got.tobytes() == textbook_fht(v).tobytes()
-        assert point_transform(v).tobytes() == fht(v[..., ::-1].astype(np.float64)).tobytes()
+        assert got.tobytes() == textbook_fht(v).T.tobytes()
+        assert point_transform(v).tobytes() == fht(v[..., ::-1].T.astype(np.float64)).T.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -156,21 +172,57 @@ def test_sign_path_equals_float_path_on_hard_words(m, rows, p, seed):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.int64])
 def test_axis_zero_is_the_transposed_transform(dtype):
+    # fht transforms the columns: the transpose of the textbook row loop,
+    # whatever the layout of its input
     rng = np.random.default_rng(23)
     for m in range(0, 9):
         v = rng.integers(-128, 128, size=(3, 1 << m)).astype(dtype)
         if dtype is np.float64:
             v = v * rng.normal(size=v.shape)
-        got = fht(np.ascontiguousarray(v.T), axis=0)
-        assert got.dtype == fht(v).dtype and got.flags.c_contiguous
-        assert got.tobytes() == np.ascontiguousarray(fht(v).T).tobytes()
-    v = rng.normal(size=(4, 3, 8))
-    assert fht(v, axis=0).tobytes() == np.ascontiguousarray(np.moveaxis(fht(np.moveaxis(v, 0, -1)), -1, 0)).tobytes()
-    assert np.array_equal(fht(v, axis=2), fht(v))
+        got = fht(np.ascontiguousarray(v.T))
+        assert got.flags.c_contiguous and got.tobytes() == fht(v.T).tobytes()
+        if dtype is np.float64:
+            assert got.tobytes() == textbook_fht(v).T.tobytes()
+        else:
+            assert got.dtype == (np.int64 if dtype is np.int64 else np.int16 if m <= 7 else np.int32)
+            assert np.array_equal(got, textbook_fht(v).T)
+    v = rng.normal(size=(8, 4, 3))
+    assert fht(v).tobytes() == np.moveaxis(textbook_fht(np.moveaxis(v, 0, -1)), -1, 0).tobytes()
     with pytest.raises(ValueError):
-        fht(np.zeros((2, 4, 2)), axis=1)
-    with pytest.raises(ValueError):
-        fht(np.zeros((6, 2)), axis=0)
+        fht(np.zeros((6, 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), lead=st.lists(st.integers(0, 3), max_size=2),
+       style=st.sampled_from(["int8", "int64", "float64", "ties", "zeros"]), seed=st.integers(0, 2**32 - 1))
+def test_decode_words_equal_the_row_layout_reference(m, lead, style, seed):
+    # the row-layout decoder the column layout replaced, bit for bit
+    n = 1 << m
+    shape = (*lead, n)
+    rng = np.random.default_rng(seed)
+    if style == "int8":
+        L = hard_signs(rng.random(shape) < 0.5)
+    elif style == "int64":  # large values that still tie
+        L = rng.integers(-3, 4, size=shape) << 50
+    elif style == "ties":
+        L = rng.integers(-2, 3, size=shape).astype(np.float64)
+    else:
+        L = rng.normal(size=shape)
+        if style == "zeros":
+            L *= rng.random((*lead, 1)) < 0.5
+    spec, u = transform_peak(L)
+    neg = np.take_along_axis(spec, u[..., None], axis=-1) < 0
+    want = _parity_table(m)[u] ^ neg.astype(np.uint8)
+    got = fht_decode_words(L)
+    assert got.dtype == np.uint8 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 8), (0, 1), (2, 0, 4)])
+def test_decode_words_of_an_empty_block(shape):
+    for dtype in (np.float64, np.int8, np.int64):
+        got = fht_decode_words(np.zeros(shape, dtype=dtype))
+        assert got.dtype == np.uint8 and got.shape == shape
 
 
 @pytest.mark.parametrize("style", ["awgn", "signs"])

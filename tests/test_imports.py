@@ -1,7 +1,7 @@
 """Every imported name is read somewhere in its module.
 
-No linter is installed, so this AST scan stands in for one over src/rmlab
-and tests.  A name a module re-exports through __all__ counts as read, and
+No linter is installed, so this AST scan stands in for one over src/rmlab,
+tests, scripts and bench; it only reads them.  A name a module re-exports through __all__ counts as read, and
 an import statement marked `noqa` is skipped.
 """
 
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "rmlab").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*(ROOT / "src" / "rmlab").rglob("*.py"),
+                *(p for d in ("tests", "scripts", "bench") for p in (ROOT / d).glob("*.py"))])
 
 
 def unused_imports(source: str) -> list[str]:

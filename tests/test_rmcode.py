@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rmlab import analysis, gf2, rmcode
 from rmlab.decoders import reed as reed_mod
 from rmlab.decoders import sakkour as sakkour_mod
-from rmlab.decoders.fht import fht_decode_words, transform_peak
+from rmlab.decoders.fht import fht_decode_words
 from rmlab.decoders.types import result_for
 from rmlab.rmcode import CodeParams
 
@@ -306,7 +306,7 @@ def test_first_order_messages_match_linear_coeffs(m, seed, tied):
     rng = np.random.default_rng(seed)
     # small integer LLRs give tied peaks and zero correlations
     L = rng.integers(-2, 3, size=1 << m).astype(float) if tied else rng.normal(size=1 << m)
-    spec, peak = transform_peak(L)
+    spec, peak = ref.transform_peak(L)
     s = min(4, 1 << m)
     results = [result_for(CodeParams(m, 1), fht_decode_words(L), L)] + ref.fht_list_decode_order1(m, L, s)
     for res, u in zip(results, [peak, *np.argsort(-np.abs(spec), kind="stable")[:s]]):

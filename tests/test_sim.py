@@ -305,6 +305,26 @@ def test_every_id_rejects_a_wrong_row_length(ident):
                 fn(arg)
 
 
+@pytest.mark.parametrize("ident", [_row_id(row[0]) for row in sim.DECODERS])
+def test_every_id_maps_an_empty_block_to_an_empty_block(ident):
+    params = _row_code(ident)
+    both = sim.DECODER_RULES[ident.partition(":")[0]][0] == "both"
+    for channel_kind in ("bsc", "awgn") if both else ("bsc",):
+        kind, block = sim.resolve_block_decoder(ident, params, channel_kind, False)
+        got = block(np.zeros((0, params.n), dtype=np.uint8 if kind == "hard" else np.float64))
+        assert got.dtype == np.uint8 and got.shape == (0, params.n)
+
+
+def test_fht_id_reads_rows_as_float64():
+    # int64 rows past the exact int64 transform decode as their float64 copy
+    params = rmcode.CodeParams(2, 1)
+    rows = np.array([[2**62, 2**62, 2**62, -(2**62)], [3, -1, 2, 2]])
+    block = sim.resolve_block_decoder("fht", params, "awgn", False)[1]
+    want = block(rows.astype(np.float64))
+    assert np.array_equal(block(rows), want) and want[0].tolist() == [0, 0, 0, 0]
+    assert np.array_equal(resolve_decoder("fht", params, "awgn", False)[1](rows[0]), want[0])
+
+
 def test_readme_library_snippet_runs():
     # the documented single-word path: a kernel on a block of one, packaged
     # by result_for; the snippet asserts its own answer
