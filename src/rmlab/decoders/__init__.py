@@ -2,15 +2,15 @@
 
 Every decoder is a pure function.  Hard-input decoders take uint8 words,
 soft-input decoders take LLR vectors (positive = 0 more likely).  Each
-family but bw has one kernel, a `*_codewords` function that decodes a
-(T, n) block at once and returns the words alone; the simulation harness
-binds them, and a single word decodes as a block of one,
-reed_codewords(params, y[None])[0].  types.result_for packages a word as
-a DecodeResult: its message when it is a codeword, and its metric, the
-soft score (1/2) * sum_z (-1)^{c_z} L_z against the decoder's input
-(hard inputs are scored against their +/-1 image), so maximum-likelihood
-decoders can be compared on exact metric equality.  bw_decode is per
-word only: it raises Undecodable.
+family has one kernel, a `*_codewords` function that decodes a (T, n)
+block at once and returns the words (bw_codewords also flags the rows it
+could not decode, which bw_decode, its block of one, raises Undecodable
+for); the simulation harness binds them, and a single word decodes as a
+block of one, reed_codewords(params, y[None])[0].  types.result_for
+packages a word as a DecodeResult: its message when it is a codeword, and
+its metric, the soft score (1/2) * sum_z (-1)^{c_z} L_z against the
+decoder's input (hard inputs are scored against their +/-1 image), so
+maximum-likelihood decoders can be compared on exact metric equality.
 """
 
 from ..rmcode import TooLarge
@@ -28,7 +28,7 @@ from .rpa import (
     rpa_decode_llr,
     rpa_llr_codewords,
 )
-from .bw import bw_decode
+from .bw import bw_codewords, bw_decode
 
 __all__ = [
     "Ambiguous",
@@ -50,5 +50,6 @@ __all__ = [
     "rpa_decode_bsc",
     "rpa_decode_llr",
     "rpa_llr_codewords",
+    "bw_codewords",
     "bw_decode",
 ]

@@ -1,51 +1,90 @@
 """Error location by multiplier words, then erasure filling.
 
-Decodes C = RM(m, m-2r-2) from a hard word y = c + e.  Every multiplier
-a in E = RM(m, r+1) with a*y in N = RM(m, m-r-1) must vanish on any error
-support that N could correct from erasures (E*C is contained in N, so
-a*y in N forces a*e in N, and a correctable support admits no nonzero
-N-word living on it).  The common zero set of all such multipliers
-therefore covers the error support; erasing it reduces decoding in C to
-plain erasure filling.
+Decodes C = RM(m, m-2r-2) from hard words y = c + e, a (T, n) block at a
+time.  With E = RM(m, r+1), N = RM(m, m-r-1) and R = RM(m, r), the dual of
+N: every multiplier a in E with a*y in N vanishes on any error support that
+N could correct from erasures (E*C lies in N, so a*y in N forces a*e in N,
+and such a support carries no nonzero N-word).  Erasing the common zeros U
+of these multipliers reduces decoding to erasure filling.
 
-Membership of a*y in N is imposed through the dual checks of N, which
-are spanned by the degree-r generator rows, turning step 1 into one
-homogeneous F2 system over the E-coefficients.
+Step 1.  a = sum_j alpha_j e_j has a*y in N iff S alpha = 0, S_ij =
+<g_i e_j, y> = <x_{A_i | B_j}, y> over the rows g_i = x_{A_i} of R, a sum
+that one subset-sum transform of y gives for every monomial.  A point is
+in U iff E's column there is orthogonal to S's nullspace, that is in S's
+row space: the n columns join S as rows that are only reduced (never
+pivots), and U is where they reduce to zero.
+
+Step 2 is oracle.erasure_solve over C; an inconsistent row is undecodable
+and keeps its hard word.  A consistent row has exactly one codeword, so no
+row ever meets several.  Proof: let y - c' be supported on U, c' in C.  The
+multipliers are then the a in E vanishing on U, so a -> (g -> <g a, y - c'>)
+maps E|U one to one into the dual of R|U.  So E|U = R|U, and by induction
+(x_i times a degree-s monomial) RM(m, s)|U = R|U for every s >= r: C's dual
+RM(m, 2r+1) restricted to U holds every function on U, and a codeword of C
+supported on U, orthogonal to all of them, is zero.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from .. import gf2, rmcode
-from ..channel import ERASURE
-from .oracle import erasure_decode
-from .types import Ambiguous, DecodeResult, Undecodable, hard_word
+from .oracle import erasure_solve
+from .types import DecodeResult, Undecodable, hard_rows, result_for
+
+_BYTES = 1 << 20  # of each chunk's S bits and packed rows, or one row's
 
 
-def bw_decode(m: int, r: int, y) -> DecodeResult:
-    """Decode RM(m, m-2r-2); raises Undecodable when erasure filling fails."""
+@lru_cache(maxsize=4)
+def _step1_tables(m: int, r: int):
+    """The coordinate of each S_ij in the subset-sum transform, (k_R, k_E):
+    x_S(p) = 1 iff p is above point_mask(S), at the coordinates p ^ (n - 1)
+    below (n - 1) ^ point_mask(S); and E's columns as rows, (words, n)."""
+    mults = rmcode.CodeParams(m, r + 1)
+    union = np.bitwise_or.outer(rmcode.monomials(rmcode.CodeParams(m, r)), rmcode.monomials(mults))
+    index = (mults.n - 1) ^ rmcode.point_mask(union, m)
+    return index, gf2.pack_rows(rmcode.generator_matrix(mults).T)
+
+
+def _erasures(m: int, r: int, Ys: np.ndarray) -> np.ndarray:
+    """Step 1: each row's (T, n) common zeros U."""
+    index, columns = _step1_tables(m, r)
+    F = Ys.copy()
+    for h in range(m):  # F[q] = XOR of y_j over the coordinates j below q
+        half = F.reshape(len(F), -1, 2, 1 << h)
+        half[:, :, 1] ^= half[:, :, 0]
+    rows = np.concatenate((gf2.pack_rows(F[:, index]), np.broadcast_to(columns, (len(F), *columns.shape))), axis=2)
+    gf2.eliminate(rows, index.shape[1], index.shape[0])
+    return ~rows[:, :, index.shape[0]:].any(axis=1)
+
+
+def bw_codewords(m: int, r: int, Ys) -> tuple[np.ndarray, np.ndarray]:
+    """Decode each row of a (T, n) block of hard words in RM(m, m-2r-2):
+    (words, undecodable), an undecodable row keeping its hard word."""
     if r < 0 or m - 2 * r - 2 < 0:
         raise ValueError("need 0 <= r <= m/2 - 1")
     code_c = rmcode.CodeParams(m, m - 2 * r - 2)
-    y = hard_word(code_c, y)
-    ybits = gf2.pack_bits(y)
+    Ys = hard_rows(code_c.n, Ys)
+    k_r, k_e = _step1_tables(m, r)[0].shape
+    words, undecodable = Ys.copy(), np.zeros(len(Ys), bool)
+    words_e = -(-k_e // 64)
+    step = max(1, _BYTES // max(64 * words_e * k_r, 8 * words_e * (k_r + code_c.n), 8 * code_c.n * (code_c.k // 64 + 1)))
+    for lo in range(0, len(Ys), step):
+        chunk = Ys[lo:lo + step]
+        bits, consistent, _ = erasure_solve(code_c, chunk, _erasures(m, r, chunk))
+        words[lo + np.flatnonzero(consistent)] = rmcode.encode_rows(code_c, bits[consistent])
+        undecodable[lo:lo + step] = ~consistent
+    return words, undecodable
 
-    code_e = rmcode.CodeParams(m, r + 1)
-    e_rows = rmcode.generator_rows(code_e)
-    # a y lies in N iff <g, a y> = sum_j alpha_j <e_j, g y> = 0 for every check g
-    system = [gf2.mat_vec(e_rows, g & ybits) for g in rmcode.generator_rows(rmcode.CodeParams(m, r))]
-    sol = gf2.solve_affine(system, len(e_rows), 0)
 
-    # Multiplier words; their common zeros cover the error support.
-    support = 0
-    for alpha in sol.nullspace_basis:
-        support |= gf2.vec_mat(e_rows, alpha)
-    erased = y.copy()
-    erased[gf2.unpack_bits(support, code_c.n) == 0] = ERASURE
-
-    try:
-        result = erasure_decode(code_c, erased)
-    except gf2.InconsistentSystem:
-        raise Undecodable("erased word inconsistent with the code") from None
-    if isinstance(result, Ambiguous):
-        raise Undecodable(f"2^{result.count_exponent} codewords fit the unerased part")
-    return result
+def bw_decode(m: int, r: int, y) -> DecodeResult:
+    """bw_codewords on a block of one; raises Undecodable for a flagged
+    word.  The metric scores the word against y with U's coordinates 0."""
+    words, undecodable = bw_codewords(m, r, np.asarray(y)[None])
+    if undecodable[0]:
+        raise Undecodable("erased word inconsistent with the code")
+    y = np.asarray(y, dtype=np.uint8)
+    L = np.where(_erasures(m, r, y[None])[0], 0.0, 1.0 - 2.0 * y)
+    return result_for(rmcode.CodeParams(m, m - 2 * r - 2), words[0], L)

@@ -105,7 +105,7 @@ import numpy as np
 from .. import channel, gf2, rmcode
 from ..rmcode import TooLarge
 from .reed import reed_codewords
-from .types import Ambiguous, DecodeResult, block_rows, soft_metric
+from .types import Ambiguous, DecodeResult, block_rows, result_for
 
 ML_MAX_K = 24  # ml searches at most 2^ML_MAX_K codewords
 _TAIL_ROWS = 8
@@ -275,32 +275,39 @@ def ml_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:
     return words
 
 
-def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguous]:
-    """Solve for the message from the unerased coordinates.
+@lru_cache(maxsize=4)
+def _erasure_rows(params: rmcode.CodeParams) -> np.ndarray:
+    """(words, n): each coordinate's generator column, coefficient j at bit j + 1."""
+    return gf2.pack_rows(np.pad(rmcode.generator_matrix(params).T, ((0, 0), (1, 0))))
 
-    y is a uint8 word with channel.ERASURE marking erased positions.
-    Returns Ambiguous(count_exponent) when 2^count_exponent codewords are
-    consistent; raises gf2.InconsistentSystem when none is.
-    """
+
+def erasure_solve(params: rmcode.CodeParams, Ys: np.ndarray, erased: np.ndarray):
+    """Solve G^T u = y on the unerased coordinates of each row of a (T, n)
+    block by gf2.eliminate, y at bit 0: (message bits u (T, k) with every
+    free coefficient 0, consistent (T,), rank (T,))."""
+    # np.where follows erased's layout; eliminate wants contiguous word planes
+    rows = np.ascontiguousarray(np.where(erased[:, None], np.uint64(0), _erasure_rows(params)))
+    rows[:, 0] |= (Ys & ~erased).astype(np.uint64)
+    pivot_of = gf2.eliminate(rows, params.k + 1, params.n)
+    solved = pivot_of[:, 1:] >= 0
+    u = rows[np.arange(len(rows))[:, None], 0, np.maximum(pivot_of[:, 1:], 0)] & np.uint64(1)
+    return u.astype(np.uint8) & solved, pivot_of[:, 0] < 0, solved.sum(axis=1)
+
+
+def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguous]:
+    """erasure_solve on a block of one: y is a uint8 word with channel.ERASURE
+    marking erased positions.  Returns Ambiguous(count_exponent) when
+    2^count_exponent codewords are consistent; raises
+    gf2.InconsistentSystem when none is."""
     y = np.asarray(y)
     if y.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word")
     if not ((y == 0) | (y == 1) | (y == channel.ERASURE)).all():
         raise ValueError(f"entries must be 0, 1 or {channel.ERASURE} (erased)")
-    cols = rmcode.generator_columns(params)
-    rows = []
-    b = 0
-    for j in np.flatnonzero(y != channel.ERASURE):
-        if y[j]:
-            b |= 1 << len(rows)
-        rows.append(cols[j])
-    sol = gf2.solve_affine(rows, params.k, b)
-    if sol.nullspace_basis:
-        return Ambiguous(sol.count_exponent)
-    order = rmcode.monomials(params)
-    msg = rmcode.Message(
-        params, {order[i]: 1 for i in range(params.k) if (sol.particular >> i) & 1}
-    )
-    c = rmcode.encode(msg)
-    L = np.where(y == channel.ERASURE, 0.0, 1.0 - 2.0 * y)
-    return DecodeResult(params, c, msg, soft_metric(c, L))
+    erased = y == channel.ERASURE
+    bits, consistent, rank = erasure_solve(params, (y == 1)[None], erased[None])
+    if not consistent[0]:
+        raise gf2.InconsistentSystem("no solution")
+    if rank[0] < params.k:
+        return Ambiguous(params.k - int(rank[0]))
+    return result_for(params, rmcode.encode_rows(params, bits)[0], np.where(erased, 0.0, 1.0 - 2.0 * y))

@@ -44,7 +44,7 @@ import numpy as np
 from .. import rmcode
 from ..channel import llr_of_sum
 from .fht import _parity_table, column_peaks, fht_decode_words, hard_signs
-from .types import block_rows, hard_rows, hard_word, llr_word
+from .types import block_rows, hard_rows, llr_word
 
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
 
@@ -207,7 +207,7 @@ def rpa_bsc_codewords(params: rmcode.CodeParams, Ys, n_max: int = 3) -> np.ndarr
 
 def rpa_decode_bsc(params: rmcode.CodeParams, y, n_max: int = 3) -> np.ndarray:
     """Hard-input variant; returns a word (a codeword only on convergence)."""
-    return rpa_bsc_codewords(params, hard_word(params, y)[None], n_max)[0]
+    return rpa_bsc_codewords(params, np.asarray(y)[None], n_max)[0]
 
 
 def rpa_decode_llr(params: rmcode.CodeParams, L, n_max: int = 3) -> np.ndarray:

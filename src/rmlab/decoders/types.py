@@ -61,11 +61,6 @@ def hard_rows(n: int, words) -> np.ndarray:
     return words.astype(np.uint8, copy=False)
 
 
-def hard_word(params: rmcode.CodeParams, y) -> np.ndarray:
-    """y as a uint8 word of length n, checked as a block of one by hard_rows."""
-    return hard_rows(params.n, np.asarray(y)[None])[0]
-
-
 def hard_input_llr(y) -> np.ndarray:
     """+/-1 image of a hard word, used to score hard-input decoders."""
     return 1.0 - 2.0 * np.asarray(y, dtype=np.float64)

@@ -1,15 +1,14 @@
 """Bit-packed linear algebra over GF(2).
 
 Binary words are Python ints with bit j holding coordinate j (LSB first).
-A matrix is a sequence of such ints, one per row, with an explicit column
-count where the operation needs it.  mat_vec is M x and vec_mat x^T M.
-One elimination, _echelon, serves rank, span membership and affine
-solves; packed ints keep it fast enough for pattern enumeration.
+A matrix is a sequence of such ints, one per row.  _echelon serves rank
+and span membership; packed ints keep it fast enough for pattern
+enumeration.  eliminate reduces blocks of systems, one per trial, packed
+into uint64 words, for the erasure solve and the bw decoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +33,15 @@ def unpack_bits(word: int, n: int) -> np.ndarray:
     nbytes = max(1, (n + 7) // 8)
     buf = word.to_bytes(nbytes, "little")
     return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")[:n].copy()
+
+
+def pack_rows(bits) -> np.ndarray:
+    """Rows of 0/1 entries (..., R, c) packed as eliminate reads them:
+    (..., words, R) uint64, entry j of a row at bit j % 64 of word j // 64."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    pad = [(0, 0)] * (bits.ndim - 1) + [(0, -bits.shape[-1] % 64)]
+    packed = np.ascontiguousarray(np.packbits(np.pad(bits, pad), axis=-1, bitorder="little")).view("<u8")
+    return np.ascontiguousarray(np.swapaxes(packed, -1, -2))
 
 
 def _echelon(rows: Sequence[int]) -> tuple[dict[int, int], list[int]]:
@@ -63,61 +71,28 @@ def in_span(rows: Sequence[int], v: int) -> bool:
     return len(rows) in _echelon([*rows, v])[1]
 
 
-def mat_vec(rows: Sequence[int], x: int) -> int:
-    """y with y_i = <row_i, x> over GF(2), packed over row indices."""
-    y = 0
-    for i, row in enumerate(rows):
-        if (row & x).bit_count() & 1:
-            y |= 1 << i
-    return y
-
-
-def vec_mat(rows: Sequence[int], x: int) -> int:
-    """x^T M: the XOR of the rows[i] whose bit i of x is set."""
-    y = 0
-    while x:
-        y ^= rows[(x & -x).bit_length() - 1]
-        x &= x - 1
-    return y
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Solution set {particular + span(nullspace_basis)} of M x = b."""
-
-    particular: int
-    nullspace_basis: tuple[int, ...]
-
-    @property
-    def count_exponent(self) -> int:
-        return len(self.nullspace_basis)
-
-
-def solve_affine(rows: Sequence[int], ncols: int, b: int) -> AffineSolution:
-    """Solve M x = b for x over GF(2).
-
-    rows: packed rows of M (bit j of rows[i] is M[i][j]), b packed over row
-    indices.  The particular solution sets every free variable to zero.
-    Raises InconsistentSystem when no solution exists.
-    """
-    # column j sits at bit j + 1 and b_i at bit 0, so each pivot is still a
-    # row's highest column, and a basis row equal to 1 reads 0 = 1
-    basis, _ = _echelon([row << 1 | (b >> i) & 1 for i, row in enumerate(rows)])
-    if 0 in basis:
-        raise InconsistentSystem("no solution")
-    # back-substitute in ascending pivot order: each row then has zeros at
-    # every other pivot column (the reduced echelon form)
-    reduced: dict[int, int] = {}
-    for col, v in sorted(basis.items()):
-        for prev, w in reduced.items():
-            if (v >> prev) & 1:
-                v ^= w
-        reduced[col] = v
-
-    particular = sum((v & 1) << (col - 1) for col, v in reduced.items())
-    nullspace = tuple(
-        1 << (free - 1) | sum(1 << (col - 1) for col, v in reduced.items() if (v >> free) & 1)
-        for free in range(1, ncols + 1)
-        if free not in reduced
-    )
-    return AffineSolution(particular, nullspace)
+def eliminate(rows: np.ndarray, top: int, pivots: int) -> np.ndarray:
+    """Gauss-Jordan elimination, in place, of each trial's rows (T, words, R)
+    packed by pack_rows.  For c from top - 1 down to 0, the first of the first
+    `pivots` rows that is not yet a pivot and has bit c set becomes c's pivot
+    and is XORed into every other row with bit c set (later rows are only
+    reduced).  As in _echelon each pivot is its row's highest bit, so pivot
+    columns, reduced rows, rank and solutions are the row space's own.
+    Returns (T, top): each column's pivot row, -1 where it has none."""
+    T = rows.shape[0]
+    pivot_of = np.full((T, top), -1, np.intp)
+    taken = np.zeros((T, pivots), bool)
+    trial = np.arange(T)
+    for c in range(top - 1, -1, -1):
+        w, b = divmod(c, 64)
+        bit = (rows[:, w] >> np.uint64(b)) & np.uint64(1)
+        free = (bit[:, :pivots] != 0) & ~taken
+        p = free.argmax(axis=1)
+        found = free[trial, p]
+        taken[trial, p] |= found
+        pivot_of[found, c] = p[found]
+        bit[trial, p] = 0
+        bit *= found[:, None]
+        # the pivot's highest bit is c: words above w keep their bits
+        rows[:, :w + 1] ^= rows[trial, :w + 1, p][:, :, None] * bit[:, None, :]
+    return pivot_of

@@ -211,44 +211,26 @@ def _combo_help() -> str:
 
 
 def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
-    """Map a decoder id to (input kind, word -> codeword callable).
-
+    """Map a decoder id to (input kind, word -> codeword callable): its block
+    kernel on a block of one, but bw_decode for bw, which raises Undecodable.
     The callables return the decoded word only; a caller that wants the
     message or the metric packages the word with types.result_for, as
     `rmlab decode` does.  Raises ConfigError on the combinations DECODERS
     rules out; TooLarge guards ml and dumer-list.  A callable given a word
     that is not n long raises ValueError("expected rows of n values").
     """
-    kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
-    if batched:
-        return kind, lambda word: fn(np.asarray(word)[None])[0]
-    return kind, fn
+    kind, fn = resolve_block_decoder(decoder_id, params, channel_kind, hard)
+    if decoder_id == "bw":
+        return kind, lambda word: decoders.bw_decode(params.m, (params.m - params.r) // 2 - 1, word).codeword
+    return kind, lambda word: fn(np.asarray(word)[None])[0]
 
 
 def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
-    """Map a decoder id to (input kind, (T, n) block -> (T, n) words).
-
-    This is the harness's kernel.  Every decoder but bw decodes the block
-    at once.  bw runs resolve_decoder's callable on each row, because
-    `rmlab decode` needs its Undecodable; a row that raises it keeps its
-    hard word.  Either way row t equals the single-word decode of row t.
-    """
-    kind, fn, batched = _resolve(decoder_id, params, channel_kind, hard)
-    return kind, fn if batched else partial(_each_row, fn)
-
-
-def _each_row(word_fn, words: np.ndarray) -> np.ndarray:
-    out = np.array(words, dtype=np.uint8)
-    for i, word in enumerate(words):
-        with contextlib.suppress(decoders.Undecodable):
-            out[i] = word_fn(word)
-    return out
-
-
-def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
-    """(input kind, kernel, batched): a batched kernel decodes (T, n) blocks.
-    The input kind and the :argument rule come from DECODER_RULES; the
-    branch that binds an id's kernel checks its constraints."""
+    """Map a decoder id to (input kind, (T, n) block -> (T, n) words), the
+    harness's kernel.  Every id decodes the block at once, and row t equals
+    the decode of row t alone; a bw row that is undecodable keeps its hard
+    word.  The input kind and the :argument rule come from DECODER_RULES;
+    the branch that binds an id's kernel checks its constraints."""
     name, _, arg = decoder_id.partition(":")
     m, r = params.m, params.r
 
@@ -266,17 +248,17 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         raise bad("this decoder takes no :argument")
 
     if name == "reed":
-        return kind, lambda Ys: decoders.reed_codewords(params, Ys), True
+        return kind, lambda Ys: decoders.reed_codewords(params, Ys)
     if name == "fht":
         if r != 1:
             raise bad("fht decodes first-order codes only")
-        return kind, lambda Ls: fht_decode_words(block_rows(params.n, Ls, np.float64)), True
+        return kind, lambda Ls: fht_decode_words(block_rows(params.n, Ls, np.float64))
     if name == "sakkour":
         if r != 2:
             raise bad("sakkour decodes second-order codes only")
-        return kind, lambda Ys: decoders.sakkour_codewords(m, Ys), True
+        return kind, lambda Ys: decoders.sakkour_codewords(m, Ys)
     if name == "dumer":
-        return kind, lambda Ls: decoders.dumer_codewords(params, Ls), True
+        return kind, lambda Ls: decoders.dumer_codewords(params, Ls)
     if name == "dumer-list":
         mu = _int_arg(arg, decoder_id)
         if mu < 1:
@@ -285,30 +267,29 @@ def _resolve(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard
         if paths * params.n > LIST_MAX_CELLS:
             raise rmcode.TooLarge(f"{decoder_id} holds {paths} paths of {params.n} LLRs per row, "
                                   f"past {LIST_MAX_CELLS} cells")
-        return kind, lambda Ls: decoders.dumer_list_codewords(params, Ls, mu), True
+        return kind, lambda Ls: decoders.dumer_list_codewords(params, Ls, mu)
     if name == "rpa":
         if r < 1:
             raise bad("rpa needs r >= 1")
         if kind == "hard":
-            return kind, lambda Ys: decoders.rpa_bsc_codewords(params, Ys), True
-        return kind, lambda Ls: decoders.rpa_llr_codewords(params, Ls), True
+            return kind, lambda Ys: decoders.rpa_bsc_codewords(params, Ys)
+        return kind, lambda Ls: decoders.rpa_llr_codewords(params, Ls)
     if name == "rpa-chase":
         if r < 1:
             raise bad("rpa needs r >= 1")
         t = _int_arg(arg, decoder_id)
         if not 0 <= t <= min(decoders.CHASE_MAX_T, params.n):
             raise bad(f"t must be in [0, {min(decoders.CHASE_MAX_T, params.n)}]")
-        return kind, lambda Ls: decoders.chase_codewords(params, Ls, t), True
+        return kind, lambda Ls: decoders.chase_codewords(params, Ls, t)
     if name == "bw":
         gap = m - r - 2
         if gap < 0 or gap % 2:
             raise bad("bw needs m - r even and >= 2")
-        r_bw = gap // 2
-        return kind, lambda y: decoders.bw_decode(m, r_bw, y).codeword, False
+        return kind, lambda Ys: decoders.bw_codewords(m, gap // 2, Ys)[0]
     if name == "ml":
         if params.k > decoders.ML_MAX_K:
             raise rmcode.TooLarge(f"ml over 2^{params.k} codewords")
-        return kind, lambda Ls: decoders.ml_codewords(params, Ls), True
+        return kind, lambda Ls: decoders.ml_codewords(params, Ls)
     raise bad("unknown decoder id")  # pragma: no cover
 
 

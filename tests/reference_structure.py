@@ -9,17 +9,21 @@ first-order codeword of a linear part and the first-order list decoder,
 which the tests use to check fht_decode_words.  It also keeps the
 row-layout point transform and peak reader that the first-order decoders
 used before they all read fht.column_peaks, so the tests can check the
-column layout against them.
+column layout against them.  Last, the Python-int affine solver with its
+M x and x^T M helpers, and the per-word erasure and bw decoders built on
+it, which the block erasure solve and bw_codewords replaced.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence, Union
 
 import numpy as np
 
-from rmlab import gf2, rmcode
+from rmlab import channel, gf2, rmcode
 from rmlab.decoders.fht import _parity_table, fht
-from rmlab.decoders.types import DecodeResult, llr_word, result_for
+from rmlab.decoders.types import Ambiguous, DecodeResult, Undecodable, hard_rows, llr_word, result_for, soft_metric
 
 
 class InvalidDirection(ValueError):
@@ -191,3 +195,121 @@ def fht_list_decode_order1(m: int, L, s: int) -> list[DecodeResult]:
     spec = point_transform(L)
     order = np.argsort(-np.abs(spec), kind="stable")[:s]
     return [result_for(params, linear_word(m, u, 1 if spec[u] < 0 else 0), L) for u in order.tolist()]
+
+
+# --- the Python-int affine solver and the per-word erasure and bw decoders ---
+
+
+def mat_vec(rows: Sequence[int], x: int) -> int:
+    """y with y_i = <row_i, x> over GF(2), packed over row indices."""
+    y = 0
+    for i, row in enumerate(rows):
+        if (row & x).bit_count() & 1:
+            y |= 1 << i
+    return y
+
+
+def vec_mat(rows: Sequence[int], x: int) -> int:
+    """x^T M: the XOR of the rows[i] whose bit i of x is set."""
+    y = 0
+    while x:
+        y ^= rows[(x & -x).bit_length() - 1]
+        x &= x - 1
+    return y
+
+
+@dataclass(frozen=True)
+class AffineSolution:
+    """Solution set {particular + span(nullspace_basis)} of M x = b."""
+
+    particular: int
+    nullspace_basis: tuple[int, ...]
+
+    @property
+    def count_exponent(self) -> int:
+        return len(self.nullspace_basis)
+
+
+def solve_affine(rows: Sequence[int], ncols: int, b: int) -> AffineSolution:
+    """Solve M x = b for x over GF(2).
+
+    rows: packed rows of M (bit j of rows[i] is M[i][j]), b packed over row
+    indices.  The particular solution sets every free variable to zero.
+    Raises InconsistentSystem when no solution exists.
+    """
+    # column j sits at bit j + 1 and b_i at bit 0, so each pivot is still a
+    # row's highest column, and a basis row equal to 1 reads 0 = 1
+    basis, _ = gf2._echelon([row << 1 | (b >> i) & 1 for i, row in enumerate(rows)])
+    if 0 in basis:
+        raise gf2.InconsistentSystem("no solution")
+    # back-substitute in ascending pivot order: each row then has zeros at
+    # every other pivot column (the reduced echelon form)
+    reduced: dict[int, int] = {}
+    for col, v in sorted(basis.items()):
+        for prev, w in reduced.items():
+            if (v >> prev) & 1:
+                v ^= w
+        reduced[col] = v
+
+    particular = sum((v & 1) << (col - 1) for col, v in reduced.items())
+    nullspace = tuple(
+        1 << (free - 1) | sum(1 << (col - 1) for col, v in reduced.items() if (v >> free) & 1)
+        for free in range(1, ncols + 1)
+        if free not in reduced
+    )
+    return AffineSolution(particular, nullspace)
+
+
+def erasure_decode(params: rmcode.CodeParams, y) -> Union[DecodeResult, Ambiguous]:
+    """The message from the unerased coordinates of y, by solve_affine over
+    their generator columns."""
+    y = np.asarray(y)
+    cols = rmcode.generator_columns(params)
+    rows = []
+    b = 0
+    for j in np.flatnonzero(y != channel.ERASURE):
+        if y[j]:
+            b |= 1 << len(rows)
+        rows.append(cols[j])
+    sol = solve_affine(rows, params.k, b)
+    if sol.nullspace_basis:
+        return Ambiguous(sol.count_exponent)
+    order = rmcode.monomials(params)
+    msg = rmcode.Message(
+        params, {order[i]: 1 for i in range(params.k) if (sol.particular >> i) & 1}
+    )
+    c = rmcode.encode(msg)
+    L = np.where(y == channel.ERASURE, 0.0, 1.0 - 2.0 * y)
+    return DecodeResult(params, c, msg, soft_metric(c, L))
+
+
+def bw_decode(m: int, r: int, y) -> DecodeResult:
+    """Decode RM(m, m-2r-2) one word at a time: the multipliers' nullspace
+    basis, the union of their supports, and erasure_decode on the rest;
+    raises Undecodable when erasure filling fails."""
+    if r < 0 or m - 2 * r - 2 < 0:
+        raise ValueError("need 0 <= r <= m/2 - 1")
+    code_c = rmcode.CodeParams(m, m - 2 * r - 2)
+    y = hard_rows(code_c.n, np.asarray(y)[None])[0]
+    ybits = gf2.pack_bits(y)
+
+    code_e = rmcode.CodeParams(m, r + 1)
+    e_rows = rmcode.generator_rows(code_e)
+    # a y lies in N iff <g, a y> = sum_j alpha_j <e_j, g y> = 0 for every check g
+    system = [mat_vec(e_rows, g & ybits) for g in rmcode.generator_rows(rmcode.CodeParams(m, r))]
+    sol = solve_affine(system, len(e_rows), 0)
+
+    # Multiplier words; their common zeros cover the error support.
+    support = 0
+    for alpha in sol.nullspace_basis:
+        support |= vec_mat(e_rows, alpha)
+    erased = y.copy()
+    erased[gf2.unpack_bits(support, code_c.n) == 0] = channel.ERASURE
+
+    try:
+        result = erasure_decode(code_c, erased)
+    except gf2.InconsistentSystem:
+        raise Undecodable("erased word inconsistent with the code") from None
+    if isinstance(result, Ambiguous):
+        raise Undecodable(f"2^{result.count_exponent} codewords fit the unerased part")
+    return result

@@ -1312,10 +1312,18 @@ def test_reed_sakkour_ml_kernels_reject_bad_blocks():
     assert oracle_mod.ml_codewords(params, np.zeros((0, 16))).shape == (0, 16)
 
 
-def test_only_bw_runs_row_by_row():
+def test_every_id_kernel_decodes_a_block():
+    # one kernel per family: every id's kernel takes a (T, n) block at once,
+    # and its row t is the kernel's block of one of row t
+    rng = np.random.default_rng(5)
     for decoder_id, m, r in CASES:
-        batched = sim._resolve(decoder_id, rmcode.CodeParams(m, r), "bsc", True)[2]
-        assert batched == (decoder_id != "bw")
+        params = rmcode.CodeParams(m, r)
+        kind, fn = resolve_block_decoder(decoder_id, params, "bsc", True)
+        L = block_llrs(params, "bsc", 6, rng)
+        words = channel.hard_decision(L) if kind == "hard" else L
+        got = fn(words)
+        assert got.dtype == np.uint8 and got.shape == words.shape
+        assert np.array_equal(got, np.concatenate([fn(words[t:t + 1]) for t in range(len(words))]))
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5])

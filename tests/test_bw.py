@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmlab import gf2, rmcode
-from rmlab.decoders.bw import bw_decode
+from rmlab.decoders import bw as bw_mod
+from rmlab.decoders.bw import bw_codewords, bw_decode
 from rmlab.decoders.types import Undecodable
 
 import reference_structure as ref
@@ -95,3 +100,74 @@ def test_message_matches_codeword():
     res = bw_decode(6, 1, y)
     assert np.array_equal(rmcode.encode(res.message), res.codeword)
     assert np.array_equal(res.codeword, c)
+
+
+# ---- the block kernel against the per-word decoder it replaced ----
+
+
+def noisy_block(m, r, p, rows, seed):
+    code_c = rmcode.CodeParams(m, m - 2 * r - 2)
+    rng = np.random.default_rng(seed)
+    c = rmcode.encode_rows(code_c, rng.integers(0, 2, size=(rows, code_c.k)))
+    return c ^ (rng.random(c.shape) < p).astype(np.uint8)
+
+
+@st.composite
+def bw_blocks(draw):
+    m = draw(st.integers(2, 7))
+    r = draw(st.integers(0, m // 2 - 1))
+    p = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.3]))
+    return m, r, noisy_block(m, r, p, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bw_blocks())
+def test_block_equals_per_word_reference_row_by_row(case):
+    # a flagged row keeps its hard word; the reference never meets more than
+    # one codeword on the unerased part (see the module docstring's proof)
+    m, r, Ys = case
+    words, undecodable = bw_codewords(m, r, Ys)
+    for y, word, flagged in zip(Ys, words, undecodable):
+        try:
+            want = ref.bw_decode(m, r, y).codeword
+        except Undecodable as exc:
+            assert str(exc) == "erased word inconsistent with the code"
+            assert flagged and np.array_equal(word, y)
+            continue
+        assert not flagged and np.array_equal(word, want)
+
+
+def test_bw_decode_returns_the_reference_result():
+    for m, r, p in [(4, 0, 0.1), (6, 1, 0.05), (7, 2, 0.02)]:
+        for y in noisy_block(m, r, p, 12, m):
+            try:
+                want = ref.bw_decode(m, r, y)
+            except Undecodable as exc:
+                with pytest.raises(Undecodable, match=f"^{exc}$"):
+                    bw_decode(m, r, y)
+                continue
+            got = bw_decode(m, r, y)
+            assert np.array_equal(got.codeword, want.codeword)
+            assert (got.message, got.metric) == (want.message, want.metric)
+
+
+@pytest.mark.parametrize("m,r_c,rows", [(6, 2, 3000), (8, 4, 400), (10, 2, 30)])
+def test_block_peak_stays_within_the_chunk_model(m, r_c, rows):
+    # a chunk's largest array (S's bits, step 1's or step 2's packed rows)
+    # holds at most bw._BYTES, or one row's; with the elimination's products
+    # and encode_rows' a chunk peaks below four of them, and the block adds
+    # its words and their copy
+    r = (m - r_c - 2) // 2
+    n, k = 1 << m, rmcode.CodeParams(m, r_c).k
+    k_r, k_e = rmcode.CodeParams(m, r).k, rmcode.CodeParams(m, r + 1).k
+    w = -(-k_e // 64)
+    row_bytes = max(64 * w * k_r, 8 * w * (k_r + n), 8 * n * (k // 64 + 1))
+    Ys = noisy_block(m, r, 0.02, rows, rows)
+    bw_codewords(m, r, Ys[:1])  # the lazy tables
+    tracemalloc.start()
+    try:
+        bw_codewords(m, r, Ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * max(bw_mod._BYTES, row_bytes) + 3 * rows * n

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmlab import channel, gf2, rmcode
 from rmlab.channel import llr_of_sum
@@ -9,6 +11,8 @@ from rmlab.decoders.fht import fht_decode_words
 from rmlab.decoders.oracle import erasure_decode, ml_codewords
 from rmlab.decoders.reed import reed_codewords
 from rmlab.decoders.types import Ambiguous, result_for, soft_metric
+
+import reference_structure as ref
 
 
 def random_message(params, rng):
@@ -154,6 +158,31 @@ def test_erasure_all_erased_counts_whole_code():
     res = erasure_decode(params, np.full(8, channel.ERASURE, dtype=np.uint8))
     assert isinstance(res, Ambiguous)
     assert res.count_exponent == params.k
+
+
+def _erasure_outcome(decode, params, y):
+    try:
+        res = decode(params, y)
+    except gf2.InconsistentSystem as exc:
+        return "inconsistent", str(exc)
+    if isinstance(res, Ambiguous):
+        return res
+    return rmcode.word_to_hex(res.codeword), res.message, res.metric
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 6), r=st.integers(0, 6), q=st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9, 1.0]),
+       flips=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@example(m=3, r=1, q=1.0, flips=0, seed=0)  # every coordinate erased
+def test_erasure_decode_equals_the_per_word_reference(m, r, q, flips, seed):
+    # BEC words of random codewords, some with flipped bits so that the
+    # unerased part may fit no codeword
+    params = rmcode.CodeParams(m, min(r, m))
+    rng = np.random.default_rng(seed)
+    y = rmcode.encode_rows(params, rng.integers(0, 2, size=(1, params.k)))[0]
+    y[rng.integers(0, params.n, size=flips)] ^= 1
+    y[rng.random(params.n) < q] = channel.ERASURE
+    assert _erasure_outcome(erasure_decode, params, y) == _erasure_outcome(ref.erasure_decode, params, y)
 
 
 # ---- dumer_codewords ----
