@@ -4,8 +4,8 @@ Every decoder is a pure function.  Hard-input decoders take uint8 words,
 soft-input decoders take LLR vectors (positive = 0 more likely).  Each
 family has one kernel, a `*_codewords` function that decodes a (T, n)
 block at once and returns the words (bw_codewords also flags the rows it
-could not decode, which bw_decode, its block of one, raises Undecodable
-for); the simulation harness binds them, and a single word decodes as a
+could not decode, which its blocks of one, bw_word and bw_decode, raise
+Undecodable for); the harness binds them, and a single word decodes as a
 block of one, reed_codewords(params, y[None])[0].  types.result_for
 packages a word as a DecodeResult: its message when it is a codeword, and
 its metric, the soft score (1/2) * sum_z (-1)^{c_z} L_z against the
@@ -28,7 +28,7 @@ from .rpa import (
     rpa_decode_llr,
     rpa_llr_codewords,
 )
-from .bw import bw_codewords, bw_decode
+from .bw import bw_codewords, bw_decode, bw_word
 
 __all__ = [
     "Ambiguous",
@@ -52,4 +52,5 @@ __all__ = [
     "rpa_llr_codewords",
     "bw_codewords",
     "bw_decode",
+    "bw_word",
 ]

@@ -41,11 +41,15 @@ _BYTES = 1 << 20  # of each chunk's S bits and packed rows, or one row's
 def _step1_tables(m: int, r: int):
     """The coordinate of each S_ij in the subset-sum transform, (k_R, k_E):
     x_S(p) = 1 iff p is above point_mask(S), at the coordinates p ^ (n - 1)
-    below (n - 1) ^ point_mask(S); and E's columns as rows, (words, n)."""
+    below (n - 1) ^ point_mask(S), and point_mask(A | B) is the OR of the
+    two masks; and E's columns as rows, (n, words).  E's generator is built
+    first, so that its TooLarge guard fires before the index is."""
+    if r < 0 or m - 2 * r - 2 < 0:
+        raise ValueError("need 0 <= r <= m/2 - 1")
     mults = rmcode.CodeParams(m, r + 1)
-    union = np.bitwise_or.outer(rmcode.monomials(rmcode.CodeParams(m, r)), rmcode.monomials(mults))
-    index = (mults.n - 1) ^ rmcode.point_mask(union, m)
-    return index, gf2.pack_rows(rmcode.generator_matrix(mults).T)
+    columns = gf2.pack_rows(rmcode.generator_matrix(mults).T)
+    masks = [rmcode.point_mask(rmcode.monomials(code), m).astype(np.int32) for code in (rmcode.CodeParams(m, r), mults)]
+    return (mults.n - 1) ^ np.bitwise_or.outer(*masks), columns
 
 
 def _erasures(m: int, r: int, Ys: np.ndarray) -> np.ndarray:
@@ -63,11 +67,9 @@ def _erasures(m: int, r: int, Ys: np.ndarray) -> np.ndarray:
 def bw_codewords(m: int, r: int, Ys) -> tuple[np.ndarray, np.ndarray]:
     """Decode each row of a (T, n) block of hard words in RM(m, m-2r-2):
     (words, undecodable), an undecodable row keeping its hard word."""
-    if r < 0 or m - 2 * r - 2 < 0:
-        raise ValueError("need 0 <= r <= m/2 - 1")
+    k_r, k_e = _step1_tables(m, r)[0].shape
     code_c = rmcode.CodeParams(m, m - 2 * r - 2)
     Ys = hard_rows(code_c.n, Ys)
-    k_r, k_e = _step1_tables(m, r)[0].shape
     words, undecodable = Ys.copy(), np.zeros(len(Ys), bool)
     words_e = -(-k_e // 64)
     step = max(1, _BYTES // max(64 * words_e * k_r, 8 * words_e * (k_r + code_c.n), 8 * code_c.n * (code_c.k // 64 + 1)))
@@ -79,12 +81,21 @@ def bw_codewords(m: int, r: int, Ys) -> tuple[np.ndarray, np.ndarray]:
     return words, undecodable
 
 
-def bw_decode(m: int, r: int, y) -> DecodeResult:
-    """bw_codewords on a block of one; raises Undecodable for a flagged
-    word.  The metric scores the word against y with U's coordinates 0."""
-    words, undecodable = bw_codewords(m, r, np.asarray(y)[None])
-    if undecodable[0]:
+def bw_word(m: int, r: int, y) -> tuple[np.ndarray, np.ndarray]:
+    """bw_codewords on a block of one, step 1 run once: (codeword, U);
+    raises Undecodable for a flagged word."""
+    Y = hard_rows(1 << m, np.asarray(y)[None])
+    U = _erasures(m, r, Y)
+    code_c = rmcode.CodeParams(m, m - 2 * r - 2)
+    bits, consistent, _ = erasure_solve(code_c, Y, U)
+    if not consistent[0]:
         raise Undecodable("erased word inconsistent with the code")
-    y = np.asarray(y, dtype=np.uint8)
-    L = np.where(_erasures(m, r, y[None])[0], 0.0, 1.0 - 2.0 * y)
-    return result_for(rmcode.CodeParams(m, m - 2 * r - 2), words[0], L)
+    return rmcode.encode_rows(code_c, bits)[0], U[0]
+
+
+def bw_decode(m: int, r: int, y) -> DecodeResult:
+    """bw_word with its result; the metric scores the word against y with
+    U's coordinates 0."""
+    word, U = bw_word(m, r, y)
+    L = np.where(U, 0.0, 1.0 - 2.0 * np.asarray(y, dtype=np.uint8))
+    return result_for(rmcode.CodeParams(m, m - 2 * r - 2), word, L)

@@ -38,10 +38,10 @@ def unpack_bits(word: int, n: int) -> np.ndarray:
 def pack_rows(bits) -> np.ndarray:
     """Rows of 0/1 entries (..., R, c) packed as eliminate reads them:
     (..., words, R) uint64, entry j of a row at bit j % 64 of word j // 64."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    pad = [(0, 0)] * (bits.ndim - 1) + [(0, -bits.shape[-1] % 64)]
-    packed = np.ascontiguousarray(np.packbits(np.pad(bits, pad), axis=-1, bitorder="little")).view("<u8")
-    return np.ascontiguousarray(np.swapaxes(packed, -1, -2))
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
+    words = np.zeros((*packed.shape[:-1], -(-packed.shape[-1] // 8) * 8), np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return np.ascontiguousarray(np.swapaxes(words.view("<u8"), -1, -2))
 
 
 def _echelon(rows: Sequence[int]) -> tuple[dict[int, int], list[int]]:

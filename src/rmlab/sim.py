@@ -212,7 +212,7 @@ def _combo_help() -> str:
 
 def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
     """Map a decoder id to (input kind, word -> codeword callable): its block
-    kernel on a block of one, but bw_decode for bw, which raises Undecodable.
+    kernel on a block of one, but bw_word for bw, which raises Undecodable.
     The callables return the decoded word only; a caller that wants the
     message or the metric packages the word with types.result_for, as
     `rmlab decode` does.  Raises ConfigError on the combinations DECODERS
@@ -221,7 +221,7 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
     """
     kind, fn = resolve_block_decoder(decoder_id, params, channel_kind, hard)
     if decoder_id == "bw":
-        return kind, lambda word: decoders.bw_decode(params.m, (params.m - params.r) // 2 - 1, word).codeword
+        return kind, lambda word: decoders.bw_word(params.m, _bw_r(params), word)[0]
     return kind, lambda word: fn(np.asarray(word)[None])[0]
 
 
@@ -282,15 +282,19 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
             raise bad(f"t must be in [0, {min(decoders.CHASE_MAX_T, params.n)}]")
         return kind, lambda Ls: decoders.chase_codewords(params, Ls, t)
     if name == "bw":
-        gap = m - r - 2
-        if gap < 0 or gap % 2:
+        r_bw = _bw_r(params)
+        if r_bw < 0 or (m - r) % 2:
             raise bad("bw needs m - r even and >= 2")
-        return kind, lambda Ys: decoders.bw_codewords(m, gap // 2, Ys)[0]
+        return kind, lambda Ys: decoders.bw_codewords(m, r_bw, Ys)[0]
     if name == "ml":
         if params.k > decoders.ML_MAX_K:
             raise rmcode.TooLarge(f"ml over 2^{params.k} codewords")
         return kind, lambda Ls: decoders.ml_codewords(params, Ls)
     raise bad("unknown decoder id")  # pragma: no cover
+
+
+def _bw_r(params: rmcode.CodeParams) -> int:
+    return (params.m - params.r) // 2 - 1  # bw's r: RM(m, r) is RM(m, m - 2 r_bw - 2)
 
 
 def _int_arg(arg: str, decoder_id: str) -> int:

@@ -151,6 +151,22 @@ def test_bw_decode_returns_the_reference_result():
             assert (got.message, got.metric) == (want.message, want.metric)
 
 
+@pytest.mark.parametrize("m,r_c", [(10, 2), (12, 0)])
+def test_step1_tables_peak_near_their_size(m, r_c):
+    # the (k_R, k_E) int32 index and E's (k_E, n) uint8 generator, with no
+    # factor of m: the tables are built before the test above traces
+    r = (m - r_c - 2) // 2
+    k_r, k_e = rmcode.CodeParams(m, r).k, rmcode.CodeParams(m, r + 1).k
+    bw_mod._step1_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        bw_mod._step1_tables(m, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (4 * k_r * k_e + (k_e << m)) + (1 << 16)
+
+
 @pytest.mark.parametrize("m,r_c,rows", [(6, 2, 3000), (8, 4, 400), (10, 2, 30)])
 def test_block_peak_stays_within_the_chunk_model(m, r_c, rows):
     # a chunk's largest array (S's bits, step 1's or step 2's packed rows)

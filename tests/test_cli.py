@@ -143,6 +143,16 @@ def test_decode_resource_guard(capsys):
     assert "resource guard" in err
 
 
+def test_bw_past_the_evaluation_cap_exits_4_at_once(capsys):
+    # E = RM(15, 7) evaluates 2^14 monomials on 2^15 points, past rmcode's
+    # cell cap; the guard fires before any step-1 table is built
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "decode", "15", "1", "bw", "--hex", "0" * (1 << 13))
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (4, "")
+    assert err.startswith("resource guard:") and err.count("\n") == 1
+
+
 def test_list_size_guard_exits_4_at_once(capsys, tmp_path):
     # 2^20 paths of 256 LLRs, 1 GiB per array: this config used to pass
     # config_from_dict and die allocating in its first block
