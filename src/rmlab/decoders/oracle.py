@@ -5,8 +5,10 @@ k <= ML_MAX_K = 24), so it serves as the ground truth the structured
 decoders are compared against.  A row whose answer a certificate proves
 skips the search.
 
-The certificate.  Reed's majority decoder turns the hard decision y of
-a row into a codeword c.  Let D be the positions where c and y differ,
+The certificate (distance_certified) proves a codeword c ML for its
+row: ml_codewords proposes Reed's majority decoding of the row's hard
+decision y, rpa's Chase its unperturbed RPA word when that is a
+codeword.  Let D be the positions where c and y differ,
 delta = |D| and lambda = sum_D |L|.  A codeword x scores sum|L| minus
 twice its discrepancy, the sum of |L| where x and y differ.  Every other
 codeword differs from c in at least d = 2^(m-r) positions, at least
@@ -240,11 +242,23 @@ def _fsum_scores(params: rmcode.CodeParams, idx: np.ndarray, L: np.ndarray) -> l
     return scores
 
 
-def _certified(params: rmcode.CodeParams, L: np.ndarray):
-    """Reed's codeword of each row's hard decision, and whether the
-    certificate proves it the row's ML answer (see the module docstring)."""
+def distance_certified(params: rmcode.CodeParams, L: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether the certificate (see the module docstring) proves codeword
+    c[i] the ML answer for row L[i].  c must hold codewords of the code.
+
+    The slack also covers rpa's Chase, which scores its candidates with one
+    np.dot each, summed in whatever order the BLAS picks.  A computed
+    LB - lambda above slack = 8 n u A leaves the exact one above about
+    (8 n - 2.1 (n-1) - 3) u A > 5 n u A (the bounds above), so c's exact
+    correlation beats every other codeword's by over 10 n u A, relative to
+    the row's scale.  A float64 dot product of n terms with +/-1 factors
+    errs, in any order, by at most gamma_(n-1) sum|L| (an addition whose
+    result is subnormal is exact), so two of them by about 2.02 (n-1) u A
+    together.  So while no sum overflows, no other codeword's computed
+    metric exceeds c's; halving rounds monotonically, so the most another
+    codeword can do is tie, and a tie keeps the earlier c.
+    """
     y = channel.hard_decision(L)
-    c = reed_codewords(params, y)
     mag = np.abs(L)
     a = np.ldexp(mag, -np.frexp(mag.max(axis=1, initial=0.0))[1][:, None])  # max|L| in [0.5, 1)
     D = c != y
@@ -254,7 +268,14 @@ def _certified(params: rmcode.CodeParams, L: np.ndarray):
     need = params.d - D.sum(axis=1)  # d <= n: never past the n - delta entries outside D
     LB = np.where(need > 0, outside[np.arange(len(L)), np.maximum(need, 1) - 1], 0.0)
     slack = params.n * 2.0**-50 * a.sum(axis=1)
-    return c, LB - lam > slack
+    return LB - lam > slack
+
+
+def _certified(params: rmcode.CodeParams, L: np.ndarray):
+    """Reed's codeword of each row's hard decision, and whether the
+    certificate proves it the row's ML answer."""
+    c = reed_codewords(params, channel.hard_decision(L))
+    return c, distance_certified(params, L, c)
 
 
 def ml_codewords(params: rmcode.CodeParams, Ls) -> np.ndarray:

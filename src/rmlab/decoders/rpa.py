@@ -25,14 +25,18 @@ words.  Either way the aggregation runs over the n-1 axis of a
 (R, n-1, n) array.  In the hard variant a row that reaches its fixed point
 is frozen while the others go on.  Rows go through in chunks so that each
 (rows, n-1, n) array holds at most _CELLS cells.  chase_codewords decodes
-the Chase candidates as rows of the LLR kernel: first every trial's
-unperturbed L, then the 2^t perturbed copies of only those trials whose
-unperturbed word w0 misses the hard decision L < 0 at some z with
-L_z != 0.  A word that agrees there scores |L_z| (or a signed zero) at
-every z, the most any word can, and rounded addition is monotone, so no
-candidate's metric, summed in the same order, exceeds w0's, and on a tie
-the earlier w0 wins anyway.  A single word decodes as a block of one,
-so each variant has one kernel.
+the Chase candidates as rows of the LLR kernel, and only candidates that
+are codewords of RM(m, r) compete, tested by one syndrome product per
+chunk against the dual code RM(m, m-r-1); a trial with no codeword
+candidate keeps its unperturbed word w0.  First every trial's unperturbed
+L is decoded, then the 2^t perturbed copies of only those trials that w0
+does not settle.  A codeword w0 settles its trial when it agrees with the
+hard decision L < 0 at every z with L_z != 0 (its metric is then the most
+any word's can be, summed in the same order), or when
+oracle.distance_certified proves it ML by more than any summation order
+can err; ties keep the earlier w0 anyway.  At bsc:0.032 on RM(5,2) about
+98% of trials settle.  A single word decodes as a block of one, so each
+variant has one kernel.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import numpy as np
 from .. import rmcode
 from ..channel import llr_of_sum
 from .fht import _parity_table, column_peaks, fht_decode_words, hard_signs
+from .oracle import distance_certified
 from .types import block_rows, hard_rows, llr_word
 
 CHASE_MAX_T = 16  # a Chase list runs 2^t + 1 decodes
@@ -226,30 +231,53 @@ def _chase_inputs(Ls, pos, lmax, trial, mask) -> np.ndarray:
     return rows
 
 
-def _keep_better(best, best_metric, trial, words, Ls) -> None:
-    """Score each candidate words[i] of trial[i] by soft_metric against the
-    trial's row of Ls, one np.dot each, in order; keep strict maxima."""
-    signs = 1.0 - 2.0 * words
-    for i, tr in enumerate(trial.tolist()):
-        metric = 0.5 * float(np.dot(signs[i], Ls[tr]))  # soft_metric(words[i], Ls[tr])
+@lru_cache(maxsize=None)
+def _dual_rows(params: rmcode.CodeParams) -> np.ndarray:
+    """(n, n - k) float32: the generator rows of the dual code
+    RM(m, m-r-1) as columns (none for r = m, whose dual is zero)."""
+    if params.r == params.m:
+        return np.zeros((params.n, 0), np.float32)
+    return np.ascontiguousarray(rmcode.generator_matrix(rmcode.dual_params(params)).T, np.float32)
+
+
+def _in_code(params: rmcode.CodeParams, words: np.ndarray) -> np.ndarray:
+    """Whether each row of a (R, n) 0/1 block is a codeword of RM(m, r):
+    its syndrome against the dual code is zero.  The float32 product is
+    exact in any summation order, its sums being integers of at most n."""
+    counts = words.astype(np.float32) @ _dual_rows(params)
+    return ~(counts.astype(np.int64) & 1).any(axis=1)
+
+
+def _keep_better(params, best, best_metric, trial, words, Ls) -> None:
+    """Score each candidate words[i] of trial[i] that is a codeword by
+    soft_metric against the trial's row of Ls, one np.dot each, in order;
+    keep strict maxima."""
+    ok = np.flatnonzero(_in_code(params, words))
+    signs = 1.0 - 2.0 * words[ok]
+    for i, tr in enumerate(trial[ok].tolist()):
+        metric = 0.5 * float(np.dot(signs[i], Ls[tr]))  # soft_metric(words[ok[i]], Ls[tr])
         if metric > best_metric[tr]:
-            best[tr], best_metric[tr] = words[i], metric
+            best[tr], best_metric[tr] = words[ok[i]], metric
 
 
-def _chase(decode_rows, Ls: np.ndarray, t: int) -> np.ndarray:
-    """The Chase winner for every row of a (T, n) LLR block.
+def _chase(params: rmcode.CodeParams, decode_rows, Ls: np.ndarray, t: int) -> np.ndarray:
+    """The Chase winner for every row of a (T, n) LLR block of RM(m, r).
 
     decode_rows maps a block of candidate LLR rows to words.  Per trial the
     candidates run in order (the unperturbed L, then masks 0 .. 2^t - 1),
-    and the first strict maximum of soft_metric against the trial's L wins;
-    a trial whose metrics are all NaN keeps its unperturbed word.
+    and the first codeword with the strict maximum of soft_metric against
+    the trial's L wins; a trial with no codeword candidate, or whose
+    codeword metrics are all NaN, keeps its unperturbed word.
 
     Candidate 0 of every trial is decoded first.  A trial is settled when
-    that word w0 equals the hard decision L < 0 wherever L != 0: each term
-    (1 - 2 w0_z) L_z of its metric is then |L_z| (or a signed zero), no
-    other word's term exceeds it, and rounded addition is monotone, so no
-    candidate's metric, summed by np.dot in the same order, exceeds w0's;
-    ties keep the earlier candidate, so w0 wins.  Only the other trials
+    that word w0 is a codeword and either equals the hard decision L < 0
+    wherever L != 0 or passes oracle.distance_certified.  In the first
+    case each term (1 - 2 w0_z) L_z of its metric is |L_z| (or a signed
+    zero), no other word's term exceeds it, and rounded addition is
+    monotone, so no candidate's metric, summed by np.dot in the same
+    order, exceeds w0's.  In the second w0 beats every other codeword by
+    more than any summation order can err (the certificate's docstring).
+    Ties keep the earlier candidate, so w0 wins.  Only the other trials
     decode their 2^t perturbed candidates.
     """
     T, n = Ls.shape
@@ -258,18 +286,19 @@ def _chase(decode_rows, Ls: np.ndarray, t: int) -> np.ndarray:
     best = np.empty(Ls.shape, dtype=np.uint8)
     for rows in _chunks(T, n):
         best[rows] = decode_rows(Ls[rows].copy())  # decode_rows may write into its rows
-    live = np.flatnonzero(~((best == (Ls < 0)) | (Ls == 0)).all(axis=1))
+    hard = ((best == (Ls < 0)) | (Ls == 0)).all(axis=1)
+    live = np.flatnonzero(~(_in_code(params, best) & (hard | distance_certified(params, Ls, best))))
     Lo = Ls[live]
     mag = np.abs(Lo)
     pos = np.argsort(mag, axis=1, kind="stable")[:, :t]
     lmax = 2.0 * mag.max(axis=1)  # perturbation magnitude 2 * max |L|
     won, won_metric = best[live], [-np.inf] * len(live)
-    _keep_better(won, won_metric, np.arange(len(live)), best[live], Lo)
+    _keep_better(params, won, won_metric, np.arange(len(live)), best[live], Lo)
     for rows in _chunks(len(live) << t, n):
         k = np.arange(rows.start, rows.stop)
         trial = k >> t
         words = decode_rows(_chase_inputs(Lo, pos, lmax, trial, k & ((1 << t) - 1)))
-        _keep_better(won, won_metric, trial, words, Lo)
+        _keep_better(params, won, won_metric, trial, words, Lo)
     best[live] = won
     return best
 
@@ -278,4 +307,4 @@ def chase_codewords(params: rmcode.CodeParams, Ls, t: int) -> np.ndarray:
     """Chase-RPA of every row of a (T, n) LLR block: each trial's 2^t + 1
     candidates are rows of rpa_llr_codewords blocks."""
     Ls = _rows(params, Ls)
-    return _chase(lambda rows: rpa_llr_codewords(params, rows), Ls, t)
+    return _chase(params, lambda rows: rpa_llr_codewords(params, rows), Ls, t)

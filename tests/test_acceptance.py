@@ -284,7 +284,7 @@ def _c9_block(block):
     sent, Ls = np.array(sent), np.array(Ls)
     ml_fail = int(np.count_nonzero((ml_codewords(_P9, Ls) != sent).any(axis=1)))
     # every trial's 2^3 + 1 Chase candidates, as rows of the RPA block kernel
-    chase = _chase(lambda rows: rpa_llr_codewords(_P9, rows, _P9_ROUNDS), Ls, 3)
+    chase = _chase(_P9, lambda rows: rpa_llr_codewords(_P9, rows, _P9_ROUNDS), Ls, 3)
     chase_fail = int(np.count_nonzero((chase != sent).any(axis=1)))
     return ml_fail, chase_fail
 

@@ -177,7 +177,8 @@ def test_list_rows_peak_below_the_guard_model(mu):
 # reed, fht, sakkour, dumer, dumer-list and ml build their words from
 # codewords of sub-codes, so every output is a codeword.  rpa (hard and
 # LLR), rpa-chase and bw can return a non-codeword: one pinned word each
-# below.  Adding an id to either list, or moving one, fails a test here.
+# below (rpa-chase only when none of a trial's candidates is a codeword).
+# Adding an id to either list, or moving one, fails a test here.
 
 
 def _contract_code(name, m, draw):
@@ -213,7 +214,7 @@ def test_codeword_ids_always_return_a_codeword(name, m, style, seed, data):
 @pytest.mark.parametrize("decoder_id,m,r,channel,given_word,decoded", [
     ("rpa", 4, 2, "bsc", "17A3", "17A3"),
     ("rpa", 3, 2, "awgn", [2, -4, -5, -2, 5, -2, -2, 2], "76"),
-    ("rpa-chase:1", 3, 2, "awgn", [-6, -3, 3, -4, -1, -1, -4, -5], "DF"),
+    ("rpa-chase:1", 4, 2, "awgn", [1, 1, 5, 3, 1, 4, 5, -3, -3, 4, 1, 1, 3, 6, 1, 5], "0180"),
 ])
 def test_rpa_ids_can_return_a_non_codeword(decoder_id, m, r, channel, given_word, decoded):
     params = rmcode.CodeParams(m, r)
