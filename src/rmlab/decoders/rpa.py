@@ -26,8 +26,8 @@ words.  Either way the aggregation runs over the n-1 axis of a
 is frozen while the others go on.  Rows go through in chunks so that each
 (rows, n-1, n) array holds at most _CELLS cells.  chase_codewords decodes
 the Chase candidates as rows of the LLR kernel, and only candidates that
-are codewords of RM(m, r) compete, tested by one syndrome product per
-chunk against the dual code RM(m, m-r-1); a trial with no codeword
+are codewords of RM(m, r) compete, tested by one batched binary Moebius
+transform per chunk (no coefficient of degree > r); a trial with no codeword
 candidate keeps its unperturbed word w0.  First every trial's unperturbed
 L is decoded, then the 2^t perturbed copies of only those trials that w0
 does not settle.  A codeword w0 settles its trial when it agrees with the
@@ -231,21 +231,19 @@ def _chase_inputs(Ls, pos, lmax, trial, mask) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _dual_rows(params: rmcode.CodeParams) -> np.ndarray:
-    """(n, n - k) float32: the generator rows of the dual code
-    RM(m, m-r-1) as columns (none for r = m, whose dual is zero)."""
-    if params.r == params.m:
-        return np.zeros((params.n, 0), np.float32)
-    return np.ascontiguousarray(rmcode.generator_matrix(rmcode.dual_params(params)).T, np.float32)
-
-
 def _in_code(params: rmcode.CodeParams, words: np.ndarray) -> np.ndarray:
     """Whether each row of a (R, n) 0/1 block is a codeword of RM(m, r):
-    its syndrome against the dual code is zero.  The float32 product is
-    exact in any summation order, its sums being integers of at most n."""
-    counts = words.astype(np.float32) @ _dual_rows(params)
-    return ~(counts.astype(np.int64) & 1).any(axis=1)
+    the binary Moebius transform of the row, m XOR passes over the block
+    as rmcode._coefficient_word runs them on a packed word, has no
+    coefficient of degree > r, at the positions j with popcount(j) < m - r
+    (rmcode._moebius_tables' degree rule)."""
+    w = np.array(words.T, np.uint8, order="C")  # (n, R), so each pass runs over long runs
+    h = 1
+    while h < params.n:  # coordinate j ^= coordinate j + h wherever bit h of j is clear
+        half = w.reshape(params.n // (2 * h), 2, h * len(words))
+        half[:, 0] ^= half[:, 1]
+        h *= 2
+    return ~w[np.bitwise_count(np.arange(params.n)) < params.m - params.r].any(axis=0)
 
 
 def _keep_better(params, best, best_metric, trial, words, Ls) -> None:

@@ -370,6 +370,163 @@ def test_hard_sweeps_equal_row_by_row_replay_csv(over, workers, monkeypatch):
     assert [pt.error_trials for pt in points] == [pt.error_trials for pt in want]
 
 
+# ---- soft input: clean rows above the floor skip the kernel ----
+# A soft row is clean when every L_z has the sign of 1 - 2 c_z and the
+# (r - 1)-fold llr_of_sum chain from its smallest |L| stays above n 2^-40;
+# the harness counts zero errors for it without decoding it, which is exact
+# because every soft kernel but dumer-list's returns a clean codeword
+# unchanged (the sim docstring).
+
+
+def ref_clean(params, L, c):
+    """The clean-row rule on one row, in Python floats."""
+    signed = [x if b == 0 else -x for x, b in zip(L.tolist(), c.tolist())]
+    g = min(signed)
+    if not g > 0:
+        return False
+    for _ in range(params.r - 1):
+        g = channel.llr_of_sum(g, g)
+    return g > params.n * 2.0**-40
+
+
+@lru_cache(maxsize=None)
+def clean_floor(m, r):
+    """The smallest equal magnitude of a clean row of RM(m, r), by bisection on the rule."""
+    params, lo, hi = rmcode.CodeParams(m, r), 0.0, channel.LLR_SATURATION
+    zero = np.zeros((1, params.n), np.uint8)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if sim._clean_rows(params, np.full((1, params.n), mid), zero)[0] else (mid, hi)
+    return hi
+
+
+def clean_rows(params, style, rows, rng):
+    """Random codewords with clean LLRs: every magnitude at the floor
+    ("equal"), log-uniform from the floor to the saturation ("loguniform"),
+    or log-uniform with about 5% of the entries at the floor ("mixed")."""
+    c = rmcode.encode_rows(params, rng.integers(0, 2, (rows, params.k)))
+    f = clean_floor(params.m, params.r)
+    mag = np.exp(rng.uniform(math.log(f), math.log(channel.LLR_SATURATION), c.shape))
+    if style == "equal":
+        mag[:] = f
+    elif style == "mixed":
+        mag[rng.random(c.shape) < 0.05] = f
+    return c, (1.0 - 2.0 * c) * np.maximum(mag, f)
+
+
+# codes per skipped soft id, m <= 8, kept small where the kernel is slow
+CLEAN_CODES = {
+    "dumer": [(m, r) for m in range(1, 9) for r in range(m + 1)],
+    "rpa": [(m, r) for m in range(1, 8) for r in range(1, min(m, 3) + 1) if m <= 6 or r <= 2],
+    "rpa-chase:3": [(4, 2), (5, 2), (5, 3), (6, 2)],
+    "ml": [(m, r) for m in range(1, 7) for r in range(m + 1) if rmcode.CodeParams(m, r).k <= 16],
+    "fht": [(m, 1) for m in range(1, 9)],
+}
+
+
+@pytest.mark.parametrize("decoder_id", sorted(CLEAN_CODES))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), style=st.sampled_from(["equal", "loguniform", "mixed"]), seed=st.integers(0, 2**32 - 1))
+def test_soft_kernels_return_clean_codewords_unchanged(decoder_id, data, style, seed):
+    # the contract the soft skip rests on, from the floor up; -k "ml or
+    # chase" picks the ml and rpa-chase cases for CI's two-BLAS-thread step
+    m, r = data.draw(st.sampled_from(CLEAN_CODES[decoder_id]))
+    params = rmcode.CodeParams(m, r)
+    c, L = clean_rows(params, style, 4, np.random.default_rng(seed))
+    assert sim._clean_rows(params, L, c).all()
+    assert [ref_clean(params, row, word) for row, word in zip(L, c)] == [True] * len(L)
+    kind, fn = resolve_block_decoder(decoder_id, params, "awgn", False)
+    assert kind == "soft" and decoder_id.partition(":")[0] not in sim.DECODE_EVERY_ROW
+    assert np.array_equal(fn(L.copy()), c)
+
+
+@pytest.mark.parametrize("m,r,mag", [(8, 4, 0.01), (8, 3, 1e-4)])
+def test_floor_rejects_the_rows_dumer_moves(m, r, mag):
+    # at these magnitudes llr_of_sum's chain reaches 0 and Dumer moves clean
+    # codewords; the rule decodes every such row
+    params = rmcode.CodeParams(m, r)
+    c, _ = clean_rows(params, "equal", 20, np.random.default_rng(m + r))
+    L = (1.0 - 2.0 * c) * mag
+    assert not sim._clean_rows(params, L, c).any()
+    assert not any(ref_clean(params, row, word) for row, word in zip(L, c))
+    assert (resolve_block_decoder("dumer", params, "awgn", False)[1](L) != c).any(axis=1).sum() >= 10
+    assert mag < clean_floor(m, r)
+
+
+def test_dumer_list_is_the_only_soft_id_decoding_every_row():
+    # dumer-list moves clean codewords above the floor too, so it stays out
+    assert sim.DECODE_EVERY_ROW == {"dumer-list"}
+    params = rmcode.CodeParams(8, 3)
+    c, L = clean_rows(params, "equal", 20, np.random.default_rng(3))
+    L *= 0.01 / clean_floor(8, 3)  # +-0.01, above the floor
+    assert sim._clean_rows(params, L, c).all()
+    assert (resolve_block_decoder("dumer-list:16", params, "awgn", False)[1](L) != c).any()
+
+
+def test_clean_rule_rejects_zero_wrong_signed_and_low_entries():
+    params = rmcode.CodeParams(4, 2)
+    c = rmcode.encode_rows(params, np.random.default_rng(0).integers(0, 2, (1, params.k)))
+    base = (1.0 - 2.0 * c) * 3.0
+    bad = [base.copy() for _ in range(4)]
+    bad[0][0, 5] = 0.0
+    bad[1][0, 5] = -0.0
+    bad[2][0, 5] *= -1e-3
+    bad[3][0, 5] = base[0, 5] * clean_floor(4, 2) / 3.0 / 2
+    L = np.concatenate([base, *bad])
+    want = [True, False, False, False, False]
+    assert sim._clean_rows(params, L, np.repeat(c, 5, axis=0)).tolist() == want
+    assert [ref_clean(params, row, c[0]) for row in L] == want
+
+
+SOFT_SWEEP = ["bsc:0.03", "bsc:0.12", "bsc:0", "bec:0.05", "bec:0.3", "awgn:0.45", "awgn:0.8"]
+
+
+@pytest.mark.parametrize("decoder_id,m,r", [
+    ("dumer", 4, 2), ("rpa", 4, 2), ("rpa-chase:1", 4, 2), ("ml", 4, 2), ("fht", 4, 1), ("dumer-list:4", 4, 2),
+])
+def test_soft_kernel_receives_exactly_the_rows_that_are_not_clean(decoder_id, m, r, monkeypatch):
+    # BSC, BEC and AWGN points, blocks straddling points of one kind: a
+    # skipped id sees exactly the rows that are not clean (rpa's BSC rows are
+    # hard words), dumer-list every row, and the counts equal the row-by-row
+    # loop's
+    config = config_from_dict({"m": m, "r": r, "decoder": decoder_id, "trials": 41, "seed": 6,
+                               "channels": SOFT_SWEEP, "max_errors_to_log": 5})
+    every = decoder_id.startswith("dumer-list")
+    want_rows, sent = [], 0
+    for p, spec in enumerate(config.channels):
+        hard = resolve_decoder(decoder_id, config.params, spec.kind, False)[0] == "hard"
+        for c, w in reference_words(config, p):
+            sent += 1
+            if every or not ((w == c).all() if hard else ref_clean(config.params, w, c)):
+                want_rows.append(w)
+    assert 0 < len(want_rows) < sent or every
+    calls = []
+    recording_kernels(monkeypatch, calls)
+    monkeypatch.setattr(sim, "BLOCK_CELLS", 30 * config.params.n)
+    points = run_simulation(config)
+    assert np.array_equal(np.concatenate(calls), np.array(want_rows))
+    want = [reference_point(config, p) for p in range(len(config.channels))]
+    assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want
+
+
+def test_a_block_with_no_clean_row_reaches_the_kernel_uncopied(monkeypatch):
+    # a one-point block's LLR array is the kernel's input itself
+    config = config_from_dict({"m": 4, "r": 2, "decoder": "dumer", "trials": 20, "seed": 1,
+                               "channels": ["awgn:3"]})
+    made, seen = [], []
+    llr, resolve = channel.llr, sim.resolve_block_decoder
+
+    def recording(*args):
+        kind, fn = resolve(*args)
+        return kind, lambda words: seen.append(any(words is x for x in made)) or fn(words)
+
+    monkeypatch.setattr(channel, "llr", lambda *args: made.append(llr(*args)) or made[-1])
+    monkeypatch.setattr(sim, "resolve_block_decoder", recording)
+    monkeypatch.setattr(sim, "_clean_rows", lambda params, Ls, c: np.zeros(len(Ls), bool))
+    run_simulation(config)
+    assert seen == [True]
+
+
 # ---- the RPA family against copies of its per-word loops ----
 # The public single-word RPA decoders are now blocks of one over the block
 # kernels, so the references are the loops those decoders ran before.

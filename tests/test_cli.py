@@ -167,6 +167,18 @@ def test_list_size_guard_exits_4_at_once(capsys, tmp_path):
         assert err.startswith("resource guard:") and err.count("\n") == 1
 
 
+def test_bw_size_guard_exits_4_at_once(capsys, tmp_path):
+    # RM(14,0) indexes k_R * k_E = 6476 * 9908 step-1 cells, past sim.BW_MAX_CELLS
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"m": 14, "r": 0, "decoder": "bw", "trials": 2, "channels": ["bsc:0.01"]}))
+    for argv in (("simulate", str(cfg)), ("decode", "14", "0", "bw", "--hex", "0" * (1 << 12))):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (4, "")
+        assert err.startswith("resource guard:") and "64164208 step-1 cells" in err and err.count("\n") == 1
+
+
 def test_decode_ml_matches_recorded_outputs(capsys, monkeypatch):
     # exit code, stdout and stderr of `rmlab decode ... ml` on a fixed call
     # set, recorded when every row went through the exhaustive search:

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmlab import rmcode
 from rmlab.decoders.bw import bw_decode
@@ -21,6 +23,21 @@ def flip(word, coords):
     for j in coords:
         out[j] ^= 1
     return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reed_corrects_every_error_below_half_the_distance(data):
+    # Reed's majority decoding corrects every error of weight < 2^(m-r-1),
+    # half the distance; its weight-0 case is what ml's clean-row skip rests on
+    m = data.draw(st.integers(1, 6))
+    params = rmcode.CodeParams(m, data.draw(st.integers(0, m)))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=params.k, max_size=params.k))
+    c = rmcode.encode_rows(params, np.array([bits]))[0]
+    radius = max(0, -(-params.d // 2) - 1)  # the largest weight below d/2
+    errors = data.draw(st.sets(st.integers(0, params.n - 1), max_size=radius))
+    y = flip(c, sorted(errors))
+    assert np.array_equal(reed_codewords(params, y[None])[0], c)
 
 
 def test_reed_clean_codewords():

@@ -156,6 +156,21 @@ def test_list_size_guard_counts_min_of_u_and_codewords():
     assert resolve_decoder(f"dumer-list:{1 << 80}", rmcode.CodeParams(4, 1), "awgn", False)[0] == "soft"
 
 
+def test_bw_guard_counts_step1_index_cells():
+    # k_R * k_E with R = RM(m, r_bw), E = RM(m, r_bw + 1): RM(12,0) (3.98 M
+    # cells) stays below the cap, RM(13,1) (9.75 M) and RM(14,0) do not
+    assert sim.BW_MAX_CELLS == 1 << 22
+    assert resolve_decoder("bw", rmcode.CodeParams(12, 0), "bsc", False)[0] == "hard"
+    for m, r in ((13, 1), (14, 0), (16, 2)):
+        with pytest.raises(TooLarge, match="step-1 cells"):
+            config_from_dict({"m": m, "r": r, "decoder": "bw", "trials": 1, "channels": ["bsc:0.01"]})
+    # every code m <= 10 the tests and the acceptance criteria run is far below it
+    for m in range(2, 11):
+        for r in range(m % 2, m - 1, 2):
+            r_bw = (m - r) // 2 - 1
+            assert rmcode.CodeParams(m, r_bw).k * rmcode.CodeParams(m, r_bw + 1).k < sim.BW_MAX_CELLS // 16
+
+
 @pytest.mark.parametrize("mu", [256, 1024])
 def test_list_rows_peak_below_the_guard_model(mu):
     # the guard's cap assumes at most 16 bytes per cell of one row's list;
