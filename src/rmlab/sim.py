@@ -12,10 +12,9 @@ with array operations.  Only the rows the channel did not leave clean reach
 the kernel; a clean row counts zero errors, and a block with none calls no
 kernel.  A hard row is clean when it equals the sent codeword c.  A soft
 row is clean when every L_z has the sign of 1 - 2 c_z and g, the
-(r - 1)-fold self-composition of channel.llr_of_sum from the row's
-smallest |L|, exceeds n * CLEAN_FLOOR = n 2^-40 (_clean_rows).  This rests
-on one contract: every kernel but dumer-list's returns a clean codeword
-unchanged.
+r-fold self-composition of channel.llr_of_sum from the row's smallest
+|L|, exceeds n * CLEAN_FLOOR = n 2^-40 (_clean_rows).  This rests on one
+contract: every kernel returns a clean codeword unchanged.
 
 - Hard input (reed, sakkour, bw, rpa on hard input) meets it at any clean
   row: Reed's majorities are unanimous, Sakkour's peaks unique, an RPA
@@ -43,14 +42,19 @@ unchanged.
   codeword, and the floor keeps such rows decoded.
 - rpa-chase: its unperturbed word w0 is rpa's, c, a codeword equal to the
   hard decision, so the trial settles on c.
-- dumer-list is left out (DECODE_EVERY_ROW): its prune can move a clean
-  codeword, and why is not understood.
+- dumer-list: in exact arithmetic a partial penalty is the negative
+  log-likelihood of the decided prefix, so on a clean row the sent path
+  is strictly best at every prune.  Rounding breaks this only where the
+  zero-order leaf's input g vanishes and both bits tie at ln 2: on RM(8,3)
+  at +-0.012, +-0.014 and +-0.016 (g = 0) u = 16 moved 105, 59 and 0 of
+  200 clean words, u = 4 187, 162 and 74; from +-0.018 none moved.
 
 A row the rule rejects is only decoded, so the skip returns what the
 kernel would have returned and the CSV is unchanged.  n 2^-40 lies about
-200 / m above those bounds (and the r - 1 llr_of_sum errors, of about
-n 2^-47 each); with the floor 2^16 times lower, no tested clean codeword
-moved.  tests/test_block_engine.py checks the contract per id.
+200 / m above those bounds (and the r llr_of_sum errors, of about
+n 2^-47 each); with the floor 2^12 times lower no tested clean codeword
+moved (2^16 lower, dumer-list's RM(1, 0) leaf ties at min|L| ~ 2^-55).
+tests/test_block_engine.py checks the contract per id.
 Wall-clock seconds are recorded only when timing is enabled; the default
 keeps the CSV byte-reproducible.
 """
@@ -190,6 +194,8 @@ def _channels(data: dict) -> tuple:
 
 
 def config_from_dict(data: dict) -> SimConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("config JSON must be an object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -246,13 +252,6 @@ DECODERS = (
     ("bw", "hard", "m - r even and >= 2"),
     ("ml", "soft", f"k <= {decoders.ML_MAX_K}"),
 )
-# Soft-input ids the harness hands every row, clean or not (see the module
-# docstring): dumer-list's stable prune can move a clean codeword, and why
-# is not understood.  At +-0.01 dumer-list:16 moved 102-105 of 200 clean
-# RM(8,3) words to other codewords, while u = 64 and the all-zero word
-# never moved; penalties that tie once absorbed into sums near n ln 2, the
-# prune keeping bit-0 paths first, fit that but are only a lead.
-DECODE_EVERY_ROW = frozenset({"dumer-list"})
 # decoder name -> (input, whether it takes an :argument)
 DECODER_RULES = {ident.partition(":")[0]: (kind, ":" in ident) for ident, kind, _ in DECODERS}
 
@@ -394,14 +393,14 @@ def _streams(config: SimConfig, point, trials):
 
 def _clean_rows(params: rmcode.CodeParams, Ls: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Whether each LLR row of Ls is clean for its codeword row of c: every
-    L_z has the sign of 1 - 2 c_z, and g, the (r - 1)-fold self-composition
-    of llr_of_sum from the row's smallest |L|, exceeds n * CLEAN_FLOOR (see
-    the module docstring).  The floor is computed only for rows whose hard
+    L_z has the sign of 1 - 2 c_z, and g, the r-fold self-composition of
+    llr_of_sum from the row's smallest |L|, exceeds n * CLEAN_FLOOR (see the
+    module docstring).  The floor is computed only for rows whose hard
     decision is c; a zero L_z passes that test but gives g = 0."""
     clean = ~((Ls < 0) ^ c.view(bool)).any(axis=1)
     rows = np.flatnonzero(clean)
     g = np.abs(Ls[rows]).min(axis=1, initial=np.inf)
-    for _ in range(params.r - 1):
+    for _ in range(params.r):
         g = channel.llr_of_sum(g, g)
     clean[rows] = g > params.n * CLEAN_FLOOR
     return clean
@@ -411,11 +410,11 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
     """Rows [lo, hi) of the whole sweep, row g being trial g % trials of point
     g // trials, block by block.  A block spans consecutive points of one
     channel kind.  Its kernel gets only the rows the channel did not leave
-    clean (every row for DECODE_EVERY_ROW ids; see the module docstring),
-    and the block itself, uncopied, when none is clean.  Returns {point:
-    (bit_err, blk_err, failing trials ascending, at most max_errors_to_log,
-    seconds)} for every point the rows touch, each block's wall time charged
-    to its points in proportion to their rows."""
+    clean (see the module docstring), and the block itself, uncopied, when
+    none is clean.  Returns {point: (bit_err, blk_err, failing trials
+    ascending, at most max_errors_to_log, seconds)} for every point the rows
+    touch, each block's wall time charged to its points in proportion to
+    their rows."""
     params, trials, specs = config.params, config.trials, config.channels
     # run_end[p]: the first point after p whose channel kind differs (or the end)
     run_end = [len(specs)] * len(specs)
@@ -423,7 +422,6 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
         run_end[p] = run_end[p + 1] if specs[p + 1].kind == specs[p].kind else p + 1
     decoders = {kind: resolve_block_decoder(config.decoder, params, kind, config.hard)
                 for kind in dict.fromkeys(spec.kind for spec in specs)}
-    skip_soft = config.decoder.partition(":")[0] not in DECODE_EVERY_ROW
     step = max(1, BLOCK_CELLS // params.n)
     tally = {}
     start = lo
@@ -448,10 +446,8 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
         # a kernel returns a clean row's codeword unchanged: only the other rows reach it
         if kind == "hard":
             live = np.flatnonzero((words != c).any(axis=1))
-        elif skip_soft:
-            live = np.flatnonzero(~_clean_rows(params, words, c))
         else:
-            live = np.arange(stop - start)
+            live = np.flatnonzero(~_clean_rows(params, words, c))
         if live.size == stop - start:  # no clean row: the block goes whole, with no copy
             errs = np.count_nonzero(decode(words) != c, axis=1)
         else:

@@ -372,10 +372,10 @@ def test_hard_sweeps_equal_row_by_row_replay_csv(over, workers, monkeypatch):
 
 # ---- soft input: clean rows above the floor skip the kernel ----
 # A soft row is clean when every L_z has the sign of 1 - 2 c_z and the
-# (r - 1)-fold llr_of_sum chain from its smallest |L| stays above n 2^-40;
-# the harness counts zero errors for it without decoding it, which is exact
-# because every soft kernel but dumer-list's returns a clean codeword
-# unchanged (the sim docstring).
+# r-fold llr_of_sum chain from its smallest |L| stays above n 2^-40; the
+# harness counts zero errors for it without decoding it, which is exact
+# because every soft kernel returns a clean codeword unchanged (the sim
+# docstring).
 
 
 def ref_clean(params, L, c):
@@ -384,7 +384,7 @@ def ref_clean(params, L, c):
     g = min(signed)
     if not g > 0:
         return False
-    for _ in range(params.r - 1):
+    for _ in range(params.r):
         g = channel.llr_of_sum(g, g)
     return g > params.n * 2.0**-40
 
@@ -414,9 +414,12 @@ def clean_rows(params, style, rows, rng):
     return c, (1.0 - 2.0 * c) * np.maximum(mag, f)
 
 
-# codes per skipped soft id, m <= 8, kept small where the kernel is slow
+# codes per soft id, m <= 8, kept small where the kernel is slow
+LIST_CODES = [(m, r) for m in range(1, 9) for r in range(m + 1) if m <= 6 or r <= 3]
 CLEAN_CODES = {
     "dumer": [(m, r) for m in range(1, 9) for r in range(m + 1)],
+    "dumer-list:4": LIST_CODES,
+    "dumer-list:16": LIST_CODES,
     "rpa": [(m, r) for m in range(1, 8) for r in range(1, min(m, 3) + 1) if m <= 6 or r <= 2],
     "rpa-chase:3": [(4, 2), (5, 2), (5, 3), (6, 2)],
     "ml": [(m, r) for m in range(1, 7) for r in range(m + 1) if rmcode.CodeParams(m, r).k <= 16],
@@ -436,7 +439,7 @@ def test_soft_kernels_return_clean_codewords_unchanged(decoder_id, data, style, 
     assert sim._clean_rows(params, L, c).all()
     assert [ref_clean(params, row, word) for row, word in zip(L, c)] == [True] * len(L)
     kind, fn = resolve_block_decoder(decoder_id, params, "awgn", False)
-    assert kind == "soft" and decoder_id.partition(":")[0] not in sim.DECODE_EVERY_ROW
+    assert kind == "soft"
     assert np.array_equal(fn(L.copy()), c)
 
 
@@ -453,14 +456,18 @@ def test_floor_rejects_the_rows_dumer_moves(m, r, mag):
     assert mag < clean_floor(m, r)
 
 
-def test_dumer_list_is_the_only_soft_id_decoding_every_row():
-    # dumer-list moves clean codewords above the floor too, so it stays out
-    assert sim.DECODE_EVERY_ROW == {"dumer-list"}
-    params = rmcode.CodeParams(8, 3)
-    c, L = clean_rows(params, "equal", 20, np.random.default_rng(3))
-    L *= 0.01 / clean_floor(8, 3)  # +-0.01, above the floor
-    assert sim._clean_rows(params, L, c).all()
-    assert (resolve_block_decoder("dumer-list:16", params, "awgn", False)[1](L) != c).any()
+@pytest.mark.parametrize("m,r,mag", [(8, 3, 0.012), (8, 3, 0.014), (8, 4, 0.01)])
+def test_floor_rejects_the_rows_dumer_list_moves(m, r, mag):
+    # here the zero-order leaf's input, r llr_of_sum steps down, is 0: both
+    # bits tie and the list's prune drops the sent path; the rule decodes
+    # every such row (at +-0.016 the u = 16 list moves none)
+    params = rmcode.CodeParams(m, r)
+    c, _ = clean_rows(params, "equal", 40, np.random.default_rng(m + r))
+    L = (1.0 - 2.0 * c) * mag
+    assert not sim._clean_rows(params, L, c).any()
+    assert not any(ref_clean(params, row, word) for row, word in zip(L, c))
+    assert (resolve_block_decoder("dumer-list:16", params, "awgn", False)[1](L) != c).any(axis=1).sum() >= 5
+    assert mag < clean_floor(m, r)
 
 
 def test_clean_rule_rejects_zero_wrong_signed_and_low_entries():
@@ -485,21 +492,19 @@ SOFT_SWEEP = ["bsc:0.03", "bsc:0.12", "bsc:0", "bec:0.05", "bec:0.3", "awgn:0.45
     ("dumer", 4, 2), ("rpa", 4, 2), ("rpa-chase:1", 4, 2), ("ml", 4, 2), ("fht", 4, 1), ("dumer-list:4", 4, 2),
 ])
 def test_soft_kernel_receives_exactly_the_rows_that_are_not_clean(decoder_id, m, r, monkeypatch):
-    # BSC, BEC and AWGN points, blocks straddling points of one kind: a
-    # skipped id sees exactly the rows that are not clean (rpa's BSC rows are
-    # hard words), dumer-list every row, and the counts equal the row-by-row
-    # loop's
+    # BSC, BEC and AWGN points, blocks straddling points of one kind: the
+    # kernel sees exactly the rows that are not clean (rpa's BSC rows are
+    # hard words), and the counts equal the row-by-row loop's
     config = config_from_dict({"m": m, "r": r, "decoder": decoder_id, "trials": 41, "seed": 6,
                                "channels": SOFT_SWEEP, "max_errors_to_log": 5})
-    every = decoder_id.startswith("dumer-list")
     want_rows, sent = [], 0
     for p, spec in enumerate(config.channels):
         hard = resolve_decoder(decoder_id, config.params, spec.kind, False)[0] == "hard"
         for c, w in reference_words(config, p):
             sent += 1
-            if every or not ((w == c).all() if hard else ref_clean(config.params, w, c)):
+            if not ((w == c).all() if hard else ref_clean(config.params, w, c)):
                 want_rows.append(w)
-    assert 0 < len(want_rows) < sent or every
+    assert 0 < len(want_rows) < sent
     calls = []
     recording_kernels(monkeypatch, calls)
     monkeypatch.setattr(sim, "BLOCK_CELLS", 30 * config.params.n)

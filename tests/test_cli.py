@@ -420,6 +420,14 @@ def test_simulate_rejects_bad_config(capsys, tmp_path):
     assert run(capsys, "simulate", str(tmp_path / "missing.json"))[0] == 2
 
 
+@pytest.mark.parametrize("text", ["[]", "3", "null", '"x"'])
+def test_simulate_rejects_a_config_that_is_not_an_object(capsys, tmp_path, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, "simulate", str(cfg))
+    assert (rc, out, err) == (2, "", "error: config JSON must be an object\n")
+
+
 @pytest.mark.parametrize(
     "over",
     [{"channel": "bsc", "params": ["x"]}, {"channels": ["bsc:2"]}, {"channels": "bsc:0.1"}, {"channels": [1]}],

@@ -295,6 +295,50 @@ def test_list_metric_monotone_in_mu():
         assert all(a <= b + 1e-12 for a, b in zip(metrics, metrics[1:]))
 
 
+# ---- oracle properties: decoders the survey proves ML reach the ML metric ----
+
+
+def noisy_llrs(params, style, rows, rng):
+    """LLR rows of random codewords: AWGN at a random sigma, BSC (equal
+    magnitudes, so metrics tie exactly), or BEC-like zeros among +-2."""
+    c = rmcode.encode_rows(params, rng.integers(0, 2, (rows, params.k)))
+    if style == "awgn":
+        sigma = rng.uniform(0.3, 1.5)
+        return 2.0 * ((1.0 - 2.0 * c) + sigma * rng.normal(size=c.shape)) / sigma**2
+    if style == "bsc":
+        return 2.0 * (1.0 - 2.0 * (c ^ (rng.random(c.shape) < rng.uniform(0, 0.5))))
+    return 2.0 * (1.0 - 2.0 * c) * (rng.random(c.shape) >= rng.uniform(0, 1))
+
+
+def assert_reaches_ml_metric(params, words, Ls):
+    for word, best, L in zip(words, ml_codewords(params, Ls), Ls):
+        # equal up to rounding: a decoder may take another word of tied metric
+        assert soft_metric(word, L) == pytest.approx(soft_metric(best, L), rel=0, abs=1e-12 * np.abs(L).sum())
+
+
+ORACLE_STYLES = st.sampled_from(["awgn", "bsc", "bec"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(1, 6), style=ORACLE_STYLES, seed=st.integers(0, 2**32 - 1))
+def test_fht_reaches_the_ml_metric_on_first_order_codes(m, style, seed):
+    params = rmcode.CodeParams(m, 1)
+    Ls = noisy_llrs(params, style, 8, np.random.default_rng(seed))
+    assert_reaches_ml_metric(params, fht_decode_words(Ls), Ls)
+
+
+ORACLE_LIST_CODES = [(m, r) for m in range(1, 7) for r in range(m + 1) if rmcode.CodeParams(m, r).k <= 12]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(code=st.sampled_from(ORACLE_LIST_CODES), extra=st.integers(0, 3), style=ORACLE_STYLES,
+       seed=st.integers(0, 2**32 - 1))
+def test_dumer_list_reaches_the_ml_metric_once_it_holds_the_codebook(code, extra, style, seed):
+    params = rmcode.CodeParams(*code)
+    Ls = noisy_llrs(params, style, 8, np.random.default_rng(seed))
+    assert_reaches_ml_metric(params, dumer_list_codewords(params, Ls, (1 << params.k) + extra), Ls)
+
+
 def test_list_validation():
     params = rmcode.CodeParams(3, 1)
     with pytest.raises(ValueError):
