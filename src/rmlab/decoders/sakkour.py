@@ -3,8 +3,9 @@
 For every direction b the derivative word (y_{z+b} + y_z over z) is a
 noisy first-order codeword whose linear part is bU, U the symmetric matrix
 of degree-2 coefficients.  Each derivative is FHT-decoded, the estimates
-are cleaned by a coordinatewise majority over the difference identities
-D_{b+b'} + D_{b'}, and per-column FHT decoding recovers U.  Subtracting
+are cleaned by a plurality vote over the difference identities: D*_b is
+the m-bit vector D_{b+b'} + D_{b'} that the most b' give, counted as whole
+vectors (one bincount), and per-column FHT decoding recovers U.  Subtracting
 the degree-2 evaluation leaves a first-order word for a final FHT pass.
 
 Words are gathered as columns of the block's point-order transpose
@@ -13,7 +14,7 @@ by b is then a row XOR, one np.take along axis 0.
 
 Every transform input is a 0/1 word, so all three passes feed int8 +/-1
 signs (fht.hard_signs) and the transforms run exactly in int16 up to
-n = 128; the majority votes are int16 too.  Only the degree-2 evaluation
+n = 128; the plurality votes are int16 too.  Only the degree-2 evaluation
 runs in floats, as a product of small integers that is exact.
 
 sakkour_codewords runs every step over a (T, n) block, in chunks of rows
@@ -54,8 +55,9 @@ def _tables(m: int):
 
 
 def _majority(D: np.ndarray, xor: np.ndarray) -> np.ndarray:
-    """Coordinatewise majority of D_{b+b'} + D_{b'} over all b', per b and
-    per column of D, an (n, ...) array whose row b holds D_b.
+    """Plurality of the whole m-bit vectors D_{b+b'} + D_{b'} over all b',
+    per b and per column of D, an (n, ...) array whose row b holds D_b: one
+    bincount of the n votes of every (b, column) over the n values.
 
     Row b of xor holds J ^ b.  Ties pick the lexicographically smallest
     vector (= smallest packed int): argmax returns the first maximal count.

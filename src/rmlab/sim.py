@@ -10,15 +10,34 @@ one Philox kernel call, encodes them in one product, applies each point's
 channel to its rows, decodes them in one kernel call and counts errors
 with array operations.  Only the rows the channel did not leave clean reach
 the kernel; a clean row counts zero errors, and a block with none calls no
-kernel.  A hard row is clean when it equals the sent codeword c.  A soft
+kernel.  A hard row y is clean when its distance w from the sent codeword
+c lies below the id's HARD_REACH: 2 w < d, d the code's minimum distance,
+for reed, sakkour and rpa on hard input, and w = 0 for bw.  A soft
 row is clean when every L_z has the sign of 1 - 2 c_z and g, the
 r-fold self-composition of channel.llr_of_sum from the row's smallest
 |L|, exceeds n * CLEAN_FLOOR = n 2^-40 (_clean_rows).  This rests on one
-contract: every kernel returns a clean codeword unchanged.
+contract: every kernel returns c for every row inside its radius.
 
-- Hard input (reed, sakkour, bw, rpa on hard input) meets it at any clean
-  row: Reed's majorities are unanimous, Sakkour's peaks unique, an RPA
-  round on a codeword is a fixed point, and bw erases nothing.
+- Hard input, for every error of weight w with 2 w < d:
+  - reed: the reed docstring states the guarantee, and
+    test_reed_corrects_every_error_below_half_the_distance checks it.
+  - First-order FHT decoding (rpa at r = 1, and inside sakkour and rpa):
+    every affine word but c and its complement differs from c in n/2 = d
+    places, so its |correlation| with y is at most 2 w, below c's
+    n - 2 w: the peak is unique, and its sign picks c.
+  - sakkour (d = n/4): a derivative y(z + b) + y(z) has at most 2 w flips,
+    and first-order decoding corrects fewer than n/4, so every D_b is
+    right while w < n/8 = d/2.  The vote, a plurality over whole m-bit
+    vectors D_{b+b'} + D_{b'}, is then unanimous and U exact, and the
+    final first-order pass sees w < n/4 flips.
+  - rpa, by induction on r from the first-order case: a projection
+    y_z + y_{z+b} has at most w flips over n/2 points, and RM(m-1, r-1)
+    has the same d, so every projection decodes to c's.  Coordinate z's
+    n - 1 votes c_z + e_{z+b} are wrong at most w < (n - 1)/2 times, so
+    round 1 returns c and round 2 is a fixed point.
+  - bw meets it only at w = 0, where it erases nothing; it is not
+    bounded-distance (at RM(6,2), where d/2 = 8, 9 of 400 random
+    weight-4 errors failed).
 - ml: the hard decision is c, Reed's decoder returns it, so D is empty
   and the distance certificate holds (the oracle docstring); without it
   the exact search would still return c, whose correlation beats every
@@ -54,7 +73,8 @@ kernel would have returned and the CSV is unchanged.  n 2^-40 lies about
 200 / m above those bounds (and the r llr_of_sum errors, of about
 n 2^-47 each); with the floor 2^12 times lower no tested clean codeword
 moved (2^16 lower, dumer-list's RM(1, 0) leaf ties at min|L| ~ 2^-55).
-tests/test_block_engine.py checks the contract per id.
+tests/test_block_engine.py checks the contract per id, and
+tests/test_decoders_hard.py each hard radius.
 Wall-clock seconds are recorded only when timing is enabled; the default
 keeps the CSV byte-reproducible.
 """
@@ -99,6 +119,16 @@ BLOCK_CELLS = 1 << 16
 # A soft row is clean only while its llr_of_sum chain stays above
 # n * CLEAN_FLOOR (see the module docstring and _clean_rows).
 CLEAN_FLOOR = 2.0**-40
+
+
+def _half_d(d: int) -> int:
+    return (d + 1) // 2  # the least w with 2 w >= d
+
+
+# Per hard-input id, the least distance from c at which a hard row reaches
+# the kernel, from the code's minimum distance d: the kernel returns c for
+# every nearer row (see the module docstring).
+HARD_REACH = {"reed": _half_d, "sakkour": _half_d, "rpa": _half_d, "bw": lambda d: 1}
 
 # run_simulation's pool size limit: a fork pool starts all its workers at once
 MAX_WORKERS = 256
@@ -236,6 +266,17 @@ LIST_MAX_CELLS = 1 << 22
 # 83 MB), so a code at the cap peaks near 40 MB.  RM(14,0) holds 64 M cells.
 BW_MAX_CELLS = 1 << 22
 
+# Cap on the cells of the largest array rpa, rpa-chase, sakkour and fht
+# build for a code: (n - 1) * n per RPA row (its (rows, n-1, n) round
+# arrays and gather tables), n^2 per Sakkour row (its (n, n, rows)
+# derivatives) and n^2 for fht (the (n, n) parity table fht_decode_words
+# reads words from).  Tracemalloc peaks, tables built, one row: hard rpa
+# 59.6 and soft rpa 24.0 bytes per cell at RM(9,2) and RM(10,2) (51.1 and
+# 58.4 at RM(9,3)), sakkour 26.6 and 26.4, fht's table 5.0 at RM(10,1) and
+# RM(11,1); so a code at the cap peaks near 63 MB.  RM(11,r) holds 4 M
+# cells.
+KERNEL_MAX_CELLS = 1 << 20
+
 # Every decoder id with its input and its constraint, in the order of
 # README's decoder table, which must equal these rows.  An id written
 # name:x takes an integer :argument x.  Input "both" (rpa) is hard on the
@@ -269,7 +310,8 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
     The callables return the decoded word only; a caller that wants the
     message or the metric packages the word with types.result_for, as
     `rmlab decode` does.  Raises ConfigError on the combinations DECODERS
-    rules out; TooLarge guards ml, dumer-list and bw.  A callable given a word
+    rules out; TooLarge guards ml, dumer-list, bw, rpa, rpa-chase, sakkour
+    and fht.  A callable given a word
     that is not n long raises ValueError("expected rows of n values").
     """
     kind, fn = resolve_block_decoder(decoder_id, params, channel_kind, hard)
@@ -290,6 +332,11 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
     def bad(why):
         return ConfigError(f"{decoder_id!r} on {channel_kind}: {why}; {_combo_help()}")
 
+    def capped(cells, what):
+        if cells > KERNEL_MAX_CELLS:
+            raise rmcode.TooLarge(f"{decoder_id} on RM({m},{r}) needs {cells} cells of {what}, "
+                                  f"past {KERNEL_MAX_CELLS}")
+
     if name not in DECODER_RULES:
         raise bad("unknown decoder id")
     kind, takes_arg = DECODER_RULES[name]
@@ -305,10 +352,12 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
     if name == "fht":
         if r != 1:
             raise bad("fht decodes first-order codes only")
+        capped(params.n**2, "parity table")
         return kind, lambda Ls: fht_decode_words(block_rows(params.n, Ls, np.float64))
     if name == "sakkour":
         if r != 2:
             raise bad("sakkour decodes second-order codes only")
+        capped(params.n**2, "derivatives per row")
         return kind, lambda Ys: decoders.sakkour_codewords(m, Ys)
     if name == "dumer":
         return kind, lambda Ls: decoders.dumer_codewords(params, Ls)
@@ -324,6 +373,7 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
     if name == "rpa":
         if r < 1:
             raise bad("rpa needs r >= 1")
+        capped((params.n - 1) * params.n, "projections per row")
         if kind == "hard":
             return kind, lambda Ys: decoders.rpa_bsc_codewords(params, Ys)
         return kind, lambda Ls: decoders.rpa_llr_codewords(params, Ls)
@@ -333,6 +383,7 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
         t = _int_arg(arg, decoder_id)
         if not 0 <= t <= min(decoders.CHASE_MAX_T, params.n):
             raise bad(f"t must be in [0, {min(decoders.CHASE_MAX_T, params.n)}]")
+        capped((params.n - 1) * params.n, "projections per row")
         return kind, lambda Ls: decoders.chase_codewords(params, Ls, t)
     if name == "bw":
         r_bw = _bw_r(params)
@@ -422,6 +473,7 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
         run_end[p] = run_end[p + 1] if specs[p + 1].kind == specs[p].kind else p + 1
     decoders = {kind: resolve_block_decoder(config.decoder, params, kind, config.hard)
                 for kind in dict.fromkeys(spec.kind for spec in specs)}
+    reach = HARD_REACH[config.decoder](params.d) if config.decoder in HARD_REACH else None
     step = max(1, BLOCK_CELLS // params.n)
     tally = {}
     start = lo
@@ -443,9 +495,9 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
                 words.append(channel.llr(out, spec))
             segments.append((p, rows))
         words = words[0] if len(words) == 1 else np.concatenate(words)
-        # a kernel returns a clean row's codeword unchanged: only the other rows reach it
+        # a kernel returns c for a clean row: only the other rows reach it
         if kind == "hard":
-            live = np.flatnonzero((words != c).any(axis=1))
+            live = np.flatnonzero(np.count_nonzero(words != c, axis=1) >= reach)
         else:
             live = np.flatnonzero(~_clean_rows(params, words, c))
         if live.size == stop - start:  # no clean row: the block goes whole, with no copy

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from rmlab import channel, gf2, rmcode, sim
 from rmlab.channel import ChannelSpec
-from rmlab.decoders import Undecodable
+from rmlab.decoders import Ambiguous, Undecodable
 from rmlab.decoders import dumer as dumer_mod
 from rmlab.decoders import oracle as oracle_mod
 from rmlab.decoders import reed as reed_mod
@@ -279,10 +279,11 @@ def test_block_streams_take_per_row_points_across_the_key_mask():
     assert np.array_equal(u, np.stack([channel._rng(key).random(n) for key in keys[1]]))
 
 
-# ---- hard input: only rows the channel changed reach the kernel ----
-# The harness counts zero errors for a hard row equal to its codeword without
-# decoding it, which is exact because every hard-input kernel returns a
-# codeword unchanged.
+# ---- hard input: only rows outside the kernel's radius reach it ----
+# The harness counts zero errors for a hard row within distance w of its
+# codeword c with 2 w < d (w = 0 for bw) without decoding it, which is exact
+# because each hard-input kernel returns c for every such row
+# (test_decoders_hard checks the radii).
 
 
 def hard_cases(max_m):
@@ -321,16 +322,42 @@ def recording_kernels(monkeypatch, calls):
     monkeypatch.setattr(sim, "resolve_block_decoder", recording)
 
 
-def test_hard_kernel_receives_exactly_the_changed_rows(monkeypatch):
-    config = config_from_dict({"m": 4, "r": 2, "decoder": "reed", "trials": 61, "seed": 4, "hard": True,
-                               "channels": ["bsc:0.03", "bsc:0", "bsc:0.08", "awgn:1.0", "bec:0.2"]})
-    changed = [w for p in range(len(config.channels)) for c, w in reference_words(config, p) if (w != c).any()]
-    assert 0 < len(changed) < config.trials * len(config.channels)
+def outside_radius(decoder_id, params, c, w):
+    """Whether hard word w reaches decoder_id's kernel: 2 dist(w, c) >= d,
+    or for bw, which is not bounded-distance, dist >= 1."""
+    dist = int(np.count_nonzero(w != c))
+    return dist >= 1 if decoder_id == "bw" else 2 * dist >= params.d
+
+
+@pytest.mark.parametrize("decoder_id,m,r", [("reed", 4, 2), ("reed", 5, 1), ("sakkour", 4, 2),
+                                            ("rpa", 4, 2), ("rpa", 5, 3), ("bw", 4, 2)])
+def test_hard_kernel_receives_exactly_the_rows_outside_its_radius(decoder_id, m, r, monkeypatch):
+    # BSC, BEC and AWGN points, blocks straddling points: the kernel sees
+    # exactly the rows at 2 dist >= d from c (dist >= 1 for bw), and the
+    # counts equal the row-by-row loop's
+    config = config_from_dict({"m": m, "r": r, "decoder": decoder_id, "trials": 61, "seed": 4, "hard": True,
+                               "max_errors_to_log": 5,
+                               "channels": ["bsc:0.03", "bsc:0", "bsc:0.12", "awgn:0.8", "bec:0.2"]})
+    sent = [(c, w) for p in range(len(config.channels)) for c, w in reference_words(config, p)]
+    far = [w for c, w in sent if outside_radius(decoder_id, config.params, c, w)]
+    changed = [w for c, w in sent if (w != c).any()]
+    assert 0 < len(far) < len(sent)
+    assert decoder_id == "bw" or len(far) < len(changed)  # the radius skips rows with flips
     calls = []
     recording_kernels(monkeypatch, calls)
     monkeypatch.setattr(sim, "BLOCK_CELLS", 50 * config.params.n)  # blocks straddle points
-    run_simulation(config)
-    assert np.array_equal(np.concatenate(calls), np.array(changed))
+    points = run_simulation(config)
+    assert np.array_equal(np.concatenate(calls), np.array(far))
+    want = [reference_point(config, p) for p in range(len(config.channels))]
+    assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want
+
+
+def test_every_hard_input_id_has_a_reach():
+    # the harness reads HARD_REACH for every id that can decode hard input
+    hard_ids = {name for name, (kind, _) in sim.DECODER_RULES.items() if kind in ("hard", "both")}
+    assert set(sim.HARD_REACH) == hard_ids
+    for d in (1, 2, 4, 8, 64):
+        assert [sim.HARD_REACH[name](d) for name in ("reed", "sakkour", "rpa", "bw")] == [-(-d // 2)] * 3 + [1]
 
 
 @pytest.mark.parametrize("decoder_id", ["reed", "sakkour", "bw", "rpa"])
@@ -494,7 +521,8 @@ SOFT_SWEEP = ["bsc:0.03", "bsc:0.12", "bsc:0", "bec:0.05", "bec:0.3", "awgn:0.45
 def test_soft_kernel_receives_exactly_the_rows_that_are_not_clean(decoder_id, m, r, monkeypatch):
     # BSC, BEC and AWGN points, blocks straddling points of one kind: the
     # kernel sees exactly the rows that are not clean (rpa's BSC rows are
-    # hard words), and the counts equal the row-by-row loop's
+    # hard words, clean inside the radius: 2 dist < d), and the counts
+    # equal the row-by-row loop's
     config = config_from_dict({"m": m, "r": r, "decoder": decoder_id, "trials": 41, "seed": 6,
                                "channels": SOFT_SWEEP, "max_errors_to_log": 5})
     want_rows, sent = [], 0
@@ -502,7 +530,7 @@ def test_soft_kernel_receives_exactly_the_rows_that_are_not_clean(decoder_id, m,
         hard = resolve_decoder(decoder_id, config.params, spec.kind, False)[0] == "hard"
         for c, w in reference_words(config, p):
             sent += 1
-            if not ((w == c).all() if hard else ref_clean(config.params, w, c)):
+            if outside_radius(decoder_id, config.params, c, w) if hard else not ref_clean(config.params, w, c):
                 want_rows.append(w)
     assert 0 < len(want_rows) < sent
     calls = []
@@ -1480,6 +1508,53 @@ def test_ml_certificate_covers_criterion_9_traffic():
     got = oracle_mod.ml_codewords(params, L)
     assert np.array_equal(got[certified], words[certified])
     assert np.array_equal(got[~certified], ml_search_only(params, L[~certified]))
+
+
+def sent_rows(params, spec, rows, rng):
+    """Random codewords c and their channel output's LLRs under spec."""
+    c = rmcode.encode_rows(params, rng.integers(0, 2, size=(rows, params.k)))
+    out = channel.apply_noise(c, rng.random(c.shape), spec)
+    return c, out, channel.llr(out, spec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mr=st.sampled_from([mr for mr in ML_CODES if mr[0] <= 5]),
+       spec=st.sampled_from(["bsc:0.02", "bsc:0.08", "bsc:0.2", "awgn:0.5", "awgn:0.9", "awgn:1.3"]),
+       rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_ml_search_returns_every_distance_certified_word(mr, spec, rows, seed):
+    # the search, with no certificate, returns every codeword the certificate
+    # accepts for its row: the sent word, and Reed's word of the hard decision
+    params = rmcode.CodeParams(*mr)
+    sent, _, L = sent_rows(params, ChannelSpec.parse(spec), rows, np.random.default_rng(seed))
+    for c in (sent, reed_mod.reed_codewords(params, channel.hard_decision(L))):
+        certified = oracle_mod.distance_certified(params, L, c)
+        if certified.any():
+            assert np.array_equal(ml_search_only(params, L[certified]), c[certified])
+
+
+def test_ml_certificate_accepts_the_sent_word_on_good_channels():
+    # the property above has rows to check: at bsc:0.02 and awgn:0.5 on
+    # RM(5,2) most rows certify their sent word
+    params = rmcode.CodeParams(5, 2)
+    for spec in ("bsc:0.02", "awgn:0.5"):
+        sent, _, L = sent_rows(params, ChannelSpec.parse(spec), 200, np.random.default_rng(3))
+        assert oracle_mod.distance_certified(params, L, sent).mean() > 0.5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mr=st.sampled_from([mr for mr in ML_CODES if mr[0] <= 5]), p=st.sampled_from([0.05, 0.2, 0.4, 0.6]),
+       rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_ml_returns_the_unique_erasure_solution_on_the_bec(mr, p, rows, seed):
+    # where erasure_decode finds exactly one consistent codeword, the ml id
+    # returns it; an ambiguous row has several ML words and is not compared
+    params = rmcode.CodeParams(*mr)
+    spec = ChannelSpec("bec", p)
+    _, out, L = sent_rows(params, spec, rows, np.random.default_rng(seed))
+    decode = resolve_block_decoder("ml", params, "bec", False)[1]
+    for y, word in zip(out.data, decode(L)):
+        solved = oracle_mod.erasure_decode(params, y)
+        if not isinstance(solved, Ambiguous):
+            assert np.array_equal(word, solved.codeword)
 
 
 def test_reed_sakkour_ml_kernels_reject_bad_blocks():

@@ -9,7 +9,7 @@ from rmlab import rmcode
 from rmlab.decoders.bw import bw_decode
 from rmlab.decoders.oracle import ml_codewords
 from rmlab.decoders.reed import reed_codewords
-from rmlab.decoders.rpa import rpa_decode_bsc
+from rmlab.decoders.rpa import rpa_bsc_codewords, rpa_decode_bsc
 from rmlab.decoders.sakkour import sakkour_codewords
 from rmlab.decoders.types import hard_input_llr, result_for
 
@@ -38,6 +38,34 @@ def test_reed_corrects_every_error_below_half_the_distance(data):
     errors = data.draw(st.sets(st.integers(0, params.n - 1), max_size=radius))
     y = flip(c, sorted(errors))
     assert np.array_equal(reed_codewords(params, y[None])[0], c)
+
+
+# Sakkour's order-2 decoder and hard-input RPA at every r, m <= 6: the
+# harness skips every hard row with 2 w < d on their proofs (the sim docstring)
+RADIUS_CODES = [("sakkour", m, 2) for m in range(2, 7)] + [
+    ("rpa", m, r) for m in range(1, 7) for r in range(1, m + 1)
+]
+
+
+@pytest.mark.parametrize("decoder_id,m,r", RADIUS_CODES)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sakkour_and_hard_rpa_correct_every_error_below_half_the_distance(decoder_id, m, r, data):
+    params = rmcode.CodeParams(m, r)
+    radius = (params.d + 1) // 2 - 1  # the largest weight w with 2 w < d
+    rows = data.draw(st.integers(1, 4))
+    bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=params.k, max_size=params.k),
+                              min_size=rows, max_size=rows))
+    c = rmcode.encode_rows(params, np.array(bits))
+    # the first row's weight is the radius itself
+    weights = [radius] + data.draw(st.lists(st.integers(0, radius), min_size=rows - 1, max_size=rows - 1))
+    y = np.array([flip(word, sorted(data.draw(st.sets(st.integers(0, params.n - 1), min_size=w, max_size=w))))
+                  for word, w in zip(c, weights)])
+    if decoder_id == "sakkour":
+        got = sakkour_codewords(m, y)
+    else:
+        got = rpa_bsc_codewords(params, y)
+    assert np.array_equal(got, c)
 
 
 def test_reed_clean_codewords():
