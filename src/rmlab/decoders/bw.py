@@ -9,10 +9,10 @@ of these multipliers reduces decoding to erasure filling.
 
 Step 1.  a = sum_j alpha_j e_j has a*y in N iff S alpha = 0, S_ij =
 <g_i e_j, y> = <x_{A_i | B_j}, y> over the rows g_i = x_{A_i} of R, a sum
-that one subset-sum transform of y gives for every monomial.  A point is
-in U iff E's column there is orthogonal to S's nullspace, that is in S's
-row space: the n columns join S as rows that are only reduced (never
-pivots), and U is where they reduce to zero.
+that one Moebius transform of the reversed y gives for every monomial.  A
+point is in U iff E's column there is orthogonal to S's nullspace, that is
+in S's row space: the n columns join S as rows that are only reduced
+(never pivots), and U is where they reduce to zero.
 
 Step 2 is oracle.erasure_solve over C; an inconsistent row is undecodable
 and keeps its hard word.  A consistent row has exactly one codeword, so no
@@ -39,26 +39,24 @@ _BYTES = 1 << 20  # of each chunk's S bits and packed rows, or one row's
 
 @lru_cache(maxsize=4)
 def _step1_tables(m: int, r: int):
-    """The coordinate of each S_ij in the subset-sum transform, (k_R, k_E):
-    x_S(p) = 1 iff p is above point_mask(S), at the coordinates p ^ (n - 1)
-    below (n - 1) ^ point_mask(S), and point_mask(A | B) is the OR of the
-    two masks; and E's columns as rows, (n, words).  E's generator is built
+    """The position of each S_ij in the Moebius transform of the reversed
+    word, (k_R, k_E): x_S(p) = 1 iff p is above point_mask(S), the reversed
+    word holds y(p) at coordinate p, so the transform's entry point_mask(S)
+    sums y over x_S's support, and point_mask(A | B) is the OR of the two
+    masks; and E's columns as rows, (n, words).  E's generator is built
     first, so that its TooLarge guard fires before the index is."""
     if r < 0 or m - 2 * r - 2 < 0:
         raise ValueError("need 0 <= r <= m/2 - 1")
     mults = rmcode.CodeParams(m, r + 1)
     columns = gf2.pack_rows(rmcode.generator_matrix(mults).T)
     masks = [rmcode.point_mask(rmcode.monomials(code), m).astype(np.int32) for code in (rmcode.CodeParams(m, r), mults)]
-    return (mults.n - 1) ^ np.bitwise_or.outer(*masks), columns
+    return np.bitwise_or.outer(*masks), columns
 
 
 def _erasures(m: int, r: int, Ys: np.ndarray) -> np.ndarray:
     """Step 1: each row's (T, n) common zeros U."""
     index, columns = _step1_tables(m, r)
-    F = Ys.copy()
-    for h in range(m):  # F[q] = XOR of y_j over the coordinates j below q
-        half = F.reshape(len(F), -1, 2, 1 << h)
-        half[:, :, 1] ^= half[:, :, 0]
+    F = rmcode.moebius(Ys[:, ::-1])
     rows = np.concatenate((gf2.pack_rows(F[:, index]), np.broadcast_to(columns, (len(F), *columns.shape))), axis=2)
     gf2.eliminate(rows, index.shape[1], index.shape[0])
     return ~rows[:, :, index.shape[0]:].any(axis=1)

@@ -26,17 +26,17 @@ words.  Either way the aggregation runs over the n-1 axis of a
 is frozen while the others go on.  Rows go through in chunks so that each
 (rows, n-1, n) array holds at most _CELLS cells.  chase_codewords decodes
 the Chase candidates as rows of the LLR kernel, and only candidates that
-are codewords of RM(m, r) compete, tested by one batched binary Moebius
-transform per chunk (no coefficient of degree > r); a trial with no codeword
-candidate keeps its unperturbed word w0.  First every trial's unperturbed
-L is decoded, then the 2^t perturbed copies of only those trials that w0
-does not settle.  A codeword w0 settles its trial when it agrees with the
-hard decision L < 0 at every z with L_z != 0 (its metric is then the most
-any word's can be, summed in the same order), or when
-oracle.distance_certified proves it ML by more than any summation order
-can err; ties keep the earlier w0 anyway.  At bsc:0.032 on RM(5,2) about
-98% of trials settle.  A single word decodes as a block of one, so each
-variant has one kernel.
+are codewords of RM(m, r) compete, tested by rmcode.in_code (one binary
+Moebius transform per chunk, no coefficient of degree > r); a trial with
+no codeword candidate keeps its unperturbed word w0.  First every
+trial's unperturbed L is decoded, then the 2^t perturbed copies of only
+those trials that w0 does not settle.  A codeword w0 settles its trial
+when it agrees with the hard decision L < 0 at every z with L_z != 0
+(its metric is then the most any word's can be, summed in the same
+order), or when oracle.distance_certified proves it ML by more than any
+summation order can err; ties keep the earlier w0 anyway.  At bsc:0.032
+on RM(5,2) about 98% of trials settle.  A single word decodes as a block
+of one, so each variant has one kernel.
 """
 
 from __future__ import annotations
@@ -231,26 +231,11 @@ def _chase_inputs(Ls, pos, lmax, trial, mask) -> np.ndarray:
     return rows
 
 
-def _in_code(params: rmcode.CodeParams, words: np.ndarray) -> np.ndarray:
-    """Whether each row of a (R, n) 0/1 block is a codeword of RM(m, r):
-    the binary Moebius transform of the row, m XOR passes over the block
-    as rmcode._coefficient_word runs them on a packed word, has no
-    coefficient of degree > r, at the positions j with popcount(j) < m - r
-    (rmcode._moebius_tables' degree rule)."""
-    w = np.array(words.T, np.uint8, order="C")  # (n, R), so each pass runs over long runs
-    h = 1
-    while h < params.n:  # coordinate j ^= coordinate j + h wherever bit h of j is clear
-        half = w.reshape(params.n // (2 * h), 2, h * len(words))
-        half[:, 0] ^= half[:, 1]
-        h *= 2
-    return ~w[np.bitwise_count(np.arange(params.n)) < params.m - params.r].any(axis=0)
-
-
 def _keep_better(params, best, best_metric, trial, words, Ls) -> None:
     """Score each candidate words[i] of trial[i] that is a codeword by
     soft_metric against the trial's row of Ls, one np.dot each, in order;
     keep strict maxima."""
-    ok = np.flatnonzero(_in_code(params, words))
+    ok = np.flatnonzero(rmcode.in_code(params, words))
     signs = 1.0 - 2.0 * words[ok]
     for i, tr in enumerate(trial[ok].tolist()):
         metric = 0.5 * float(np.dot(signs[i], Ls[tr]))  # soft_metric(words[ok[i]], Ls[tr])
@@ -285,7 +270,7 @@ def _chase(params: rmcode.CodeParams, decode_rows, Ls: np.ndarray, t: int) -> np
     for rows in _chunks(T, n):
         best[rows] = decode_rows(Ls[rows].copy())  # decode_rows may write into its rows
     hard = ((best == (Ls < 0)) | (Ls == 0)).all(axis=1)
-    live = np.flatnonzero(~(_in_code(params, best) & (hard | distance_certified(params, Ls, best))))
+    live = np.flatnonzero(~(rmcode.in_code(params, best) & (hard | distance_certified(params, Ls, best))))
     Lo = Ls[live]
     mag = np.abs(Lo)
     pos = np.argsort(mag, axis=1, kind="stable")[:, :t]

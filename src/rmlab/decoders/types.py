@@ -1,5 +1,6 @@
 """Shared result types, input checks, scoring and result packaging for
-decoders; result_for reads messages by rmcode's Moebius transform."""
+decoders; result_for reads messages by rmcode.message_of_codeword, the
+encoder's Moebius transform, which is its own inverse."""
 
 from __future__ import annotations
 

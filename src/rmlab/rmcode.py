@@ -16,8 +16,9 @@ Every monomial evaluation goes through one array evaluator, evaluations(),
 which raises TooLarge past _EVAL_CELLS cells.  The monomial order is
 enumerated size by size, so RM(m, r) never lists a degree above r.
 
-is_codeword and message_of_codeword read a word's polynomial by one binary
-Moebius transform of the packed word (m shift-and-XOR steps).
+One binary Moebius transform, moebius(), maps polynomials to codewords and
+back: encode_rows, is_codeword, message_of_codeword and the block codeword
+test in_code all run it, and so do rpa's Chase and bw.
 """
 
 from __future__ import annotations
@@ -129,11 +130,6 @@ def evaluations(m: int, subsets) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def eval_monomial_packed(subset: int, m: int) -> int:
-    return gf2.pack_bits(evaluations(m, [subset])[0])
-
-
-@lru_cache(maxsize=None)
 def generator_rows(params: CodeParams) -> tuple[int, ...]:
     return tuple(map(gf2.pack_bits, generator_matrix(params)))
 
@@ -180,71 +176,85 @@ class Message:
         self.coeffs = clean
 
 
-def encode_packed(msg: Message) -> int:
-    word = 0
-    for a in msg.coeffs:
-        word ^= eval_monomial_packed(a, msg.params.m)
-    return word
-
-
-def encode(msg: Message) -> np.ndarray:
-    _check_cells(1, msg.params.m)  # the n-bit word, even where no monomial is evaluated
-    return gf2.unpack_bits(encode_packed(msg), msg.params.n)
+def moebius(words) -> np.ndarray:
+    """The binary Moebius transform of each row of a (R, n) 0/1 block, as a
+    (R, n) view of an (n, R) uint8 array: entry j of a row's transform is
+    the XOR of the row's entries at every j' whose bits include j's.  The
+    transform is its own inverse, and maps a codeword to its polynomial:
+    entry n-1-point_mask(A) is u_A.  Its m XOR passes run on the block's
+    (n, R) transpose, so each pass runs over long runs."""
+    w = np.array(np.asarray(words).T, np.uint8, order="C")
+    n = len(w)
+    h = 1
+    while h < n:  # coordinate j ^= coordinate j + h wherever bit h of j is clear
+        half = w.reshape(n // (2 * h), 2, h * w.shape[1])
+        half[:, 0] ^= half[:, 1]
+        h *= 2
+    return w.T
 
 
 @lru_cache(maxsize=None)
-def _generator_float(params: CodeParams) -> np.ndarray:
-    return generator_matrix(params).astype(np.float64)
+def _coefficient_positions(params: CodeParams) -> np.ndarray:
+    return params.n - 1 - point_mask(monomials(params), params.m)
+
+
+def encode(msg: Message) -> np.ndarray:
+    """encode_rows on a block of one."""
+    params = msg.params
+    _check_cells(1, params.m)  # before monomials(params) lists the k masks
+    return encode_rows(params, [[a in msg.coeffs for a in monomials(params)]])[0]
 
 
 def encode_rows(params: CodeParams, bits) -> np.ndarray:
     """Codewords of coefficient rows (T, k) in generator row order.
 
-    Row t equals encode(Message) of the message whose coefficient of
-    monomials(params)[i] is bits[t, i].  The float64 product is exact: its
-    entries are integers of at most k.
+    Row t is the codeword whose coefficient of monomials(params)[i] is
+    bits[t, i]: the bits sit at their coefficient positions, and one
+    Moebius transform turns them into the evaluations.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != params.k:
         raise ValueError(f"expected rows of {params.k} coefficients")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("coefficients must be 0 or 1")
-    counts = bits.astype(np.float64) @ _generator_float(params)
-    return (counts.astype(np.int64) & 1).astype(np.uint8)
-
-
-def as_packed(y, n: int) -> int:
-    """y, a word of n entries 0 or 1, as an int with bit j = coordinate j."""
-    arr = np.asarray(y)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a length-{n} word")
-    if not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("word entries must be 0 or 1")
-    return gf2.pack_bits(arr)
+    _check_cells(len(bits), params.m)
+    u = np.zeros((params.n, len(bits)), np.uint8)  # transposed, so that moebius copies it whole
+    u[_coefficient_positions(params)] = bits.T
+    return np.ascontiguousarray(moebius(u.T))
 
 
 @lru_cache(maxsize=None)
-def _moebius_tables(m: int, r: int):
-    # per step (2^h, positions with bit h set); positions of degree > r; monomial per position
-    j = np.arange(1 << m)
-    steps = tuple((1 << h, gf2.pack_bits((j >> h) & 1)) for h in range(m))
-    high = gf2.pack_bits(np.bitwise_count(j) < m - r)
-    return steps, high, point_mask(j[::-1], m)
+def _high_degree(params: CodeParams) -> np.ndarray:
+    # the transform positions j = n-1-point_mask(A) with |A| > r
+    return np.bitwise_count(np.arange(params.n)) < params.m - params.r
 
 
-def _coefficient_word(params: CodeParams, y) -> int | None:
-    """The binary Moebius transform of y (its own inverse), or None if y is not
-    a codeword.  Bit n-1-point_mask(A) of the transform is u_A."""
-    steps, high, _ = _moebius_tables(params.m, params.r)
-    w = as_packed(y, params.n)
-    for shift, mask in steps:
-        w ^= (w & mask) >> shift
-    return None if w & high else w
+def in_code(params: CodeParams, words) -> np.ndarray:
+    """Whether each row of a (R, n) 0/1 block is a codeword of RM(m, r): its
+    transform has no coefficient of degree > r."""
+    return ~moebius(words)[:, _high_degree(params)].any(axis=1)
+
+
+def _coefficients(params: CodeParams, y) -> np.ndarray | None:
+    """The transform of y, a word of n entries 0 or 1, or None if y is not
+    a codeword."""
+    arr = np.asarray(y)
+    if arr.shape != (params.n,):
+        raise ValueError(f"expected a length-{params.n} word")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("word entries must be 0 or 1")
+    u = moebius(arr[None])[0]
+    return None if u[_high_degree(params)].any() else u
 
 
 def is_codeword(params: CodeParams, y) -> bool:
     """True iff y's polynomial has degree <= r; RM(m, m) accepts every word."""
-    return _coefficient_word(params, y) is not None
+    return _coefficients(params, y) is not None
+
+
+@lru_cache(maxsize=None)
+def _monomial_at(m: int) -> np.ndarray:
+    return point_mask(np.arange((1 << m) - 1, -1, -1), m)
 
 
 def message_of_codeword(params: CodeParams, y) -> Message:
@@ -252,12 +262,10 @@ def message_of_codeword(params: CodeParams, y) -> Message:
 
     Raises gf2.InconsistentSystem when y is not in the code.
     """
-    u = _coefficient_word(params, y)
+    u = _coefficients(params, y)
     if u is None:
         raise gf2.InconsistentSystem(f"word is not in RM({params.m}, {params.r})")
-    monomial_at = _moebius_tables(params.m, params.r)[2]
-    chosen = monomial_at[np.flatnonzero(gf2.unpack_bits(u, params.n))]
-    return Message(params, dict.fromkeys(chosen.tolist(), 1))
+    return Message(params, dict.fromkeys(_monomial_at(params.m)[np.flatnonzero(u)].tolist(), 1))
 
 
 def plotkin_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

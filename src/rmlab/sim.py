@@ -266,15 +266,16 @@ LIST_MAX_CELLS = 1 << 22
 # 83 MB), so a code at the cap peaks near 40 MB.  RM(14,0) holds 64 M cells.
 BW_MAX_CELLS = 1 << 22
 
-# Cap on the cells of the largest array rpa, rpa-chase, sakkour and fht
-# build for a code: (n - 1) * n per RPA row (its (rows, n-1, n) round
+# Cap on the cells of the largest array rpa, rpa-chase, sakkour, fht and
+# dumer build for a code: (n - 1) * n per RPA row (its (rows, n-1, n) round
 # arrays and gather tables), n^2 per Sakkour row (its (n, n, rows)
-# derivatives) and n^2 for fht (the (n, n) parity table fht_decode_words
-# reads words from).  Tracemalloc peaks, tables built, one row: hard rpa
-# 59.6 and soft rpa 24.0 bytes per cell at RM(9,2) and RM(10,2) (51.1 and
-# 58.4 at RM(9,3)), sakkour 26.6 and 26.4, fht's table 5.0 at RM(10,1) and
-# RM(11,1); so a code at the cap peaks near 63 MB.  RM(11,r) holds 4 M
-# cells.
+# derivatives), n^2 for fht (the (n, n) parity table fht_decode_words
+# reads words from) and, for dumer at 1 <= r < m, the same table of its
+# largest first-order leaf RM(m-r+1, 1).  Tracemalloc peaks, tables built,
+# one row: hard rpa 59.6 and soft rpa 24.0 bytes per cell at RM(9,2) and
+# RM(10,2) (51.1 and 58.4 at RM(9,3)), sakkour 26.6 and 26.4, the parity
+# table 5.0 at RM(10,1) and RM(11,1); so a code at the cap peaks near
+# 63 MB.  RM(11,r) holds 4 M cells.
 KERNEL_MAX_CELLS = 1 << 20
 
 # Every decoder id with its input and its constraint, in the order of
@@ -310,8 +311,8 @@ def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: st
     The callables return the decoded word only; a caller that wants the
     message or the metric packages the word with types.result_for, as
     `rmlab decode` does.  Raises ConfigError on the combinations DECODERS
-    rules out; TooLarge guards ml, dumer-list, bw, rpa, rpa-chase, sakkour
-    and fht.  A callable given a word
+    rules out; TooLarge guards ml, dumer-list, bw, rpa, rpa-chase, sakkour,
+    fht and dumer.  A callable given a word
     that is not n long raises ValueError("expected rows of n values").
     """
     kind, fn = resolve_block_decoder(decoder_id, params, channel_kind, hard)
@@ -360,6 +361,8 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
         capped(params.n**2, "derivatives per row")
         return kind, lambda Ys: decoders.sakkour_codewords(m, Ys)
     if name == "dumer":
+        if 1 <= r < m:
+            capped(4 ** (m - r + 1), "parity table")  # of its largest first-order leaf
         return kind, lambda Ls: decoders.dumer_codewords(params, Ls)
     if name == "dumer-list":
         mu = _int_arg(arg, decoder_id)

@@ -125,11 +125,9 @@ def rm_full_rows(m: int) -> tuple[int, ...]:
     return tuple(eval_monomial_packed(a, m) for a in monomial_order(m))
 
 
-def moebius_tables(m: int, r: int):
-    j = np.arange(1 << m)
-    steps = tuple((1 << h, gf2.pack_bits((j >> h) & 1)) for h in range(m))
-    high = gf2.pack_bits(np.bitwise_count(j) < m - r)
-    return steps, high, np.array([point_mask(p, m) for p in j[::-1]])
+def monomial_at(m: int) -> np.ndarray:
+    """The monomial whose coefficient the Moebius transform puts at each position."""
+    return np.array([point_mask(p, m) for p in range((1 << m) - 1, -1, -1)])
 
 
 def _submasks(mask: int) -> list[int]:

@@ -331,7 +331,7 @@ def test_criterion_09_decoder_quality():
 def _ghw_brute_force(params, a):
     words = []
     for bits in itertools.product((0, 1), repeat=params.k):
-        w = rmcode.encode_packed(rmcode.Message(params, dict(zip(rmcode.monomials(params), bits))))
+        w = gf2.pack_bits(rmcode.encode(rmcode.Message(params, dict(zip(rmcode.monomials(params), bits)))))
         if w:
             words.append(w)
     best = None

@@ -122,15 +122,18 @@ def test_list_kernel_chunks_agree(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 6), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_encode_rows_equals_encode(m, rows, seed, data):
+def test_encode_rows_and_encode_equal_the_generator_product(m, rows, seed, data):
+    # the reference generator's product mod 2, row by row through encode too
     r = data.draw(st.integers(0, m))
     params = rmcode.CodeParams(m, r)
     bits = np.random.default_rng(seed).integers(0, 2, size=(rows, params.k))
-    order = rmcode.monomials(params)
-    want = [rmcode.encode(rmcode.Message(params, {order[i]: int(b[i]) for i in range(params.k)})) for b in bits]
+    want = bits @ ref.generator_matrix(m, r).astype(np.int64) % 2
     got = rmcode.encode_rows(params, bits)
     assert got.dtype == np.uint8
-    assert np.array_equal(got, np.array(want))
+    assert np.array_equal(got, want)
+    order = rmcode.monomials(params)
+    for b, w in zip(bits, want):
+        assert np.array_equal(rmcode.encode(rmcode.Message(params, {order[i]: int(b[i]) for i in range(params.k)})), w)
 
 
 def test_encode_rows_validation():
@@ -1016,7 +1019,7 @@ def ref_reed(params, y, ties=None):
                 ties.append(num1 == threshold)
             if num1 >= threshold:
                 coeffs[a] = 1
-                layer_word ^= rmcode.eval_monomial_packed(a, m)
+                layer_word ^= ref.eval_monomial_packed(a, m)
         if layer_word:
             work ^= gf2.unpack_bits(layer_word, n)
     return rmcode.Message(params, coeffs)

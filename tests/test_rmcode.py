@@ -94,11 +94,11 @@ def test_builders_match_the_per_point_reference():
         assert rmcode.rm_full_rows(m) == full, m
         assert np.array_equal(rmcode.rm_full_matrix(m), np.stack([gf2.unpack_bits(w, n) for w in full]))
         for a, word in zip(ref.monomial_order(m), full):
-            assert rmcode.eval_monomial_packed(a, m) == word, (m, a)
             got = rmcode.evaluations(m, [a])[0]
             assert got.dtype == np.uint8 and np.array_equal(got, gf2.unpack_bits(word, n)), (m, a)
         full_cols = ref.transpose(full, n)
-        ref_steps, _, ref_monomial_at = ref.moebius_tables(m, m)
+        monomial_at = rmcode._monomial_at(m)
+        assert monomial_at.dtype == ref.monomial_at(m).dtype and np.array_equal(monomial_at, ref.monomial_at(m)), m
         for r in range(m + 1) if m else ():
             p = CodeParams(m, r)
             # RM(m, r)'s rows are the last k of the full order, so its
@@ -108,10 +108,6 @@ def test_builders_match_the_per_point_reference():
             assert G.dtype == np.uint8 and np.array_equal(G, ref.generator_matrix(m, r)), (m, r)
             assert rmcode.generator_rows(p) == full[n - p.k :], (m, r)
             assert rmcode.generator_columns(p) == tuple(c >> (n - p.k) for c in full_cols), (m, r)
-            steps, high, monomial_at = rmcode._moebius_tables(m, r)
-            assert (steps, high) == (ref_steps, ref.moebius_tables(m, r)[1]), (m, r)
-            assert monomial_at.dtype == ref_monomial_at.dtype
-            assert np.array_equal(monomial_at, ref_monomial_at), (m, r)
 
 
 def test_decoder_tables_match_the_per_point_reference():
@@ -143,8 +139,6 @@ def test_evaluations_reject_masks_out_of_range():
     for bad in (8, -1):
         with pytest.raises(ValueError):
             rmcode.evaluations(3, [0, bad])
-        with pytest.raises(ValueError):
-            rmcode.eval_monomial_packed(bad, 3)
 
 
 def test_params_arithmetic():
@@ -298,6 +292,31 @@ def test_moebius_membership_and_message_match_linear_algebra(case):
         for fn in (rmcode.is_codeword, rmcode.message_of_codeword):
             with pytest.raises(ValueError):
                 fn(p, bad)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_block_transform_matches_the_references(m):
+    # encode_rows against the reference generator's product mod 2, and
+    # in_code against the dual-generator parity check: blocks of 0, 1 and
+    # 2048 random words, codewords and codewords with one flip, also as a
+    # non-contiguous view
+    rng = np.random.default_rng(m)
+    for r in range(m + 1):
+        p = CodeParams(m, r)
+        G = ref.generator_matrix(m, r).astype(np.int64)
+        for T in (0, 1, 2048):
+            bits = rng.integers(0, 2, (T, p.k))
+            c = rmcode.encode_rows(p, bits)
+            assert c.dtype == np.uint8 and c.shape == (T, p.n) and np.array_equal(c, bits @ G % 2), (m, r, T)
+            flipped = c.copy()
+            flipped[np.arange(T), rng.integers(0, p.n, T)] ^= 1
+            words = np.concatenate([rng.integers(0, 2, (T, p.n), dtype=np.uint8), c, flipped])
+            want = [ref_is_codeword(p, y) for y in words]
+            assert want[T:2 * T] == [True] * T and (r == m or not any(want[2 * T:])), (m, r, T)
+            assert rmcode.in_code(p, words).tolist() == want, (m, r, T)
+            strided = np.repeat(words, 2, axis=1)[:, ::2]
+            assert rmcode.in_code(p, strided).tolist() == want, (m, r, T)
+            assert np.array_equal(rmcode.encode_rows(p, np.repeat(bits, 2, axis=1)[:, ::2]), c), (m, r, T)
 
 
 @settings(max_examples=40, deadline=None)

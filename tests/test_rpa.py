@@ -7,7 +7,7 @@ from rmlab import rmcode, sim
 from rmlab.channel import ChannelSpec
 from rmlab.decoders.fht import fht_decode_words
 from rmlab.decoders.oracle import ml_codewords
-from rmlab.decoders.rpa import _in_code, chase_codewords, rpa_decode_bsc, rpa_decode_llr
+from rmlab.decoders.rpa import chase_codewords, rpa_decode_bsc, rpa_decode_llr
 from rmlab.decoders.types import result_for, soft_metric
 
 
@@ -19,23 +19,6 @@ def flip(word, coords):
     out = word.copy()
     out[np.asarray(coords, dtype=np.intp)] ^= 1
     return out
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-def test_in_code_equals_is_codeword_row_by_row(m):
-    # the batched Moebius test against rmcode's packed one: random words,
-    # codewords, codewords with one flip, and the empty block
-    rng = np.random.default_rng(m)
-    for r in range(m + 1):
-        params = rmcode.CodeParams(m, r)
-        c = rmcode.encode_rows(params, rng.integers(0, 2, (12, params.k)))
-        flipped = c.copy()
-        flipped[np.arange(12), rng.integers(0, params.n, 12)] ^= 1
-        words = np.concatenate([rng.integers(0, 2, (12, params.n), dtype=np.uint8), c, flipped])
-        want = [rmcode.is_codeword(params, w) for w in words]
-        assert _in_code(params, words).tolist() == want
-        assert want[12:24] == [True] * 12 and (r == m) == all(want[24:])
-        assert _in_code(params, words[:0]).shape == (0,)
 
 
 def test_order1_reduces_to_fht():

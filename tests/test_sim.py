@@ -174,47 +174,51 @@ def test_bw_guard_counts_step1_index_cells():
             assert rmcode.CodeParams(m, r_bw).k * rmcode.CodeParams(m, r_bw + 1).k < sim.BW_MAX_CELLS // 16
 
 
-# per id: its cells at length n (per row, or fht's parity table), the
-# largest code sim.KERNEL_MAX_CELLS admits, and codes past it
+# per id: its cells on RM(m, r) (per row, or the parity table of fht and
+# of dumer's largest first-order leaf), the largest code sim.KERNEL_MAX_CELLS
+# admits, and codes past it
 KERNEL_GUARDS = {
-    "rpa": (lambda n: (n - 1) * n, (10, 2), [(11, 2), (13, 2), (11, 5)]),
-    "rpa-chase:2": (lambda n: (n - 1) * n, (10, 3), [(11, 2), (13, 2)]),
-    "sakkour": (lambda n: n * n, (10, 2), [(11, 2), (14, 2)]),
-    "fht": (lambda n: n * n, (10, 1), [(11, 1), (16, 1), (40, 1)]),
+    "rpa": (lambda m, r: ((1 << m) - 1) << m, (10, 2), [(11, 2), (13, 2), (11, 5)]),
+    "rpa-chase:2": (lambda m, r: ((1 << m) - 1) << m, (10, 3), [(11, 2), (13, 2)]),
+    "sakkour": (lambda m, r: 4**m, (10, 2), [(11, 2), (14, 2)]),
+    "fht": (lambda m, r: 4**m, (10, 1), [(11, 1), (16, 1), (40, 1)]),
+    "dumer": (lambda m, r: 4 ** (m - r + 1), (10, 1), [(11, 1), (16, 1), (12, 2)]),
 }
 
 
 @pytest.mark.parametrize("decoder_id", sorted(KERNEL_GUARDS))
 def test_kernel_guard_counts_cells_per_code(decoder_id):
-    # the guard resolves these ids up to RM(10, r) and exits 4 past it, from
+    # the guard resolves each id's largest code and exits 4 past it, from
     # config_from_dict (rmlab simulate) and resolve_decoder (rmlab decode)
     cells, largest, past = KERNEL_GUARDS[decoder_id]
     assert sim.KERNEL_MAX_CELLS == 1 << 20
     channel_kind = "bsc" if decoder_id in ("rpa", "sakkour") else "awgn"
     assert resolve_decoder(decoder_id, rmcode.CodeParams(*largest), channel_kind, False)
-    assert cells(1 << largest[0]) <= sim.KERNEL_MAX_CELLS < cells(2 << largest[0])
+    assert cells(*largest) <= sim.KERNEL_MAX_CELLS < cells(largest[0] + 1, largest[1])
     for m, r_past in past:
-        with pytest.raises(TooLarge, match=f"RM\\({m},{r_past}\\) needs {cells(1 << m)} cells"):
+        with pytest.raises(TooLarge, match=f"RM\\({m},{r_past}\\) needs {cells(m, r_past)} cells"):
             config_from_dict({"m": m, "r": r_past, "decoder": decoder_id, "trials": 1,
                               "channels": [f"{channel_kind}:0.01"]})
         with pytest.raises(TooLarge):
             resolve_decoder(decoder_id, rmcode.CodeParams(m, r_past), channel_kind, False)
-    # the benchmark's codes (rpa RM(7,2), rpa-chase:3 and sakkour RM(5,2))
-    # and those of the acceptance criteria (fht RM(3,1) and RM(4,1),
-    # rpa-chase:3 RM(5,2)) sit at least 16 times below the cap
+    # the benchmark's codes (rpa RM(7,2), rpa-chase:3 and sakkour RM(5,2),
+    # dumer RM(5,2) and RM(8,3)) and those of the acceptance criteria (fht
+    # RM(3,1) and RM(4,1), rpa-chase:3 RM(5,2)) sit at least 16 times below
+    # the cap
     for m in range(1, 8):
-        assert cells(1 << m) <= sim.KERNEL_MAX_CELLS // 16
+        assert cells(m, 1) <= sim.KERNEL_MAX_CELLS // 16
+    assert cells(8, 3) <= sim.KERNEL_MAX_CELLS // 16
 
 
 @pytest.mark.parametrize("decoder_id,m,r,channel_kind", [
     ("rpa", 8, 2, "bsc"), ("rpa", 9, 2, "bsc"), ("rpa", 9, 2, "awgn"), ("rpa", 8, 3, "bsc"),
     ("rpa-chase:2", 8, 2, "awgn"), ("sakkour", 8, 2, "bsc"), ("sakkour", 9, 2, "bsc"),
-    ("fht", 9, 1, "awgn"), ("fht", 10, 1, "awgn"),
+    ("fht", 9, 1, "awgn"), ("fht", 10, 1, "awgn"), ("dumer", 9, 1, "awgn"), ("dumer", 10, 1, "awgn"),
 ])
 def test_kernel_peak_below_the_guard_model(decoder_id, m, r, channel_kind):
     # the cap assumes at most 64 bytes per cell for one row with its tables
     # built; hard rpa peaks near 60 at r = 2 and 52 at r = 3, soft rpa near
-    # 24, sakkour near 27 and fht's parity table near 5
+    # 24, sakkour near 27 and the parity table of fht and dumer near 5
     import tracemalloc
 
     params = rmcode.CodeParams(m, r)
@@ -232,7 +236,7 @@ def test_kernel_peak_below_the_guard_model(decoder_id, m, r, channel_kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * KERNEL_GUARDS[decoder_id][0](params.n)
+    assert peak < 64 * KERNEL_GUARDS[decoder_id][0](m, r)
 
 
 @pytest.mark.parametrize("mu", [256, 1024])
