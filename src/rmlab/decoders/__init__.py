@@ -3,10 +3,10 @@
 Every decoder is a pure function.  Hard-input decoders take uint8 words,
 soft-input decoders take LLR vectors (positive = 0 more likely).  Each
 family has one kernel, a `*_codewords` function that decodes a (T, n)
-block at once and returns the words (bw_codewords also flags the rows it
-could not decode, which its blocks of one, bw_word and bw_decode, raise
-Undecodable for); the harness binds them, and a single word decodes as a
-block of one, reed_codewords(params, y[None])[0].  types.result_for
+block at once and returns the (T, n) words and nothing else (a row that
+bw_codewords could not decode keeps its hard word, outside the code); the
+harness binds them, and a single word decodes as a block of one,
+reed_codewords(params, y[None])[0].  types.result_for
 packages a word as a DecodeResult: its message when it is a codeword, and
 its metric, the soft score (1/2) * sum_z (-1)^{c_z} L_z against the
 decoder's input (hard inputs are scored against their +/-1 image), so
@@ -28,7 +28,7 @@ from .rpa import (
     rpa_decode_llr,
     rpa_llr_codewords,
 )
-from .bw import bw_codewords, bw_decode, bw_word
+from .bw import bw_codewords
 
 __all__ = [
     "Ambiguous",
@@ -51,6 +51,4 @@ __all__ = [
     "rpa_decode_llr",
     "rpa_llr_codewords",
     "bw_codewords",
-    "bw_decode",
-    "bw_word",
 ]

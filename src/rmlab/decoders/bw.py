@@ -22,6 +22,11 @@ maps E|U one to one into the dual of R|U.  So E|U = R|U, and by induction
 (x_i times a degree-s monomial) RM(m, s)|U = R|U for every s >= r: C's dual
 RM(m, 2r+1) restricted to U holds every function on U, and a codeword of C
 supported on U, orthogonal to all of them, is zero.
+
+So the words alone tell the undecodable rows: a consistent row comes back
+encoded, in C, and a kept hard word y lies outside C, since a codeword y
+agrees with itself off any U and makes step 2 consistent.  On a single
+word, sim.resolve_decoder raises Undecodable for a word outside C.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .. import gf2, rmcode
 from .oracle import erasure_solve
-from .types import DecodeResult, Undecodable, hard_rows, result_for
+from .types import hard_rows
 
 _BYTES = 1 << 20  # of each chunk's S bits and packed rows, or one row's
 
@@ -45,8 +50,6 @@ def _step1_tables(m: int, r: int):
     sums y over x_S's support, and point_mask(A | B) is the OR of the two
     masks; and E's columns as rows, (n, words).  E's generator is built
     first, so that its TooLarge guard fires before the index is."""
-    if r < 0 or m - 2 * r - 2 < 0:
-        raise ValueError("need 0 <= r <= m/2 - 1")
     mults = rmcode.CodeParams(m, r + 1)
     columns = gf2.pack_rows(rmcode.generator_matrix(mults).T)
     masks = [rmcode.point_mask(rmcode.monomials(code), m).astype(np.int32) for code in (rmcode.CodeParams(m, r), mults)]
@@ -62,38 +65,19 @@ def _erasures(m: int, r: int, Ys: np.ndarray) -> np.ndarray:
     return ~rows[:, :, index.shape[0]:].any(axis=1)
 
 
-def bw_codewords(m: int, r: int, Ys) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each row of a (T, n) block of hard words in RM(m, m-2r-2):
-    (words, undecodable), an undecodable row keeping its hard word."""
+def bw_codewords(params: rmcode.CodeParams, Ys) -> np.ndarray:
+    """Decode each row of a (T, n) block of hard words in C = params, with
+    r = (m - params.r) // 2 - 1; an undecodable row keeps its hard word."""
+    m, r = params.m, (params.m - params.r) // 2 - 1
+    if r < 0 or (m - params.r) % 2:
+        raise ValueError("need m - r even and >= 2")
     k_r, k_e = _step1_tables(m, r)[0].shape
-    code_c = rmcode.CodeParams(m, m - 2 * r - 2)
-    Ys = hard_rows(code_c.n, Ys)
-    words, undecodable = Ys.copy(), np.zeros(len(Ys), bool)
+    Ys = hard_rows(params.n, Ys)
+    words = Ys.copy()
     words_e = -(-k_e // 64)
-    step = max(1, _BYTES // max(64 * words_e * k_r, 8 * words_e * (k_r + code_c.n), 8 * code_c.n * (code_c.k // 64 + 1)))
+    step = max(1, _BYTES // max(64 * words_e * k_r, 8 * words_e * (k_r + params.n), 8 * params.n * (params.k // 64 + 1)))
     for lo in range(0, len(Ys), step):
         chunk = Ys[lo:lo + step]
-        bits, consistent, _ = erasure_solve(code_c, chunk, _erasures(m, r, chunk))
-        words[lo + np.flatnonzero(consistent)] = rmcode.encode_rows(code_c, bits[consistent])
-        undecodable[lo:lo + step] = ~consistent
-    return words, undecodable
-
-
-def bw_word(m: int, r: int, y) -> tuple[np.ndarray, np.ndarray]:
-    """bw_codewords on a block of one, step 1 run once: (codeword, U);
-    raises Undecodable for a flagged word."""
-    Y = hard_rows(1 << m, np.asarray(y)[None])
-    U = _erasures(m, r, Y)
-    code_c = rmcode.CodeParams(m, m - 2 * r - 2)
-    bits, consistent, _ = erasure_solve(code_c, Y, U)
-    if not consistent[0]:
-        raise Undecodable("erased word inconsistent with the code")
-    return rmcode.encode_rows(code_c, bits)[0], U[0]
-
-
-def bw_decode(m: int, r: int, y) -> DecodeResult:
-    """bw_word with its result; the metric scores the word against y with
-    U's coordinates 0."""
-    word, U = bw_word(m, r, y)
-    L = np.where(U, 0.0, 1.0 - 2.0 * np.asarray(y, dtype=np.uint8))
-    return result_for(rmcode.CodeParams(m, m - 2 * r - 2), word, L)
+        bits, consistent, _ = erasure_solve(params, chunk, _erasures(m, r, chunk))
+        words[lo + np.flatnonzero(consistent)] = rmcode.encode_rows(params, bits[consistent])
+    return words

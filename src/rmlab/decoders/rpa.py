@@ -246,7 +246,8 @@ def _keep_better(params, best, best_metric, trial, words, Ls) -> None:
 def _chase(params: rmcode.CodeParams, decode_rows, Ls: np.ndarray, t: int) -> np.ndarray:
     """The Chase winner for every row of a (T, n) LLR block of RM(m, r).
 
-    decode_rows maps a block of candidate LLR rows to words.  Per trial the
+    decode_rows maps a block of candidate LLR rows to new words; it chunks
+    the block itself and never writes into it.  Per trial the
     candidates run in order (the unperturbed L, then masks 0 .. 2^t - 1),
     and the first codeword with the strict maximum of soft_metric against
     the trial's L wins; a trial with no codeword candidate, or whose
@@ -263,12 +264,10 @@ def _chase(params: rmcode.CodeParams, decode_rows, Ls: np.ndarray, t: int) -> np
     Ties keep the earlier candidate, so w0 wins.  Only the other trials
     decode their 2^t perturbed candidates.
     """
-    T, n = Ls.shape
+    n = Ls.shape[1]
     if not (0 <= t <= min(CHASE_MAX_T, n)):
         raise ValueError("t out of range")
-    best = np.empty(Ls.shape, dtype=np.uint8)
-    for rows in _chunks(T, n):
-        best[rows] = decode_rows(Ls[rows].copy())  # decode_rows may write into its rows
+    best = decode_rows(Ls)
     hard = ((best == (Ls < 0)) | (Ls == 0)).all(axis=1)
     live = np.flatnonzero(~(rmcode.in_code(params, best) & (hard | distance_certified(params, Ls, best))))
     Lo = Ls[live]

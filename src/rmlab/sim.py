@@ -307,26 +307,33 @@ def _combo_help() -> str:
 
 def resolve_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
     """Map a decoder id to (input kind, word -> codeword callable): its block
-    kernel on a block of one, but bw_word for bw, which raises Undecodable.
-    The callables return the decoded word only; a caller that wants the
-    message or the metric packages the word with types.result_for, as
-    `rmlab decode` does.  Raises ConfigError on the combinations DECODERS
-    rules out; TooLarge guards ml, dumer-list, bw, rpa, rpa-chase, sakkour,
-    fht and dumer.  A callable given a word
-    that is not n long raises ValueError("expected rows of n values").
+    kernel on a block of one.  For bw the callable raises Undecodable when
+    the word is outside the code, which happens exactly when erasure filling
+    failed (decoders.bw).  The callables return the decoded word only; a
+    caller that wants the message or the metric packages the word with
+    types.result_for, as `rmlab decode` does.  Raises ConfigError on the
+    combinations DECODERS rules out; TooLarge guards ml, dumer-list, bw, rpa,
+    rpa-chase, sakkour, fht and dumer.  A callable given a word that is not
+    n long raises ValueError("expected rows of n values").
     """
     kind, fn = resolve_block_decoder(decoder_id, params, channel_kind, hard)
-    if decoder_id == "bw":
-        return kind, lambda word: decoders.bw_word(params.m, _bw_r(params), word)[0]
-    return kind, lambda word: fn(np.asarray(word)[None])[0]
+
+    def decode(word):
+        out = fn(np.asarray(word)[None])
+        if decoder_id == "bw" and not rmcode.in_code(params, out)[0]:
+            raise decoders.Undecodable("erased word inconsistent with the code")
+        return out[0]
+
+    return kind, decode
 
 
 def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_kind: str, hard: bool):
     """Map a decoder id to (input kind, (T, n) block -> (T, n) words), the
     harness's kernel.  Every id decodes the block at once, and row t equals
     the decode of row t alone; a bw row that is undecodable keeps its hard
-    word.  The input kind and the :argument rule come from DECODER_RULES;
-    the branch that binds an id's kernel checks its constraints."""
+    word, which is outside the code.  The input kind and the :argument rule
+    come from DECODER_RULES; the branch that binds an id's kernel checks its
+    constraints."""
     name, _, arg = decoder_id.partition(":")
     m, r = params.m, params.r
 
@@ -389,23 +396,19 @@ def resolve_block_decoder(decoder_id: str, params: rmcode.CodeParams, channel_ki
         capped((params.n - 1) * params.n, "projections per row")
         return kind, lambda Ls: decoders.chase_codewords(params, Ls, t)
     if name == "bw":
-        r_bw = _bw_r(params)
+        r_bw = (m - r) // 2 - 1  # RM(m, r) is RM(m, m - 2 r_bw - 2)
         if r_bw < 0 or (m - r) % 2:
             raise bad("bw needs m - r even and >= 2")
         cells = rmcode.CodeParams(m, r_bw).k * rmcode.CodeParams(m, r_bw + 1).k
         if cells > BW_MAX_CELLS:
             raise rmcode.TooLarge(f"{decoder_id} on RM({m},{r}) indexes {cells} step-1 cells, "
                                   f"past {BW_MAX_CELLS}")
-        return kind, lambda Ys: decoders.bw_codewords(m, r_bw, Ys)[0]
+        return kind, lambda Ys: decoders.bw_codewords(params, Ys)
     if name == "ml":
         if params.k > decoders.ML_MAX_K:
             raise rmcode.TooLarge(f"ml over 2^{params.k} codewords")
         return kind, lambda Ls: decoders.ml_codewords(params, Ls)
     raise bad("unknown decoder id")  # pragma: no cover
-
-
-def _bw_r(params: rmcode.CodeParams) -> int:
-    return (params.m - params.r) // 2 - 1  # bw's r: RM(m, r) is RM(m, m - 2 r_bw - 2)
 
 
 def _int_arg(arg: str, decoder_id: str) -> int:
@@ -435,9 +438,7 @@ def _stream_key(seed: int, point: int, trial: int, tag: int) -> int:
 def _streams(config: SimConfig, point, trials):
     """Message bits (T, k) and channel uniforms (T, n): row i holds the draws of the Philox
     streams with keys _stream_key(seed, point[i], trials[i], tag), tag 0 for bits and 1 for
-    uniforms.  point and trials are (T,) arrays, or an int point broadcast over a range."""
-    if isinstance(trials, range):
-        trials = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    uniforms.  point and trials are (T,) arrays."""
     trial = np.asarray(trials, dtype=np.uint64) & np.uint64(_MASK32)
     point = np.asarray(point, dtype=np.uint64) & np.uint64(0xFFFF)
     low = (point << np.uint64(48)) | (trial << np.uint64(16))

@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rmlab import gf2, rmcode
+from rmlab import gf2, rmcode, sim
 from rmlab.decoders import bw as bw_mod
-from rmlab.decoders.bw import bw_codewords, bw_decode
+from rmlab.decoders.bw import bw_codewords
 from rmlab.decoders.types import Undecodable
 
 import reference_structure as ref
@@ -17,13 +17,17 @@ def random_message(params, rng):
     return rmcode.Message(params, {a: 1 for a in rmcode.monomials(params) if rng.integers(2)})
 
 
-def correctable_as_erasures(m, r_n, coords):
-    # a pattern is erasure-correctable iff the unerased generator columns
-    # still span all k coefficient positions
-    params_n = rmcode.CodeParams(m, r_n)
-    cols = ref.transpose(rmcode.generator_rows(params_n), 1 << m)
-    keep = [cols[j] for j in range(1 << m) if j not in coords]
-    return gf2.rank(keep) == params_n.k
+def screened(m, r, coords):
+    """Criterion 6's screen: the complement of coords keeps RM(m, m-r-1) at
+    full rank, so RM(m, m-r-1) corrects coords as erasures."""
+    nbr = rmcode.CodeParams(m, m - r - 1)
+    keep = ((1 << nbr.n) - 1) ^ sum(1 << z for z in coords)
+    return gf2.rank([row & keep for row in rmcode.generator_rows(nbr)]) == nbr.k
+
+
+def decode_one(params, y):
+    """bw_codewords on a block of one."""
+    return bw_codewords(params, y[None])[0]
 
 
 def test_zero_errors_roundtrip():
@@ -32,8 +36,7 @@ def test_zero_errors_roundtrip():
         code_c = rmcode.CodeParams(m, m - 2 * r - 2)
         for _ in range(5):
             c = rmcode.encode(random_message(code_c, rng))
-            res = bw_decode(m, r, c)
-            assert np.array_equal(res.codeword, c)
+            assert np.array_equal(decode_one(code_c, c), c)
 
 
 def test_single_errors_exhaustive_small():
@@ -45,8 +48,7 @@ def test_single_errors_exhaustive_small():
         for j in range(16):
             y = c.copy()
             y[j] ^= 1
-            res = bw_decode(4, 0, y)
-            assert np.array_equal(res.codeword, c), j
+            assert np.array_equal(decode_one(code_c, y), c), j
 
 
 def test_screened_five_error_sets_recover_exactly():
@@ -56,39 +58,60 @@ def test_screened_five_error_sets_recover_exactly():
     done = 0
     while done < 20:
         coords = tuple(sorted(rng.choice(64, size=5, replace=False).tolist()))
-        if not correctable_as_erasures(6, 4, coords):
+        if not screened(6, 1, coords):
             continue
         c = rmcode.encode(random_message(code_c, rng))
         y = c.copy()
         y[list(coords)] ^= 1
-        res = bw_decode(6, 1, y)
-        assert np.array_equal(res.codeword, c), coords
+        assert np.array_equal(decode_one(code_c, y), c), coords
         done += 1
+
+
+@st.composite
+def screened_errors(draw):
+    m = draw(st.integers(2, 7))
+    r = draw(st.integers(0, m // 2 - 1))
+    # up to twice RM(m, m-r-1)'s minimum distance 2^(r+1): every smaller
+    # set passes the screen, and larger ones pass or fail it
+    size = draw(st.integers(0, 4 << r))
+    coords = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=size, max_size=size, unique=True))
+    assume(screened(m, r, coords))
+    return m, r, coords, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(screened_errors())
+def test_screened_error_sets_come_back_as_the_sent_word(case):
+    # the decoder's guarantee: errors RM(m, m-r-1) corrects as erasures
+    m, r, coords, seed = case
+    code_c = rmcode.CodeParams(m, m - 2 * r - 2)
+    c = rmcode.encode(random_message(code_c, np.random.default_rng(seed)))
+    y = c.copy()
+    y[coords] ^= 1
+    assert np.array_equal(decode_one(code_c, y), c)
 
 
 def test_uncorrectable_support_gives_definite_outcome():
     # flipping the support of a weight-2 word of RM(4,3) is outside the
-    # guarantee; accept Undecodable or some codeword, nothing else
+    # guarantee; accept some codeword or the kept hard word, nothing else
     supp = np.flatnonzero(ref.eval_monomial(0b0111, 4))
-    assert not correctable_as_erasures(4, 3, tuple(supp.tolist()))
+    assert not screened(4, 0, supp.tolist())
     rng = np.random.default_rng(74)
     code_c = rmcode.CodeParams(4, 2)
     for _ in range(10):
         c = rmcode.encode(random_message(code_c, rng))
         y = c.copy()
         y[supp] ^= 1
-        try:
-            res = bw_decode(4, 0, y)
-        except Undecodable:
-            continue
-        assert rmcode.is_codeword(code_c, res.codeword)
+        word = decode_one(code_c, y)
+        assert rmcode.is_codeword(code_c, word) or np.array_equal(word, y)
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        bw_decode(5, 2, np.zeros(32, dtype=np.uint8))  # needs r <= m/2 - 1
-    with pytest.raises(ValueError):
-        bw_decode(4, 0, np.zeros(8, dtype=np.uint8))  # wrong length
+    for r_c in (2, 4, 5):  # m - r odd or below 2
+        with pytest.raises(ValueError, match="m - r even"):
+            bw_codewords(rmcode.CodeParams(5, r_c), np.zeros((1, 32), dtype=np.uint8))
+    with pytest.raises(ValueError, match="rows of 16"):
+        bw_codewords(rmcode.CodeParams(4, 2), np.zeros((1, 8), dtype=np.uint8))
 
 
 def test_message_matches_codeword():
@@ -97,9 +120,9 @@ def test_message_matches_codeword():
     c = rmcode.encode(random_message(code_c, rng))
     y = c.copy()
     y[[3, 17, 40]] ^= 1
-    res = bw_decode(6, 1, y)
-    assert np.array_equal(rmcode.encode(res.message), res.codeword)
-    assert np.array_equal(res.codeword, c)
+    word = decode_one(code_c, y)
+    assert np.array_equal(rmcode.encode(rmcode.message_of_codeword(code_c, word)), word)
+    assert np.array_equal(word, c)
 
 
 # ---- the block kernel against the per-word decoder it replaced ----
@@ -123,32 +146,42 @@ def bw_blocks(draw):
 @settings(max_examples=60, deadline=None)
 @given(bw_blocks())
 def test_block_equals_per_word_reference_row_by_row(case):
-    # a flagged row keeps its hard word; the reference never meets more than
-    # one codeword on the unerased part (see the module docstring's proof)
+    # a row the reference cannot decode keeps its hard word, outside the
+    # code, and the single-word callable raises Undecodable for exactly
+    # those rows; the reference never meets more than one codeword on the
+    # unerased part (see the module docstring's proof)
     m, r, Ys = case
-    words, undecodable = bw_codewords(m, r, Ys)
-    for y, word, flagged in zip(Ys, words, undecodable):
+    params = rmcode.CodeParams(m, m - 2 * r - 2)
+    decode = sim.resolve_decoder("bw", params, "bsc", False)[1]
+    words = bw_codewords(params, Ys)
+    for y, word, in_code in zip(Ys, words, rmcode.in_code(params, words)):
         try:
             want = ref.bw_decode(m, r, y).codeword
         except Undecodable as exc:
             assert str(exc) == "erased word inconsistent with the code"
-            assert flagged and np.array_equal(word, y)
+            assert not in_code and np.array_equal(word, y)
+            with pytest.raises(Undecodable, match=f"^{exc}$"):
+                decode(y)
             continue
-        assert not flagged and np.array_equal(word, want)
+        assert in_code and np.array_equal(word, want)
+        assert np.array_equal(decode(y), word)
 
 
 def test_bw_decode_returns_the_reference_result():
+    # the word and its message; the callable raises the reference's error
     for m, r, p in [(4, 0, 0.1), (6, 1, 0.05), (7, 2, 0.02)]:
+        params = rmcode.CodeParams(m, m - 2 * r - 2)
+        decode = sim.resolve_decoder("bw", params, "bsc", False)[1]
         for y in noisy_block(m, r, p, 12, m):
             try:
                 want = ref.bw_decode(m, r, y)
             except Undecodable as exc:
                 with pytest.raises(Undecodable, match=f"^{exc}$"):
-                    bw_decode(m, r, y)
+                    decode(y)
                 continue
-            got = bw_decode(m, r, y)
-            assert np.array_equal(got.codeword, want.codeword)
-            assert (got.message, got.metric) == (want.message, want.metric)
+            got = decode(y)
+            assert np.array_equal(got, want.codeword)
+            assert rmcode.message_of_codeword(params, got) == want.message
 
 
 @pytest.mark.parametrize("m,r_c", [(10, 2), (12, 0)])
@@ -179,10 +212,11 @@ def test_block_peak_stays_within_the_chunk_model(m, r_c, rows):
     w = -(-k_e // 64)
     row_bytes = max(64 * w * k_r, 8 * w * (k_r + n), 8 * n * (k // 64 + 1))
     Ys = noisy_block(m, r, 0.02, rows, rows)
-    bw_codewords(m, r, Ys[:1])  # the lazy tables
+    params = rmcode.CodeParams(m, r_c)
+    bw_codewords(params, Ys[:1])  # the lazy tables
     tracemalloc.start()
     try:
-        bw_codewords(m, r, Ys)
+        bw_codewords(params, Ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rmlab import rmcode
 from rmlab.decoders import (
     Undecodable,
-    bw_decode,
+    bw_codewords,
     chase_codewords,
     dumer_codewords,
     dumer_list_codewords,
@@ -236,7 +236,7 @@ def test_sakkour_majority_matches_counter(log_n, spread, seed, dtype):
 def family_codeword(decoder_id, params, kind):
     """word -> codeword: decoder_id's family kernel on a block of one."""
     name, _, arg = decoder_id.partition(":")
-    m, r = params.m, params.r
+    m = params.m
     if name == "reed":
         return lambda y: reed_codewords(params, y[None])[0]
     if name == "fht":
@@ -254,7 +254,7 @@ def family_codeword(decoder_id, params, kind):
     if name == "rpa-chase":
         return lambda L: chase_codewords(params, L[None], int(arg))[0]
     if name == "bw":
-        return lambda y: bw_decode(m, (m - r - 2) // 2, y).codeword
+        return lambda y: bw_codewords(params, y[None])[0]
     if name == "ml":
         return lambda L: ml_codewords(params, L[None])[0]
     raise AssertionError(decoder_id)
@@ -291,10 +291,12 @@ def channel_llrs(params, style, rng):
 
 
 def outcome(fn, word):
+    """The decoded word's bytes; for Undecodable, those of the hard word,
+    which the block kernel keeps."""
     try:
         return np.asarray(fn(word), dtype=np.uint8).tobytes()
     except Undecodable:
-        return "undecodable"
+        return word.tobytes()
 
 
 @pytest.mark.parametrize("decoder_id,m,r", CASES)

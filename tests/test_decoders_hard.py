@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmlab import rmcode
-from rmlab.decoders.bw import bw_decode
+from rmlab.decoders.bw import bw_codewords
 from rmlab.decoders.oracle import ml_codewords
 from rmlab.decoders.reed import reed_codewords
 from rmlab.decoders.rpa import rpa_bsc_codewords, rpa_decode_bsc
@@ -187,13 +187,13 @@ def test_sakkour_agrees_with_ml_spot_check():
 
 
 # the four hard-input decoders on length-8 words, RM(3,1), RM(3,2), RM(3,1)
-# and RM(3,1): the reed and sakkour kernels on a block of one, the hard RPA
-# word and bw_decode, which share the block kernels' check
+# and RM(3,1): the reed, sakkour and bw kernels on a block of one and the
+# hard RPA word, which share the block kernels' check
 HARD_DECODERS = [
     lambda y: reed_codewords(rmcode.CodeParams(3, 1), np.asarray(y)[None])[0],
     lambda y: sakkour_codewords(3, np.asarray(y)[None])[0],
     lambda y: rpa_decode_bsc(rmcode.CodeParams(3, 1), y),
-    lambda y: bw_decode(3, 0, y),
+    lambda y: bw_codewords(rmcode.CodeParams(3, 1), np.asarray(y)[None])[0],
 ]
 
 
@@ -211,10 +211,6 @@ def test_hard_decoders_check_length_and_accept_any_binary_dtype(decode):
         decode([0] * 7)
     word = [1, 0, 0, 0, 0, 0, 0, 0]
 
-    def codeword(y):  # the kernels and rpa_decode_bsc return the word itself
-        out = decode(y)
-        return getattr(out, "codeword", out)
-
-    want = codeword(np.array(word, dtype=np.uint8))
+    want = decode(np.array(word, dtype=np.uint8))
     for same in (word, np.array(word, dtype=bool), np.array(word, dtype=np.float64)):
-        assert np.array_equal(codeword(same), want)
+        assert np.array_equal(decode(same), want)

@@ -477,11 +477,11 @@ def test_block_streams_equal_per_trial_generators_at_key_edges(m, r, seed):
     from rmlab import channel as ch
 
     cfg = SimConfig(m=m, r=r, decoder="dumer", channels=(ChannelSpec("awgn", 1.0),), trials=1, seed=seed)
-    point, trials = sim.MAX_POINTS - 1, range(sim.MAX_TRIALS - 3, sim.MAX_TRIALS)
-    bits, u = sim._streams(cfg, point, trials)
+    point, trials = sim.MAX_POINTS - 1, np.arange(sim.MAX_TRIALS - 3, sim.MAX_TRIALS, dtype=np.uint64)
+    bits, u = sim._streams(cfg, np.full(trials.shape, point, dtype=np.uint64), trials)
     p = cfg.params
-    want_bits = np.stack([ch._rng(sim._stream_key(seed, point, t, 0)).integers(0, 2, size=p.k) for t in trials])
-    want_u = np.stack([ch._rng(sim._stream_key(seed, point, t, 1)).random(p.n) for t in trials])
+    want_bits = np.stack([ch._rng(sim._stream_key(seed, point, t, 0)).integers(0, 2, size=p.k) for t in trials.tolist()])
+    want_u = np.stack([ch._rng(sim._stream_key(seed, point, t, 1)).random(p.n) for t in trials.tolist()])
     assert bits.dtype == want_bits.dtype and np.array_equal(bits, want_bits)
     assert u.dtype == want_u.dtype and np.array_equal(u, want_u)
 
