@@ -8,15 +8,22 @@ in blocks of T = BLOCK_CELLS // n rows that may span consecutive points of
 one channel kind: each block draws its rows' message bits and uniforms in
 one Philox kernel call, encodes them in one product, applies each point's
 channel to its rows, decodes them in one kernel call and counts errors
-with array operations.  Only the rows the channel did not leave clean reach
-the kernel; a clean row counts zero errors, and a block with none calls no
-kernel.  A hard row y is clean when its distance w from the sent codeword
-c lies below the id's HARD_REACH: 2 w < d, d the code's minimum distance,
-for reed, sakkour and rpa on hard input, and w = 0 for bw.  A soft
-row is clean when every L_z has the sign of 1 - 2 c_z and g, the
-r-fold self-composition of channel.llr_of_sum from the row's smallest
-|L|, exceeds n * CLEAN_FLOOR = n 2^-40 (_clean_rows).  This rests on one
-contract: every kernel returns c for every row inside its radius.
+with array operations.  Only the rows outside the kernel's reach get
+decoded; a row inside it counts zero errors, and a block with none
+outside calls no kernel.
+
+One table, REACH, gives per decoder name the least distance w from the
+sent codeword c at which a sign-quantized row reaches the kernel:
+ceil(d/2), d = 2^(m-r) the code's minimum distance, for reed, sakkour,
+rpa (hard and soft), ml, fht and rpa-chase, and 1 for bw, dumer and
+dumer-list.  A row is sign-quantized when it is a hard word, or a soft
+row whose |L_z| all equal one M > 0 (every BSC row); w is the distance
+from the word, or from the row's hard decision L < 0, to c.  Any other
+soft row skips only at w = 0.  A soft row also keeps a floor
+(_clean_rows): g, the r-fold self-composition of channel.llr_of_sum,
+must exceed n * CLEAN_FLOOR = n 2^-40, folded from the row's smallest |L|
+when w = 0 and from M/2 when a one-magnitude row has w >= 1.  This rests
+on one contract: every kernel returns c for every row inside its reach.
 
 - Hard input, for every error of weight w with 2 w < d:
   - reed: the reed docstring states the guarantee, and
@@ -38,43 +45,72 @@ contract: every kernel returns c for every row inside its radius.
   - bw meets it only at w = 0, where it erases nothing; it is not
     bounded-distance (at RM(6,2), where d/2 = 8, 9 of 400 random
     weight-4 errors failed).
-- ml: the hard decision is c, Reed's decoder returns it, so D is empty
-  and the distance certificate holds (the oracle docstring); without it
-  the exact search would still return c, whose correlation beats every
-  other codeword's by at least 2 d min|L|.
-- fht: every butterfly value of a +-|L| affine word is exact at equal
-  magnitudes.  Otherwise the peak beats every other |correlation| by
-  n min|L|, far above the transform's rounding, at most about
-  2 m u sum|L| <= m n 2^-46 with u = 2^-53 and |L| <= 40.
-- dumer and rpa: by induction each subproblem gets a clean input and
-  returns its codeword.  Every llr_of_sum of the halves (Dumer's v part,
-  RPA's projections) has the sign of the sum's bit; every Plotkin sum
-  L0 + (1 - 2v) L1 and every aggregation average adds terms of one
-  sign.  So signs hold, sums and averages keep the smallest |L| (up to a
-  relative n u), and along any path to a first-order leaf r - 1
-  llr_of_sum steps take it no lower than g, up to an absolute error of
-  a few ulp of the largest input, at most 40 n / 2, per step.  The
-  leaf's FHT, of length n' >= 2, has a peak gap of at least n' g against
-  the same rounding bound (Plotkin sums keep sum|L| <= 40 n), so it needs
-  g > m n 2^-47.  Near p = 1/2 llr_of_sum(mag, mag) ~ mag^2/2 is lost to
-  rounding and g reaches 0: that is where Dumer and RPA move a clean
-  codeword, and the floor keeps such rows decoded.
-- rpa-chase: its unperturbed word w0 is rpa's, c, a codeword equal to the
-  hard decision, so the trial settles on c.
-- dumer-list: in exact arithmetic a partial penalty is the negative
-  log-likelihood of the decided prefix, so on a clean row the sent path
-  is strictly best at every prune.  Rounding breaks this only where the
-  zero-order leaf's input g vanishes and both bits tie at ln 2: on RM(8,3)
-  at +-0.012, +-0.014 and +-0.016 (g = 0) u = 16 moved 105, 59 and 0 of
-  200 clean words, u = 4 187, 162 and 74; from +-0.018 none moved.
+- Soft input at w = 0 (every L_z has the sign of 1 - 2 c_z), at the
+  floor folded from min|L|:
+  - ml: the hard decision is c, Reed's decoder returns it, so D is empty
+    and the distance certificate holds (the oracle docstring); without it
+    the exact search would still return c, whose correlation beats every
+    other codeword's by at least 2 d min|L|.
+  - fht: every butterfly value of a +-|L| affine word is exact at equal
+    magnitudes.  Otherwise the peak beats every other |correlation| by
+    n min|L|, far above the transform's rounding, at most about
+    2 m u sum|L| <= m n 2^-46 with u = 2^-53 and |L| <= 40.
+  - dumer and rpa: by induction each subproblem gets a clean input and
+    returns its codeword.  Every llr_of_sum of the halves (Dumer's v part,
+    RPA's projections) has the sign of the sum's bit; every Plotkin sum
+    L0 + (1 - 2v) L1 and every aggregation average adds terms of one
+    sign.  So signs hold, sums and averages keep the smallest |L| (up to a
+    relative n u), and along any path to a first-order leaf r - 1
+    llr_of_sum steps take it no lower than g, up to an absolute error of
+    a few ulp of the largest input, at most 40 n / 2, per step.  The
+    leaf's FHT, of length n' >= 2, has a peak gap of at least n' g against
+    the same rounding bound (Plotkin sums keep sum|L| <= 40 n), so it needs
+    g > m n 2^-47.  Near p = 1/2 llr_of_sum(mag, mag) ~ mag^2/2 is lost to
+    rounding and g reaches 0: that is where Dumer and RPA move a clean
+    codeword, and the floor keeps such rows decoded.
+  - rpa-chase: its unperturbed word w0 is rpa's, c, a codeword equal to the
+    hard decision, so the trial settles on c.
+  - dumer-list: in exact arithmetic a partial penalty is the negative
+    log-likelihood of the decided prefix, so on a clean row the sent path
+    is strictly best at every prune.  Rounding breaks this only where the
+    zero-order leaf's input g vanishes and both bits tie at ln 2: on RM(8,3)
+    at +-0.012, +-0.014 and +-0.016 (g = 0) u = 16 moved 105, 59 and 0 of
+    200 clean words, u = 4 187, 162 and 74; from +-0.018 none moved.
+- One magnitude M, at 1 <= w with 2 w < d, at the floor folded from M/2:
+  - ml: a codeword x scores M (n - 2 dist(x, y)) against the hard
+    decision y, so c, the only codeword within d/2 of y, is the unique
+    ML word, and ml returns it (the oracle docstring).  The certificate
+    settles it without a search: Reed's decoder returns c, D holds the w
+    flips, and with every scaled |L| one a, LB - lambda = (d - 2 w) a >= a
+    lies above the slack, n^2 2^-50 a, while n < 2^25.
+  - fht: c's correlation is M (n - 2 w), and every other affine word but
+    c's complement agrees with c in n/2 places, so its |correlation| is at
+    most 2 w M.  The gap M (n - 4 w) >= 2 M (4 w <= 2 d - 2 = n - 2) lies
+    far above the transform's rounding, about m u n M.
+  - rpa, by induction on r from fht: a projection llr_of_sum(L_z, L_z')
+    is +-g, g = llr_of_sum(M, M), up to a few ulp of M (like and unlike
+    signs round along different paths), with at most w sign errors over
+    n/2 points, and RM(m-1, r-1) has the same d.  At r = 2 the
+    first-order gap (n/2 - 4 w) g >= 2 g lies far above n/2 such ulp,
+    since the floor keeps g > n 2^-40; at r >= 3 the projection keeps
+    RM(m-1, r-1)'s floor folded from g/2, since g/2 >= llr_of_sum(M/2,
+    M/2) (a -> llr_of_sum(a, a) is convex and 0 at 0).  So every
+    projection decodes to c's, and coordinate z's n - 1 votes are +-M
+    with at most w wrong: round 1 leaves every L_z with the sign of
+    1 - 2 c_z and |L_z| >= M (n - 1 - 2 w)/(n - 1) > M/2, as 2 w <= d - 1
+    <= n/2 - 1.  The later rounds see a sign-clean row whose floor, folded
+    from above M/2, holds, and return c by the w = 0 argument.
+  - rpa-chase: its unperturbed word w0 is rpa's, c, and the certificate
+    settles the trial as for ml (n <= 2^10 under KERNEL_MAX_CELLS).
+  - bw, dumer and dumer-list have no such proof and keep reach 1.
 
 A row the rule rejects is only decoded, so the skip returns what the
 kernel would have returned and the CSV is unchanged.  n 2^-40 lies about
 200 / m above those bounds (and the r llr_of_sum errors, of about
 n 2^-47 each); with the floor 2^12 times lower no tested clean codeword
 moved (2^16 lower, dumer-list's RM(1, 0) leaf ties at min|L| ~ 2^-55).
-tests/test_block_engine.py checks the contract per id, and
-tests/test_decoders_hard.py each hard radius.
+tests/test_block_engine.py checks the contract per id, the soft radius
+included, and tests/test_decoders_hard.py each hard radius.
 Wall-clock seconds are recorded only when timing is enabled; the default
 keeps the CSV byte-reproducible.
 """
@@ -125,10 +161,18 @@ def _half_d(d: int) -> int:
     return (d + 1) // 2  # the least w with 2 w >= d
 
 
-# Per hard-input id, the least distance from c at which a hard row reaches
-# the kernel, from the code's minimum distance d: the kernel returns c for
-# every nearer row (see the module docstring).
-HARD_REACH = {"reed": _half_d, "sakkour": _half_d, "rpa": _half_d, "bw": lambda d: 1}
+def _one(d: int) -> int:
+    return 1
+
+
+# Per decoder name, the least distance w from c, of a hard word or of a
+# one-magnitude soft row's hard decision, at which the row reaches the
+# kernel, from the code's minimum distance d: the kernel returns c for
+# every nearer row that keeps the floor (see the module docstring).
+REACH = {
+    "reed": _half_d, "fht": _half_d, "sakkour": _half_d, "dumer": _one, "dumer-list": _one,
+    "rpa": _half_d, "rpa-chase": _half_d, "bw": _one, "ml": _half_d,
+}
 
 # run_simulation's pool size limit: a fork pool starts all its workers at once
 MAX_WORKERS = 256
@@ -447,29 +491,45 @@ def _streams(config: SimConfig, point, trials):
 
 
 def _clean_rows(params: rmcode.CodeParams, Ls: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Whether each LLR row of Ls is clean for its codeword row of c: every
-    L_z has the sign of 1 - 2 c_z, and g, the r-fold self-composition of
-    llr_of_sum from the row's smallest |L|, exceeds n * CLEAN_FLOOR (see the
-    module docstring).  The floor is computed only for rows whose hard
-    decision is c; a zero L_z passes that test but gives g = 0."""
-    clean = ~((Ls < 0) ^ c.view(bool)).any(axis=1)
-    rows = np.flatnonzero(clean)
-    g = np.abs(Ls[rows]).min(axis=1, initial=np.inf)
+    """Whether each LLR row of Ls keeps the floor for its codeword row of c:
+    g, the r-fold self-composition of llr_of_sum, exceeds n * CLEAN_FLOOR,
+    folded from the row's smallest |L| when every L_z has the sign of
+    1 - 2 c_z, and from M / 2 when every |L_z| equals one M and some sign
+    differs; any other row fails (see the module docstring).  Whether the
+    row lies inside its id's REACH is the caller's test.  A zero L_z passes
+    the sign test but gives g = 0."""
+    signed = Ls * (1.0 - 2.0 * c)  # positive where L_z has the sign of 1 - 2 c_z
+    g = signed.min(axis=1, initial=np.inf)
+    off = np.flatnonzero(~(g > 0))  # a sign that differs, or a zero
+    mag = np.abs(signed[off])
+    g[off] = np.where((mag == mag[:, :1]).all(axis=1), mag[:, 0] / 2, 0.0)
     for _ in range(params.r):
         g = channel.llr_of_sum(g, g)
-    clean[rows] = g > params.n * CLEAN_FLOOR
-    return clean
+    return g > params.n * CLEAN_FLOOR
+
+
+def _inside_reach(params: rmcode.CodeParams, kind: str, words: np.ndarray, c: np.ndarray,
+                  reach: int) -> np.ndarray:
+    """Whether each row of a (T, n) block of hard words or LLRs skips its
+    kernel, which returns c for it (see the module docstring): the word, or
+    the row's hard decision L < 0, lies at distance w < reach from its
+    codeword row of c, and a soft row keeps the floor (_clean_rows)."""
+    wrong = words != c if kind == "hard" else (words < 0) ^ c.view(bool)
+    inside = np.count_nonzero(wrong, axis=1) < reach
+    if kind == "soft" and inside.any():
+        rows = np.flatnonzero(inside)
+        inside[rows] = _clean_rows(params, words[rows], c[rows])
+    return inside
 
 
 def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
     """Rows [lo, hi) of the whole sweep, row g being trial g % trials of point
     g // trials, block by block.  A block spans consecutive points of one
-    channel kind.  Its kernel gets only the rows the channel did not leave
-    clean (see the module docstring), and the block itself, uncopied, when
-    none is clean.  Returns {point: (bit_err, blk_err, failing trials
-    ascending, at most max_errors_to_log, seconds)} for every point the rows
-    touch, each block's wall time charged to its points in proportion to
-    their rows."""
+    channel kind.  Its kernel gets only the rows outside the id's reach
+    (_inside_reach), and the block itself, uncopied, when every row is.
+    Returns {point: (bit_err, blk_err, failing trials ascending, at most
+    max_errors_to_log, seconds)} for every point the rows touch, each
+    block's wall time charged to its points in proportion to their rows."""
     params, trials, specs = config.params, config.trials, config.channels
     # run_end[p]: the first point after p whose channel kind differs (or the end)
     run_end = [len(specs)] * len(specs)
@@ -477,7 +537,7 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
         run_end[p] = run_end[p + 1] if specs[p + 1].kind == specs[p].kind else p + 1
     decoders = {kind: resolve_block_decoder(config.decoder, params, kind, config.hard)
                 for kind in dict.fromkeys(spec.kind for spec in specs)}
-    reach = HARD_REACH[config.decoder](params.d) if config.decoder in HARD_REACH else None
+    reach = REACH[config.decoder.partition(":")[0]](params.d)
     step = max(1, BLOCK_CELLS // params.n)
     tally = {}
     start = lo
@@ -499,12 +559,8 @@ def _run_trials(config: SimConfig, lo: int, hi: int) -> dict:
                 words.append(channel.llr(out, spec))
             segments.append((p, rows))
         words = words[0] if len(words) == 1 else np.concatenate(words)
-        # a kernel returns c for a clean row: only the other rows reach it
-        if kind == "hard":
-            live = np.flatnonzero(np.count_nonzero(words != c, axis=1) >= reach)
-        else:
-            live = np.flatnonzero(~_clean_rows(params, words, c))
-        if live.size == stop - start:  # no clean row: the block goes whole, with no copy
+        live = np.flatnonzero(~_inside_reach(params, kind, words, c, reach))
+        if live.size == stop - start:  # every row outside: the block goes whole, uncopied
             errs = np.count_nonzero(decode(words) != c, axis=1)
         else:
             errs = np.zeros(stop - start, dtype=np.intp)

@@ -355,12 +355,17 @@ def test_hard_kernel_receives_exactly_the_rows_outside_its_radius(decoder_id, m,
     assert [(pt.bit_err, pt.blk_err, pt.error_trials) for pt in points] == want
 
 
+def reach(decoder_id, d):
+    """The least distance from c at which a sign-quantized row reaches
+    decoder_id's kernel: ceil(d/2), or 1 for the ids with no radius proof."""
+    return 1 if decoder_id.partition(":")[0] in ("bw", "dumer", "dumer-list") else -(-d // 2)
+
+
 def test_every_hard_input_id_has_a_reach():
-    # the harness reads HARD_REACH for every id that can decode hard input
-    hard_ids = {name for name, (kind, _) in sim.DECODER_RULES.items() if kind in ("hard", "both")}
-    assert set(sim.HARD_REACH) == hard_ids
+    # the harness reads REACH for every decoder id, hard or soft
+    assert set(sim.REACH) == set(sim.DECODER_RULES)
     for d in (1, 2, 4, 8, 64):
-        assert [sim.HARD_REACH[name](d) for name in ("reed", "sakkour", "rpa", "bw")] == [-(-d // 2)] * 3 + [1]
+        assert {name: sim.REACH[name](d) for name in sim.REACH} == {name: reach(name, d) for name in sim.REACH}
 
 
 @pytest.mark.parametrize("decoder_id", ["reed", "sakkour", "bw", "rpa"])
@@ -408,10 +413,18 @@ def test_hard_sweeps_equal_row_by_row_replay_csv(over, workers, monkeypatch):
 # docstring).
 
 
-def ref_clean(params, L, c):
-    """The clean-row rule on one row, in Python floats."""
-    signed = [x if b == 0 else -x for x, b in zip(L.tolist(), c.tolist())]
-    g = min(signed)
+def ref_clean(params, L, c, reach=1):
+    """The soft skip rule on one row, in Python floats: its hard decision
+    lies at w = 0 from c, or at w < reach with every |L_z| one M, and g
+    folded r times from min|L| (w = 0) or from M/2 (w >= 1) passes the floor."""
+    mags = [abs(x) for x in L.tolist()]
+    w = sum((x < 0) != bool(b) for x, b in zip(L.tolist(), c.tolist()))
+    if w == 0:
+        g = min(mags)
+    elif w < reach and len(set(mags)) == 1:
+        g = mags[0] / 2
+    else:
+        return False
     if not g > 0:
         return False
     for _ in range(params.r):
@@ -515,6 +528,101 @@ def test_clean_rule_rejects_zero_wrong_signed_and_low_entries():
     assert [ref_clean(params, row, c[0]) for row in L] == want
 
 
+# ---- soft input: one-magnitude rows inside the radius skip the kernel ----
+# A soft row whose |L_z| all equal one M (every BSC row) skips the kernel of
+# ml, fht, rpa and rpa-chase when its hard decision lies at w < d/2 from c
+# and the llr_of_sum chain folded from M/2 passes the floor (the sim
+# docstring proves each radius).
+
+
+@lru_cache(maxsize=None)
+def radius_floor(m, r):
+    """The smallest double M at which a one-magnitude row of RM(m, r) with a
+    flip keeps the floor, by bisection on the rule over the bit patterns of
+    positive doubles, which sort as their values do."""
+    params = rmcode.CodeParams(m, r)
+    zero = np.zeros((1, params.n), np.uint8)
+    signs = np.ones((1, params.n))
+    signs[0, 0] = -1.0
+    lo, hi = 0, int(np.float64(channel.LLR_SATURATION).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        M = np.int64(mid).view(np.float64)
+        lo, hi = (lo, mid) if sim._clean_rows(params, signs * M, zero)[0] else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def flipped_rows(params, w, M, rng):
+    """Random codewords c and one-magnitude rows M[i] (1 - 2 c) with w[i]
+    random signs flipped."""
+    c = rmcode.encode_rows(params, rng.integers(0, 2, (len(w), params.k)))
+    signs = 1.0 - 2.0 * c
+    for i, wi in enumerate(w):
+        signs[i, rng.choice(params.n, wi, replace=False)] *= -1.0
+    return c, signs * np.asarray(M, dtype=np.float64).reshape(-1, 1)
+
+
+# codes with d >= 4 per id, so that 1 <= w < d/2 holds for some w
+RADIUS_CODES = {
+    "ml": [(m, r) for m in range(2, 7) for r in range(m - 1) if rmcode.CodeParams(m, r).k <= 16],
+    "fht": [(m, 1) for m in range(3, 9)],
+    "rpa": [(m, r) for m in range(3, 8) for r in range(1, min(m - 2, 3) + 1) if m <= 6 or r <= 2],
+    **{f"rpa-chase:{t}": [(4, 1), (4, 2), (5, 2), (5, 3), (6, 2)] for t in (0, 1, 3)},
+}
+
+
+@pytest.mark.parametrize("decoder_id", sorted(RADIUS_CODES))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), style=st.sampled_from(["floor", "loguniform"]), seed=st.integers(0, 2**32 - 1))
+def test_ml_fht_rpa_and_chase_return_c_inside_the_soft_radius(decoder_id, data, style, seed):
+    # the contract the soft radius rests on: 1 <= w < d/2 flips, every other
+    # row at the edge w = ceil(d/2) - 1, M at the floor or log-uniform from
+    # it to the saturation; -k "ml or chase" picks every case for CI's
+    # two-BLAS-thread step
+    m, r = data.draw(st.sampled_from(RADIUS_CODES[decoder_id]))
+    params = rmcode.CodeParams(m, r)
+    rng = np.random.default_rng(seed)
+    edge = reach(decoder_id, params.d) - 1
+    w = np.where(np.arange(4) % 2, edge, rng.integers(1, edge + 1, 4))
+    f = radius_floor(m, r)
+    M = f if style == "floor" else np.exp(rng.uniform(math.log(f), math.log(channel.LLR_SATURATION), 4))
+    c, L = flipped_rows(params, w, np.broadcast_to(M, 4), rng)
+    assert sim._inside_reach(params, "soft", L, c, sim.REACH[decoder_id.partition(":")[0]](params.d)).all()
+    assert [ref_clean(params, row, word, edge + 1) for row, word in zip(L, c)] == [True] * len(L)
+    kind, fn = resolve_block_decoder(decoder_id, params, "awgn", False)
+    assert kind == "soft"
+    assert np.array_equal(fn(L.copy()), c)
+
+
+@pytest.mark.parametrize("decoder_id,m,r", [
+    ("ml", 5, 2), ("ml", 4, 0), ("fht", 5, 1), ("rpa", 6, 2), ("rpa", 6, 3), ("rpa-chase:3", 5, 2),
+    ("dumer", 5, 2), ("dumer-list:4", 5, 2),
+])
+def test_ml_and_chase_soft_radius_rule_equals_the_python_reference(decoder_id, m, r):
+    # the rule against ref_clean, row by row: every w up to the first one
+    # outside the radius, at one magnitude and with one |L_z| nudged, and
+    # M on both sides of the floor folded from M/2; every row it skips
+    # decodes to c
+    params = rmcode.CodeParams(m, r)
+    rng = np.random.default_rng(m + r)
+    out = reach(decoder_id, params.d)
+    f = radius_floor(m, r)
+    below = np.nextafter(f, 0.0)
+    w = [*range(out + 1), 1, 1, 0]
+    M = [3.0] * (out + 1) + [f, below, below]
+    want = [i < out for i in range(out + 1)] + [out > 1, False, True]
+    c, L = flipped_rows(params, w, M, rng)
+    nudged = L[: out + 1].copy()
+    nudged[:, 3] *= 1.0 + 2.0**-20
+    L, c = np.concatenate([L, nudged]), np.concatenate([c, c[: out + 1]])
+    want += [True] + [False] * out  # unequal magnitudes skip only at w = 0
+    got = sim._inside_reach(params, "soft", L, c, sim.REACH[decoder_id.partition(":")[0]](params.d))
+    assert got.tolist() == want
+    assert [ref_clean(params, row, word, out) for row, word in zip(L, c)] == want
+    _, fn = resolve_block_decoder(decoder_id, params, "awgn", False)
+    assert np.array_equal(fn(L[got]), c[got])
+
+
 SOFT_SWEEP = ["bsc:0.03", "bsc:0.12", "bsc:0", "bec:0.05", "bec:0.3", "awgn:0.45", "awgn:0.8"]
 
 
@@ -524,18 +632,27 @@ SOFT_SWEEP = ["bsc:0.03", "bsc:0.12", "bsc:0", "bec:0.05", "bec:0.3", "awgn:0.45
 def test_soft_kernel_receives_exactly_the_rows_that_are_not_clean(decoder_id, m, r, monkeypatch):
     # BSC, BEC and AWGN points, blocks straddling points of one kind: the
     # kernel sees exactly the rows that are not clean (rpa's BSC rows are
-    # hard words, clean inside the radius: 2 dist < d), and the counts
-    # equal the row-by-row loop's
+    # hard words, clean inside the radius: 2 dist < d; so are the BSC rows
+    # of ml, fht and rpa-chase, one magnitude each, at the floor), and the
+    # counts equal the row-by-row loop's
     config = config_from_dict({"m": m, "r": r, "decoder": decoder_id, "trials": 41, "seed": 6,
                                "channels": SOFT_SWEEP, "max_errors_to_log": 5})
-    want_rows, sent = [], 0
+    params = config.params
+    want_rows, sent, flipped_skips = [], 0, 0
     for p, spec in enumerate(config.channels):
-        hard = resolve_decoder(decoder_id, config.params, spec.kind, False)[0] == "hard"
+        hard = resolve_decoder(decoder_id, params, spec.kind, False)[0] == "hard"
         for c, w in reference_words(config, p):
             sent += 1
-            if outside_radius(decoder_id, config.params, c, w) if hard else not ref_clean(config.params, w, c):
+            if hard:
+                skips = not outside_radius(decoder_id, params, c, w)
+            else:
+                skips = ref_clean(params, w, c, reach(decoder_id, params.d))
+                flipped_skips += skips and (channel.hard_decision(w) != c).any()
+            if not skips:
                 want_rows.append(w)
     assert 0 < len(want_rows) < sent
+    # the soft radius skips rows with flips exactly where the id has one
+    assert (flipped_skips > 0) == (decoder_id in ("ml", "fht", "rpa-chase:1"))
     calls = []
     recording_kernels(monkeypatch, calls)
     monkeypatch.setattr(sim, "BLOCK_CELLS", 30 * config.params.n)
